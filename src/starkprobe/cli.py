@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=2001)
         p.add_argument("--components", action="store_true",
                        help="emit per-term columns")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--oracle-check", action="store_true",
                        help="print analytic-vs-oracle deviations")
 
@@ -92,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detuning", type=float, default=0.0,
                    help="signal detuning from omega_c* [Hz]")
     p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fom", action="store_true",
                    help="also emit |S21|/|S21_vacuum| (panel-4 ratio)")
     p.add_argument("--oracle-check", action="store_true")
@@ -276,7 +274,6 @@ def _cmd_spectrum(args, model: str) -> int:
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
     grid = _probe_grid(args, system, preset, info.get("config", {}))
-    workers = getattr(args, "workers", 1)
     fmts = _formats(args.format)
     stem = (f"{model}_{args.preset}_{args.state}" if preset is not None
             else f"{model}_{args.state}")
@@ -297,13 +294,11 @@ def _cmd_spectrum(args, model: str) -> int:
     for run_stem, run_sig in runs:
         spec = detector.sweep(system, run_sig, grid, model=model,
                               with_components=getattr(args, "components",
-                                                      False),
-                              workers=workers)
+                                                      False))
         written += output.emit_spectrum(spec, args.out, run_stem, fmts)
 
     if getattr(args, "fom", False) and not isinstance(sig, detector.Vacuum):
-        vac = detector.sweep(system, detector.Vacuum(), grid, model=model,
-                             workers=workers)
+        vac = detector.sweep(system, detector.Vacuum(), grid, model=model)
         ratio = detector.figure_of_merit(spec, vac)
         lines = ["omega_p_hz,ratio"]
         lines += [f"{w/TWO_PI:.17g},{r:.17g}" for w, r in zip(grid, ratio)]

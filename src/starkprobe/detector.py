@@ -258,11 +258,86 @@ def thermal_flux(sig: Thermal, params: SystemParams) -> float:
 
 # ---------------------------------------------------------------------------
 # Per-qubit probe responses (all normalised by the probe amplitude)
+#
+# Each kernel takes omega_p as a scalar or as an array of probe points and
+# sums its series for all points at once, one "lane" per point; a scalar
+# comes back as a complex.
 
-def qubit_response_coherent(omega_p: float, qubit: QubitParams,
+class _Lanes:
+    """Running sums of one series per probe point.
+
+    A lane stops once three consecutive terms each fall below _TERM_RTOL of
+    its running total and then leaves the active set, so the per-term work
+    follows the points still summing; `active` holds their grid indices.
+    """
+
+    def __init__(self, omega_p):
+        self.grid = np.asarray(omega_p, dtype=float)
+        size = self.grid.size
+        self.active = np.arange(size)
+        self.total = np.zeros(size, dtype=complex)
+        # whether the last term and the one before were small
+        self.small1 = self.small2 = np.zeros(size, dtype=bool)
+        self.out = np.empty(size, dtype=complex)
+
+    def add(self, term, stop: bool = True) -> Optional[np.ndarray]:
+        """Add one term per active lane and retire the converged lanes.
+
+        Returns the mask of lanes kept, for the caller to compact its own
+        per-lane arrays, or None when no lane finished.
+        """
+        self.total += term
+        if not stop:
+            return None
+        small = np.abs(term) < _TERM_RTOL*np.maximum(np.abs(self.total), 1e-300)
+        done = small & self.small1 & self.small2
+        self.small1, self.small2 = small, self.small1
+        if not np.count_nonzero(done):
+            return None
+        self.out[self.active[done]] = self.total[done]
+        keep = ~done
+        self.active, self.total, self.small1, self.small2 = (
+            self.active[keep], self.total[keep], self.small1[keep],
+            self.small2[keep])
+        return keep
+
+    def result(self, scale: float, state: str):
+        """The finished sums times scale, in the grid's shape."""
+        values = self.out*scale
+        bad = (~np.isfinite(values)).nonzero()[0]
+        if bad.size:
+            raise _not_finite(state, self.grid.flat[bad[0]])
+        if self.grid.ndim == 0:
+            return complex(values[0])
+        return values.reshape(self.grid.shape)
+
+    def cap_error(self, state: str, message: str) -> ConvergenceError:
+        """Error for lanes still summing at _TERM_CAP terms."""
+        bad = self.active[~np.isfinite(self.total)]
+        if bad.size:
+            return _not_finite(state, self.grid.flat[bad[0]])
+        return ConvergenceError(message)
+
+
+def _not_finite(state: str, omega_p: float) -> ConvergenceError:
+    return ConvergenceError(f"{state} response is not finite at "
+                            f"omega_p = {float(omega_p):.17g} rad/s")
+
+
+def _cmul(x, y):
+    """x*y formed from real parts, unfused.
+
+    numpy's array complex multiply may fuse the products (FMA) and round the
+    last bit differently from a scalar product; the expint series amplifies
+    such a bit ten-thousandfold.
+    """
+    return (x.real*y.real - x.imag*y.imag) + 1j*(x.real*y.imag + x.imag*y.real)
+
+
+def qubit_response_coherent(omega_p, qubit: QubitParams,
                             params: SystemParams, beta: complex,
                             signal_omega: Optional[float] = None,
-                            method: str = "series") -> complex:
+                            method: str = "series"):
     """Probe-normalised dipole response with a coherent field beta.
 
     Series form: chi e^-W sum_n W^n/n! / D_n with
@@ -271,47 +346,48 @@ def qubit_response_coherent(omega_p: float, qubit: QubitParams,
           - n (omega_c* - omega - i gc/2) + i gamma_coh
           + 4 chi^2 |beta|^2 / w.
     method="closed" evaluates the equivalent confluent-hypergeometric
-    closed form instead; both paths agree to ~1e-12.
+    closed form instead, point by point; both paths agree to ~1e-12.
     """
     chi, gc = qubit.chi, params.cavity.gamma_c
     omega = params.omega_c_star if signal_omega is None else signal_omega
     w = params.omega_c_star + 2.0*chi - omega - 0.5j*gc
     beta2 = abs(beta)**2
     big_w = 4.0*chi*chi*beta2/(w*w)
-    base = (omega_p - qubit.omega_q - 2.0*chi*beta2 + 1j*qubit.gamma_coh
-            + 4.0*chi*chi*beta2/w)
+    lanes = _Lanes(omega_p)
+    base = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
+            + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)
     if method == "closed":
-        w0 = base - 4.0*chi*chi*beta2/w
-        a = -w0/w - big_w
-        return chi*cmath.exp(-big_w)/base*hyp1f1(a, 1.0 + a, big_w)
+        def closed(b: complex) -> complex:
+            w0 = b - 4.0*chi*chi*beta2/w
+            a = -w0/w - big_w
+            return chi*cmath.exp(-big_w)/b*hyp1f1(a, 1.0 + a, big_w)
+        lanes.out[:] = [closed(b) for b in base.tolist()]
+        return lanes.result(1.0, "coherent")
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
     step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
     # scaled Poisson accumulation: amp*exp(logscale) = e^-W W^n/n!
     logscale = -big_w
     amp = 1.0 + 0j
-    total = 0j
-    quiet = 0
-    for n in range(_TERM_CAP):
-        term = amp*cmath.exp(logscale)/(base - n*step)
-        total += term
-        amp *= big_w/(n + 1)
-        if abs(amp) > 1e250:
-            logscale += math.log(abs(amp))
-            amp /= abs(amp)
-        if abs(term) < _TERM_RTOL*max(abs(total), 1e-300) and n >= abs(big_w):
-            quiet += 1
-            if quiet >= 3:
-                return total*chi
-        else:
-            quiet = 0
-    raise ConvergenceError(
-        f"coherent response series cap: nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(_TERM_CAP):
+            if not lanes.active.size:
+                return lanes.result(chi, "coherent")
+            keep = lanes.add(amp*cmath.exp(logscale)/(base - n*step),
+                             n >= abs(big_w))
+            if keep is not None:
+                base = base[keep]
+            amp *= big_w/(n + 1)
+            if abs(amp) > 1e250:
+                logscale += math.log(abs(amp))
+                amp /= abs(amp)
+    raise lanes.cap_error("coherent", "coherent response series cap: "
+                          f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
 
 
-def qubit_response_incoherent(omega_p: float, qubit: QubitParams,
+def qubit_response_incoherent(omega_p, qubit: QubitParams,
                               params: SystemParams, nbar: float,
-                              signal_omega: Optional[float] = None) -> complex:
+                              signal_omega: Optional[float] = None):
     """Probe-normalised response for an incoherent (phase-less) field.
 
     Gaussian-weighted integral of the coherent response over |beta|^2,
@@ -333,26 +409,28 @@ def qubit_response_incoherent(omega_p: float, qubit: QubitParams,
     c = 1.0/nbar + k
     b_coef = -(2.0*chi - 4.0*chi*chi/w)
     step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
-    total = 0j
+    lanes = _Lanes(omega_p)
+    base = lanes.grid.ravel() - qubit.omega_q + 1j*qubit.gamma_coh
+    pole = (base == 0).nonzero()[0]
+    if pole.size:
+        # x_0 = 0, where e^x E_1(x) diverges
+        raise _not_finite("incoherent", lanes.grid.flat[pole[0]])
     ratio = 1.0 + 0j      # (k/c)^n
-    quiet = 0
     for n in range(_TERM_CAP):
-        a_n = omega_p - qubit.omega_q + 1j*qubit.gamma_coh - n*step
-        term = ratio*expint_scaled(n + 1, a_n*c/b_coef)/(nbar*b_coef)
-        total += term
+        if not lanes.active.size:
+            return lanes.result(chi, "incoherent")
+        x_n = _cmul(base - n*step, c)/b_coef
+        keep = lanes.add(ratio*expint_scaled(n + 1, x_n)/(nbar*b_coef))
+        if keep is not None:
+            base = base[keep]
         ratio *= k/c
-        if abs(term) < _TERM_RTOL*max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total*chi
-        else:
-            quiet = 0
-    raise ConvergenceError(f"incoherent response series cap at nbar={nbar:.3g}")
+    raise lanes.cap_error("incoherent",
+                          f"incoherent response series cap at nbar={nbar:.3g}")
 
 
-def qubit_response_thermal(omega_p: float, qubit: QubitParams,
+def qubit_response_thermal(omega_p, qubit: QubitParams,
                            params: SystemParams, flux: float, tau_c: float,
-                           signal_omega: Optional[float] = None) -> complex:
+                           signal_omega: Optional[float] = None):
     """Probe-normalised response for a short-coherence (thermal) field.
 
     Bose factor nbar = (J/tau)/((omega-omega_c*)^2 + 1/tau^2); the probe
@@ -369,41 +447,46 @@ def qubit_response_thermal(omega_p: float, qubit: QubitParams,
     if gc*tau_c > 0.1:
         warnings.warn(f"gamma_c tau_c = {gc*tau_c:.3f} > 0.1: outside the "
                       "validity of the short-coherence expansion", stacklevel=2)
+    lanes = _Lanes(omega_p)
+    wp = lanes.grid.ravel()
     delta = omega - params.omega_c_star
     nbar = (flux/tau_c)/(delta*delta + 1.0/tau_c**2)
-    tau_p = tau_c/(1.0 + 1j*tau_c*(omega_p - omega))
-    nbar_p = (flux/tau_p)/(delta*delta + 1.0/(tau_p*tau_p))
-    s_root = cmath.sqrt(0.25*gc*gc + gc*(2.0*nbar_p + 1.0)*1j*chi - chi*chi)
-    if s_root.real < 0:
-        s_root = -s_root   # decaying poles
-    v = 1.0 + (1j*chi - 0.5*gc - s_root)/(gc*(1.0 + nbar_p))
-    r1 = 0.5*gc - s_root - 1j*chi
-    q1 = 0.5*gc + s_root - 1j*chi
-    r2 = gc*(v - nbar/(1.0 + nbar))*(1.0 + nbar_p)
-    q2 = r2 + 2.0*s_root
-    total = 0j
-    f1 = f2 = 1.0 + 0j
-    quiet = 0
-    for n in range(_TERM_CAP):
-        pole = (qubit.omega_q - 1j*qubit.gamma_coh - 1j*(2*n + 1)*s_root
-                - chi + 0.5j*gc)
-        term = 2.0*s_root*gc/(omega_p - pole)*f1/q1*f2/q2
-        total += term
-        f1 *= r1/q1
-        f2 *= r2/q2
-        if abs(term) < _TERM_RTOL*max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total*chi
-        else:
-            quiet = 0
-    raise ConvergenceError(f"thermal response series cap at nbar={nbar:.3g}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_p = tau_c/(1.0 + 1j*tau_c*(wp - omega))
+        nbar_p = (flux/tau_p)/(delta*delta + 1.0/(tau_p*tau_p))
+        s_root = np.sqrt(0.25*gc*gc + gc*(2.0*nbar_p + 1.0)*1j*chi - chi*chi)
+        s_root = np.where(s_root.real < 0, -s_root, s_root)   # decaying poles
+        v = 1.0 + (1j*chi - 0.5*gc - s_root)/(gc*(1.0 + nbar_p))
+        r1 = 0.5*gc - s_root - 1j*chi
+        q1 = 0.5*gc + s_root - 1j*chi
+        r2 = gc*(v - nbar/(1.0 + nbar))*(1.0 + nbar_p)
+        q2 = r2 + 2.0*s_root
+        rate1, rate2 = r1/q1, r2/q2
+        prefactor = 2.0*s_root*gc
+        pole0 = qubit.omega_q - 1j*qubit.gamma_coh
+        f1 = f2 = np.ones(wp.shape, dtype=complex)
+        for n in range(_TERM_CAP):
+            if not lanes.active.size:
+                return lanes.result(chi, "thermal")
+            pole = pole0 - 1j*(2*n + 1)*s_root - chi + 0.5j*gc
+            keep = lanes.add(prefactor/(wp - pole)*f1/q1*f2/q2)
+            f1 = f1*rate1
+            f2 = f2*rate2
+            if keep is not None:
+                wp, s_root, prefactor, q1, q2, rate1, rate2, f1, f2 = (
+                    a[keep] for a in (wp, s_root, prefactor, q1, q2,
+                                      rate1, rate2, f1, f2))
+    raise lanes.cap_error("thermal",
+                          f"thermal response series cap at nbar={nbar:.3g}")
 
 
 def response_function(params: SystemParams, sig: SignalState,
                       method: str = "series"
                       ) -> Callable[[float, QubitParams], complex]:
-    """Bind a signal state into the per-qubit response R(omega_p, qubit)."""
+    """Bind a signal state into the per-qubit response R(omega_p, qubit).
+
+    omega_p is a probe frequency or an array of them, as for the kernels.
+    """
     omega = signal_frequency(sig, params)
     if isinstance(sig, Vacuum):
         return lambda wp, q: qubit_response_coherent(
@@ -436,33 +519,41 @@ def s21_signal(omega: float, params: SystemParams) -> complex:
             - 0.5j*gc/(omega + wcs + 0.5j*gc))
 
 
-def s21_probe(omega_p: float, params: SystemParams, sig: SignalState,
+def s21_probe(omega_p, params: SystemParams, sig: SignalState,
               probe_amplitude: float = 1.0, method: str = "series",
-              parts: Optional[dict] = None) -> complex:
+              parts: Optional[dict] = None):
     """Probe transmission at omega_p for the given signal state.
 
-    Linear response: the probe amplitude cancels identically (it is kept
-    as an explicit placeholder so the cancellation is testable).  When
-    `parts` is a dict it receives the cavity term and one entry per qubit.
+    omega_p is one probe frequency (a complex comes back) or an array of
+    them, evaluated in one pass: the signal state is bound once, and each
+    distinct qubit's response is evaluated once and added once per qubit,
+    in qubit order.  Linear response: the probe amplitude cancels
+    identically (it is kept as an explicit placeholder so the cancellation
+    is testable).  When `parts` is a dict it receives the cavity term and
+    one entry per qubit.
     """
+    wp = np.asarray(omega_p, dtype=float)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
     wcs = params.omega_c_star
     respond = response_function(params, sig, method=method)
-    cavity_term = (-0.5j*gc/(omega_p - wcs + 0.5j*gc)
-                   - 0.5j*gc/(omega_p + wcs + 0.5j*gc))
+    cavity_term = (-0.5j*gc/(wp - wcs + 0.5j*gc)
+                   - 0.5j*gc/(wp + wcs + 0.5j*gc))
     total = cavity_term
     if parts is not None:
         parts["cavity"] = cavity_term
+    terms: dict = {}
     for idx, q in enumerate(params.qubits):
-        sigma_co = probe_amplitude*respond(omega_p, q)      # co-rotating
-        sigma_counter = probe_amplitude*np.conj(respond(-omega_p, q))
-        term = (0.5j*gc*(sigma_co/probe_amplitude)/(omega_p - omega_c + 0.5j*gc)
-                + 0.5j*gc*(sigma_counter/probe_amplitude)/(omega_p + omega_c + 0.5j*gc))
-        total += term
+        if q not in terms:
+            sigma_co = probe_amplitude*respond(wp, q)      # co-rotating
+            sigma_counter = probe_amplitude*np.conj(respond(-wp, q))
+            terms[q] = (
+                0.5j*gc*(sigma_co/probe_amplitude)/(wp - omega_c + 0.5j*gc)
+                + 0.5j*gc*(sigma_counter/probe_amplitude)/(wp + omega_c + 0.5j*gc))
+        total = total + terms[q]
         if parts is not None:
-            parts[f"qubit_{idx}"] = term
-    return total
+            parts[f"qubit_{idx}"] = terms[q]
+    return total if wp.ndim else complex(total)
 
 
 # Table of sideband weights and cavity-induced widths per signal state.
@@ -486,14 +577,15 @@ def sideband_cavity_width(sig: SignalState, n: int, nbar: float,
     return ((2.0*nbar + 1.0)*n + nbar)*gamma_c
 
 
-def comb_spectrum(omega_p: float, params: SystemParams,
-                  sig: SignalState) -> complex:
+def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
     """Well-resolved-limit comb approximation of the probe transmission.
 
     -i gc/(2(omega_p - omega_c)) plus, per qubit and photon number n, a
     pole at omega_j + 2 chi n of weight P(n) gc chi/(2(omega_j - omega_c))
-    and width Gamma_cav(n) + gamma_coh; valid for gc << chi.
+    and width Gamma_cav(n) + gamma_coh; valid for gc << chi.  omega_p is a
+    scalar or an array of probe points; the sideband table is built once.
     """
+    wp = np.asarray(omega_p, dtype=float)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
     nbar, _ = cavity_photon_number(sig, params)
@@ -501,7 +593,7 @@ def comb_spectrum(omega_p: float, params: SystemParams,
     if gc > 0.2*min_chi:
         warnings.warn(f"comb approximation needs gamma_c << chi "
                       f"(ratio {gc/min_chi:.2f})", stacklevel=2)
-    total = -0.5j*gc/(omega_p - omega_c)
+    total = -0.5j*gc/(wp - omega_c)
     for q in params.qubits:
         amp = 0.5j*gc*q.chi/(q.omega_q - omega_c)
         cumulative = 0.0
@@ -510,9 +602,9 @@ def comb_spectrum(omega_p: float, params: SystemParams,
             p_n = sideband_weight(sig, n, nbar)
             cumulative += p_n
             width = sideband_cavity_width(sig, n, nbar, gc) + q.gamma_coh
-            total += amp*p_n/(omega_p - (q.omega_q + 2.0*q.chi*n - 1j*width))
+            total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n - 1j*width))
             n += 1
-    return total
+    return total if wp.ndim else complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -520,38 +612,22 @@ def comb_spectrum(omega_p: float, params: SystemParams,
 
 def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
           model: str = "full", with_components: bool = False,
-          method: str = "series", workers: int = 1) -> Spectrum:
+          method: str = "series") -> Spectrum:
     """Evaluate S21 over a probe grid; model is "full" or "comb".
 
-    Grid points are independent; with workers > 1 they are evaluated on a
-    thread pool and collected back in grid order, so the output is
-    identical to the sequential one.
+    The whole grid goes through `s21_probe` (or `comb_spectrum`) in one
+    call.  with_components adds the cavity term and one column per qubit
+    to the full model.
     """
     if model not in ("full", "comb"):
         raise ValueError(f"unknown model {model!r}")
     grid = np.asarray(omega_p_grid, dtype=float)
-    values = np.empty(grid.shape, dtype=complex)
     components: Optional[dict] = None
-    if with_components and model == "full":
-        components = {}
-
-    def evaluate(wp: float):
-        if model == "comb":
-            return comb_spectrum(wp, params, sig), None
-        parts: Optional[dict] = {} if components is not None else None
-        return s21_probe(wp, params, sig, method=method, parts=parts), parts
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, grid))
+    if model == "comb":
+        values = comb_spectrum(grid, params, sig)
     else:
-        results = [evaluate(wp) for wp in grid]
-    for i, (val, parts) in enumerate(results):
-        values[i] = val
-        if components is not None and parts is not None:
-            for key, part in parts.items():
-                components.setdefault(key, np.empty(grid.shape, complex))[i] = part
+        components = {} if with_components else None
+        values = s21_probe(grid, params, sig, method=method, parts=components)
     nbar, _ = cavity_photon_number(sig, params)
     meta = {
         "model": model,

@@ -1,6 +1,8 @@
 """Complex special functions used by the analytic spectra.
 
-Everything here is scalar, pure and thread-safe.  Branch conventions:
+Everything here is pure and thread-safe, and scalar except the scaled
+exponential integral `expint_scaled`, which also takes an array of
+arguments and evaluates it elementwise in one pass.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
 z >= -1/e); the Tricomi U and exponential integrals use the principal
 branch with the cut along the negative real axis.
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -284,24 +288,50 @@ def expint_en(n: int, z: complex) -> complex:
     return cmath.exp(-z)*expint_scaled(n, z)
 
 
-def expint_scaled(n: int, z: complex) -> complex:
-    """e^z E_n(z) without the exponential over/underflow, n >= 1."""
-    z = complex(z)
-    if z == 0 and n >= 2:
-        return complex(1.0/(n - 1))
-    if abs(z) <= (6.0 if z.real > 0 else 12.0):
-        # the series cancellation grows like e^|Re z| on the right half
-        # plane, so hand over to the fraction earlier there
-        return _expint_scaled_series(n, z)
-    try:
-        return _expint_scaled_cf(n, z)
-    except ConvergenceError:
-        # near the branch cut the fraction stalls; the scaled series covers
-        # moderate |z|, the asymptotic tail the rest (its exponentially small
-        # branch term is below double precision for n << |z|/log|z|).
-        if abs(z) <= 200.0:
-            return _expint_scaled_series(n, z)
-        return _expint_scaled_asymptotic(n, z)
+def expint_scaled(n: int, z):
+    """e^z E_n(z) without the exponential over/underflow, n >= 1.
+
+    z is a scalar (a complex comes back) or an array (an array of the same
+    shape comes back).  Arguments in the continued-fraction region run
+    together through one vectorised Lentz recurrence.  Those that need the
+    series, a lone argument and those where the fraction stalls go through
+    the scalar helpers one at a time, with the values of a scalar call.  A
+    non-finite result raises ConvergenceError.
+    """
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    # np.abs may differ from abs() in the last bit: take the candidates for
+    # the series generously and decide each one with the scalar rule
+    fraction = np.abs(flat) > 12.5
+    for i in (~fraction).nonzero()[0]:
+        zi = complex(flat[i])
+        if zi == 0 and n >= 2:
+            out[i] = 1.0/(n - 1)
+        elif abs(zi) <= (6.0 if zi.real > 0 else 12.0):
+            # the series cancellation grows like e^|Re z| on the right half
+            # plane, so hand over to the fraction earlier there
+            out[i] = _expint_scaled_series(n, zi)
+        else:
+            fraction[i] = True
+    lanes = fraction.nonzero()[0]
+    if lanes.size > 1:
+        out[lanes], stalled = _expint_scaled_cf_lanes(n, flat[lanes])
+        lanes = lanes[stalled]
+    # a lone argument runs the scalar recurrence, at a tenth of the cost of
+    # the array one, and so do the lanes where the array one stalled
+    for i in lanes:
+        zi = complex(flat[i])
+        try:
+            out[i] = _expint_scaled_cf(n, zi)
+        except ConvergenceError:
+            # near the branch cut the fraction stalls; the scaled series
+            # covers moderate |z|, the asymptotic tail the rest (its
+            # exponentially small branch term is below double precision for
+            # n << |z|/log|z|).
+            out[i] = (_expint_scaled_series(n, zi) if abs(zi) <= 200.0
+                      else _expint_scaled_asymptotic(n, zi))
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def _expint_scaled_series(n: int, z: complex) -> complex:
@@ -356,6 +386,40 @@ def _expint_scaled_cf(n: int, z: complex) -> complex:
         if abs(delta - 1.0) < 1e-16:
             return _check_finite(h, "expint_scaled")
     raise ConvergenceError(f"expint_scaled({n},{z}): continued fraction stalled")
+
+
+def _expint_scaled_cf_lanes(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _expint_scaled_cf with one lane per element of z; a lane leaves the
+    # recurrence once it has converged.  The second result masks the lanes
+    # that stalled or went non-finite, which the caller replaces.
+    tiny = 1e-300
+    out = np.full(z.shape, np.nan, dtype=complex)
+    lane = np.arange(z.size)
+    c = np.full(z.shape, 1.0/tiny, dtype=complex)
+    with np.errstate(all="ignore"):
+        b = z + n
+        d = 1.0/b
+        h = d.copy()
+        for i in range(1, 3000):
+            a = -i*(n - 1.0 + i)
+            b += 2.0
+            d = 1.0/(a*d + b)
+            c = b + a/c
+            delta = c*d
+            if np.count_nonzero(delta) < delta.size:
+                # floor a vanishing c or d at tiny
+                c[c == 0] = tiny
+                d[d == 0] = tiny
+                delta = c*d
+            h *= delta
+            done = np.abs(delta - 1.0) < 1e-16
+            if np.count_nonzero(done):
+                out[lane[done]] = h[done]
+                keep = ~done
+                lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+                if not lane.size:
+                    break
+    return out, ~np.isfinite(out)
 
 
 # ---------------------------------------------------------------------------

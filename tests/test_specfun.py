@@ -282,6 +282,39 @@ def test_expint_scaled_against_quadrature_near_cut():
     assert abs(got - (ref_re + 1j*ref_im)) < 1e-10
 
 
+def test_expint_scaled_array_matches_scalar():
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-60.0, 60.0, 300) + 1j*rng.uniform(-60.0, 60.0, 300)
+    # zero, series lanes, the fraction at Re z > 0 inside |z| <= 12, and
+    # stalls near the cut handed to the series and to the asymptotic tail
+    z = np.concatenate([z, [0.0, 3.0 + 1.0j, -5.0 + 0.5j, 7.0 + 2.0j,
+                            -40.0 - 1e-3j, -40.0 - 1e-6j, -300.0 - 1e-9j]])
+    for n in (1, 2, 5, 20):
+        zn = z[z != 0] if n == 1 else z      # E_1 diverges at 0
+        got = expint_scaled(n, zn.reshape(-1, 1))
+        assert got.shape == (zn.size, 1)
+        one = np.array([expint_scaled(n, complex(x)) for x in zn])
+        assert np.all(np.abs(got.ravel() - one) <= 1e-13*np.abs(one)), n
+    assert isinstance(expint_scaled(3, 2.0 + 1.0j), complex)
+
+
+@pytest.mark.xfail(strict=True, reason="expint_scaled's series branch (Re z > 0, "
+                   "|z| <= 6) loses up to 1.2e-10 relative accuracy (n = 8, "
+                   "z = 6 e^(-i pi/12)); the continued fraction is good to "
+                   "1e-15 there")
+def test_expint_scaled_series_branch_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for n in (1, 4, 8, 12):
+            for r in (0.5, 2.0, 4.0, 6.0):
+                for theta in np.linspace(-0.5*math.pi, 0.5*math.pi, 13)[1:-1]:
+                    z = r*cmath.exp(1j*theta)
+                    ref = complex(mpmath.exp(z)*mpmath.expint(n, z))
+                    worst = max(worst, abs(expint_scaled(n, z) - ref)/abs(ref))
+    assert worst < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Laguerre and digamma
 
