@@ -26,7 +26,7 @@ def _states(fp):
 @pytest.mark.parametrize("preset", sorted(FIGURES))
 def test_grid_equals_pointwise(preset):
     # every fourth point of the grid alone: a size-1 incoherent call costs
-    # about 1.5 ms, so all 201 would add some 15 s to the suite
+    # about 1.5 ms, so all 201 would add some 10 s to the suite
     fp = FIGURES[preset]
     system = fp.system()
     grid = fp.probe_grid_default(201)
