@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,8 +21,6 @@ from . import cavity as cavity_mod
 from . import detector, oracle, output, presets, waveguide
 from .config import ConfigError, load_config
 from .specfun import ConvergenceError
-
-TWO_PI = 2.0*math.pi
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,6 +106,14 @@ def _formats(arg: str) -> tuple[str, ...]:
     return fmts
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a rejected input as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _write_report(data: dict, out_dir: Path, stem: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     text = "\n".join(f"{k} = {format(v, '.17g') if isinstance(v, float) else v}"
@@ -149,15 +156,16 @@ def _cmd_waveguide(args) -> int:
 def _cmd_cavity(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if {"length", "gap_capacitance", "line_capacitance", "velocity"} <= set(cfg):
-        geom = cavity_mod.ResonatorGeometry(
+        geom = _checked(
+            cavity_mod.ResonatorGeometry,
             length=cfg["length"], gap_capacitance=cfg["gap_capacitance"],
             line_capacitance=cfg["line_capacitance"], velocity=cfg["velocity"])
     else:
-        geom = presets.resonator_preset(args.ratio)
+        geom = _checked(presets.resonator_preset, args.ratio)
     modes = cavity_mod.resonances(geom, args.modes)
     rows = ["n,f_n_hz,gamma_n_hz,q_factor"]
     for m in modes:
-        rows.append(f"{m.n},{m.omega_n/TWO_PI:.17g},{m.gamma_n/TWO_PI:.17g},"
+        rows.append(f"{m.n},{m.omega_n/math.tau:.17g},{m.gamma_n/math.tau:.17g},"
                     f"{m.q_factor:.17g}")
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out/"cavity_modes.csv").write_text("\n".join(rows) + "\n")
@@ -168,7 +176,7 @@ def _cmd_cavity(args) -> int:
     for w in np.linspace(lo, hi, args.points):
         s21, s11 = cavity_mod.bare_s_params(geom, w)
         rows.append(",".join(format(v, ".17g") for v in
-                             (w/TWO_PI, s21.real, s21.imag, abs(s21),
+                             (w/math.tau, s21.real, s21.imag, abs(s21),
                               s11.real, s11.imag, abs(s11))))
     (args.out/"cavity_sweep.csv").write_text("\n".join(rows) + "\n")
     return 0
@@ -176,7 +184,7 @@ def _cmd_cavity(args) -> int:
 
 def _cmd_atom(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    gamma1 = cfg.get("gamma1", TWO_PI*1e6)
+    gamma1 = cfg.get("gamma1", math.tau*1e6)
     gamma_phi = cfg.get("gamma_phi", 0.0)
     rabi = cfg.get("rabi", 0.0)
     span = cfg.get("span", 10.0*(0.5*gamma1 + gamma_phi))
@@ -186,7 +194,7 @@ def _cmd_atom(args) -> int:
                                 gamma_phi=gamma_phi, rabi=rabi)
         s11, s21 = atom_mod.atom_s_params(p)
         rows.append(",".join(format(v, ".17g") for v in
-                             (d/TWO_PI, s11.real, s11.imag, s21.real, s21.imag)))
+                             (d/math.tau, s11.real, s11.imag, s21.real, s21.imag)))
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out/"atom_sweep.csv").write_text("\n".join(rows) + "\n")
     print(f"wrote {args.points} points to {args.out/'atom_sweep.csv'}")
@@ -208,7 +216,7 @@ def _system_from(args) -> tuple[detector.SystemParams, dict]:
                               "(or set n_qubits = 0)")
         qubit = detector.QubitParams(
             omega_q=cfg["omega_q"], chi=cfg["chi"],
-            gamma=cfg.get("gamma", TWO_PI*250e3),
+            gamma=cfg.get("gamma", math.tau*250e3),
             gamma_phi=cfg.get("gamma_phi", 0.0))
         qubits = (qubit,)*n_qubits
     else:
@@ -220,24 +228,24 @@ def _system_from(args) -> tuple[detector.SystemParams, dict]:
 
 
 def _signal_from(args, system, preset) -> detector.SignalState:
-    omega = system.omega_c_star + TWO_PI*getattr(args, "detuning", 0.0)
+    omega = system.omega_c_star + math.tau*getattr(args, "detuning", 0.0)
     nbar = args.nbar
     flux = getattr(args, "flux", None)
     if nbar is None and flux is None:
         nbar = preset.nbar if preset is not None else 1.0
-    state = args.state
-    if state == "vacuum":
+    fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
+    if args.state == "vacuum":
         return detector.Vacuum(signal_omega=omega)
-    if state == "coherent":
-        return detector.Coherent(flux=flux, nbar=nbar, signal_omega=omega)
-    if state == "incoherent":
-        return detector.Incoherent(flux=flux, nbar=nbar, signal_omega=omega)
+    if args.state == "coherent":
+        return _checked(detector.Coherent, **fields)
+    if args.state == "incoherent":
+        return _checked(detector.Incoherent, **fields)
     tau = getattr(args, "tau_c", None)
     if tau is None and preset is not None:
         tau = preset.tau_c
     if tau is None:
         raise ConfigError("thermal state needs --tau-c")
-    return detector.Thermal(tau_c=tau, flux=flux, nbar=nbar, signal_omega=omega)
+    return _checked(detector.Thermal, tau_c=tau, **fields)
 
 
 def _probe_grid(args, system, preset, cfg) -> np.ndarray:
@@ -255,21 +263,24 @@ def _probe_grid(args, system, preset, cfg) -> np.ndarray:
     return np.linspace(center - span, center + span, args.points)
 
 
-def _oracle_table(system, sig, grid) -> str:
-    pts = np.linspace(grid[0], grid[-1], 7)
+def _oracle_table(system, sig, grid, n_fock: int) -> str:
+    """The first qubit's response R on the grid against the truncated-Fock
+    oracle's, with their relative deviation."""
+    analytic = detector.response_function(system, sig)(grid, system.qubits[0])
     lines = ["omega_p_hz  analytic_re  analytic_im  oracle_re  oracle_im  rel_dev"]
-    for wp in pts:
-        analytic = detector.s21_probe(wp, system, sig)
-        orc = oracle.lindblad_steady_response(system, sig, wp, n_fock=40)
-        resp = detector.response_function(system, sig)(wp, system.qubits[0])
-        dev = abs(orc.sigma_minus - resp)/max(abs(resp), 1e-300)
-        lines.append(f"{wp/TWO_PI:.6e}  {analytic.real:+.6e}  "
-                     f"{analytic.imag:+.6e}  {orc.sigma_minus.real:+.6e}  "
+    for wp, ana in zip(grid, analytic):
+        orc = oracle.lindblad_steady_response(system, sig, wp, n_fock=n_fock)
+        dev = abs(orc.sigma_minus - ana)/max(abs(ana), 1e-300)
+        lines.append(f"{wp/math.tau:.6e}  {ana.real:+.6e}  {ana.imag:+.6e}  "
+                     f"{orc.sigma_minus.real:+.6e}  "
                      f"{orc.sigma_minus.imag:+.6e}  {dev:.3e}")
     return "\n".join(lines)
 
 
 def _cmd_spectrum(args, model: str) -> int:
+    if (getattr(args, "oracle_check", False)
+            and args.state not in ("vacuum", "coherent")):
+        raise ConfigError("--oracle-check supports vacuum/coherent only")
     system, info = _system_from(args)
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
@@ -279,14 +290,12 @@ def _cmd_spectrum(args, model: str) -> int:
             else f"{model}_{args.state}")
 
     runs = [(stem, sig)]
-    if (preset is not None and isinstance(sig, detector.Thermal)
+    if (preset is not None and args.state == "thermal"
             and getattr(args, "tau_c", None) is None
             and preset.tau_c_choices):
         # figure presets that sweep the coherence time emit one spectrum
         # per listed tau_c
-        runs = [(f"{stem}_tau{i + 1}",
-                 detector.Thermal(tau_c=tau, flux=sig.flux, nbar=sig.nbar,
-                                  signal_omega=sig.signal_omega))
+        runs = [(f"{stem}_tau{i + 1}", dataclasses.replace(sig, tau_c=tau))
                 for i, tau in enumerate(preset.tau_c_choices)]
 
     written = []
@@ -297,18 +306,18 @@ def _cmd_spectrum(args, model: str) -> int:
                                                       False))
         written += output.emit_spectrum(spec, args.out, run_stem, fmts)
 
-    if getattr(args, "fom", False) and not isinstance(sig, detector.Vacuum):
+    if getattr(args, "fom", False) and args.state != "vacuum":
         vac = detector.sweep(system, detector.Vacuum(), grid, model=model)
         ratio = detector.figure_of_merit(spec, vac)
         lines = ["omega_p_hz,ratio"]
-        lines += [f"{w/TWO_PI:.17g},{r:.17g}" for w, r in zip(grid, ratio)]
+        lines += [f"{w/math.tau:.17g},{r:.17g}" for w, r in zip(grid, ratio)]
         target = args.out/f"{stem}_fom.csv"
         args.out.mkdir(parents=True, exist_ok=True)
         target.write_text("\n".join(lines) + "\n")
         written.append(target)
 
     if (preset is not None and preset.detunings_frac
-            and not isinstance(sig, detector.Vacuum)):
+            and args.state != "vacuum"):
         gc = system.cavity.gamma_c
         detunings = [f*gc for f in preset.detunings_frac]
         errs = detector.detuning_error(system, sig, detunings, grid)
@@ -316,7 +325,7 @@ def _cmd_spectrum(args, model: str) -> int:
             f"err_detuning_{f:+.4g}_gc" for f in preset.detunings_frac)
         lines = [header]
         for i, w in enumerate(grid):
-            cells = [f"{w/TWO_PI:.17g}"] + [f"{errs[d][i]:.17g}"
+            cells = [f"{w/math.tau:.17g}"] + [f"{errs[d][i]:.17g}"
                                             for d in detunings]
             lines.append(",".join(cells))
         target = args.out/f"{stem}_detuning_error.csv"
@@ -326,28 +335,15 @@ def _cmd_spectrum(args, model: str) -> int:
 
     print(f"wrote {', '.join(str(p) for p in written)}")
     if getattr(args, "oracle_check", False):
-        if not isinstance(sig, (detector.Vacuum, detector.Coherent)):
-            raise ConfigError("--oracle-check supports vacuum/coherent only")
-        print(_oracle_table(system, sig, grid))
+        print(_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7), 40))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     fp = presets.FIGURES[args.preset]
-    system = fp.system()
-    sig = detector.Coherent(nbar=args.nbar) if args.nbar > 0 else detector.Vacuum()
-    grid = fp.probe_grid_default(args.points)
-    respond = detector.response_function(system, sig)
-    lines = ["omega_p_hz  analytic_re  analytic_im  oracle_re  oracle_im  rel_dev"]
-    for wp in grid:
-        analytic = respond(wp, system.qubits[0])
-        orc = oracle.lindblad_steady_response(system, sig, wp,
-                                              n_fock=args.n_fock)
-        dev = abs(orc.sigma_minus - analytic)/max(abs(analytic), 1e-300)
-        lines.append(f"{wp/TWO_PI:.6e}  {analytic.real:+.6e}  "
-                     f"{analytic.imag:+.6e}  {orc.sigma_minus.real:+.6e}  "
-                     f"{orc.sigma_minus.imag:+.6e}  {dev:.3e}")
-    text = "\n".join(lines)
+    sig = _checked(detector.Coherent, nbar=args.nbar)
+    text = _oracle_table(fp.system(), sig, fp.probe_grid_default(args.points),
+                         args.n_fock)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out/"oracle_check.txt").write_text(text + "\n")
     print(text)
@@ -358,6 +354,8 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "points", 2) < 2:
+            raise ConfigError("--points must be at least 2")
         if args.command == "waveguide":
             return _cmd_waveguide(args)
         if args.command == "cavity":

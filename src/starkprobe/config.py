@@ -18,8 +18,6 @@ import math
 from pathlib import Path
 from typing import Union
 
-TWO_PI = 2.0*math.pi
-
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
@@ -63,7 +61,7 @@ def parse_quantity(text: str) -> float:
     scale, is_freq = _UNITS[unit]
     value *= scale
     if is_freq:
-        value *= TWO_PI
+        value *= math.tau
     return value
 
 

@@ -19,16 +19,15 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .cavity import ResonatorGeometry, resonances
-from .specfun import ConvergenceError, expint_scaled, hyp1f1
+from .specfun import ConvergenceError, expint_scaled
 from .waveguide import WaveguideParams
 
-TWO_PI = 2.0*math.pi
 E_CHARGE = 1.602176634e-19
 HBAR = 1.054571817e-34
 
@@ -89,9 +88,27 @@ class SystemParams:
         return self.cavity.omega_c - sum(q.chi for q in self.qubits)
 
 
-@dataclass(frozen=True)
-class Vacuum:
-    signal_omega: Optional[float] = None
+# Signal states.  Each owns its in-cavity (nbar, beta), its bound per-qubit
+# response and its comb sidebands (weight, cavity-induced width): Poisson
+# weights for coherent light, geometric (Bose) ones for incoherent and
+# thermal light.
+
+def _lorentzian_fill(sig, params: SystemParams) -> tuple[float, float, float]:
+    """(delta, flux, nbar) of a flux filling the cavity Lorentzian.
+
+    nbar = (gc J/2)/((omega - omega_c*)^2 + gc^2/4), so nbar = 2J/gc on
+    resonance; a state given by nbar gets the flux that yields it.
+    """
+    delta = signal_frequency(sig, params) - params.omega_c_star
+    gc = params.cavity.gamma_c
+    lor = delta*delta + 0.25*gc*gc
+    flux = sig.flux if sig.flux is not None else sig.nbar*lor/(0.5*gc)
+    return delta, flux, 0.5*gc*flux/lor
+
+
+def _bose_weight(n: int, nbar: float) -> float:
+    """Geometric photon-number weight nbar^n/(nbar + 1)^(n+1)."""
+    return math.exp(n*math.log(nbar) - (n + 1)*math.log(nbar + 1.0))
 
 
 @dataclass(frozen=True)
@@ -103,6 +120,28 @@ class Coherent:
     def __post_init__(self):
         _check_flux_nbar(self.flux, self.nbar)
 
+    def photon_number(self, params: SystemParams) -> tuple[float, complex]:
+        """(nbar, beta), beta real positive at zero detuning."""
+        delta, flux, nbar = _lorentzian_fill(self, params)
+        gc = params.cavity.gamma_c
+        return nbar, 1j*math.sqrt(0.5*gc*flux)/(delta + 0.5j*gc)
+
+    def response(self, params: SystemParams) -> Callable:
+        _, beta = self.photon_number(params)
+        omega = signal_frequency(self, params)
+        return lambda wp, q: qubit_response_coherent(wp, q, params, beta, omega)
+
+    def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
+        return (math.exp(-nbar + n*math.log(nbar) - math.lgamma(n + 1)),
+                0.5*(n + nbar)*gamma_c)
+
+
+@dataclass(frozen=True)
+class Vacuum(Coherent):
+    """The zero-photon coherent state."""
+    flux: Optional[float] = field(default=None, init=False)
+    nbar: Optional[float] = field(default=0.0, init=False)
+
 
 @dataclass(frozen=True)
 class Incoherent:
@@ -113,6 +152,19 @@ class Incoherent:
     def __post_init__(self):
         _check_flux_nbar(self.flux, self.nbar)
 
+    def photon_number(self, params: SystemParams) -> tuple[float, None]:
+        return _lorentzian_fill(self, params)[2], None
+
+    def response(self, params: SystemParams) -> Callable:
+        nbar, _ = self.photon_number(params)
+        if nbar == 0:
+            return Vacuum(signal_omega=self.signal_omega).response(params)
+        omega = signal_frequency(self, params)
+        return lambda wp, q: qubit_response_incoherent(wp, q, params, nbar, omega)
+
+    def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
+        return _bose_weight(n, nbar), 0.5*n*gamma_c
+
 
 @dataclass(frozen=True)
 class Thermal:
@@ -122,9 +174,34 @@ class Thermal:
     signal_omega: Optional[float] = None
 
     def __post_init__(self):
-        if self.tau_c <= 0:
-            raise ValueError("tau_c must be positive")
+        if not 0 < self.tau_c < math.inf:
+            raise ValueError("tau_c must be positive and finite")
         _check_flux_nbar(self.flux, self.nbar)
+
+    def _flux(self, params: SystemParams) -> tuple[float, float]:
+        """(flux, lor) with lor = (omega - omega_c*)^2 + 1/tau_c^2."""
+        delta = signal_frequency(self, params) - params.omega_c_star
+        lor = delta*delta + 1.0/self.tau_c**2
+        return (self.flux if self.flux is not None
+                else self.nbar*lor*self.tau_c), lor
+
+    def photon_number(self, params: SystemParams) -> tuple[float, None]:
+        """The thermal line gives nbar = (J/tau)/lor = tau J on resonance."""
+        gc = params.cavity.gamma_c
+        if self.tau_c*gc > 0.1:
+            warnings.warn(f"gamma_c tau_c = {self.tau_c*gc:.3f} > 0.1: thermal "
+                          "model assumes a short coherence time", stacklevel=3)
+        flux, lor = self._flux(params)
+        return flux/(self.tau_c*lor), None
+
+    def response(self, params: SystemParams) -> Callable:
+        flux, _ = self._flux(params)
+        omega = signal_frequency(self, params)
+        return lambda wp, q: qubit_response_thermal(wp, q, params, flux,
+                                                    self.tau_c, omega)
+
+    def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
+        return _bose_weight(n, nbar), ((2.0*nbar + 1.0)*n + nbar)*gamma_c
 
 
 SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
@@ -133,10 +210,9 @@ SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
 def _check_flux_nbar(flux, nbar):
     if (flux is None) == (nbar is None):
         raise ValueError("give exactly one of flux or nbar")
-    if flux is not None and flux < 0:
-        raise ValueError("flux must be non-negative")
-    if nbar is not None and nbar < 0:
-        raise ValueError("nbar must be non-negative")
+    for name, value in (("flux", flux), ("nbar", nbar)):
+        if value is not None and not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -217,43 +293,8 @@ def signal_frequency(sig: SignalState, params: SystemParams) -> float:
 
 def cavity_photon_number(sig: SignalState, params: SystemParams
                          ) -> tuple[float, Optional[complex]]:
-    """(nbar, beta) in the cavity for the given signal state.
-
-    Coherent/incoherent fluxes fill the cavity Lorentzian
-    nbar = (gc J/2)/((omega - omega_c*)^2 + gc^2/4) (so nbar = 2J/gc on
-    resonance); the thermal line gives nbar = (J/tau)/((omega-omega_c*)^2
-    + 1/tau^2) = tau J on resonance.  Only the coherent state carries an
-    amplitude beta, with |beta|^2 = nbar and beta real positive at zero
-    detuning.
-    """
-    omega = signal_frequency(sig, params)
-    delta = omega - params.omega_c_star
-    gc = params.cavity.gamma_c
-    if isinstance(sig, Vacuum):
-        return 0.0, None
-    if isinstance(sig, (Coherent, Incoherent)):
-        lor = delta*delta + 0.25*gc*gc
-        flux = sig.flux if sig.flux is not None else sig.nbar*lor/(0.5*gc)
-        nbar = 0.5*gc*flux/lor
-        if isinstance(sig, Coherent):
-            beta = 1j*math.sqrt(0.5*gc*flux)/(delta + 0.5j*gc)
-            return nbar, beta
-        return nbar, None
-    if isinstance(sig, Thermal):
-        if sig.tau_c*gc > 0.1:
-            warnings.warn(f"gamma_c tau_c = {sig.tau_c*gc:.3f} > 0.1: thermal "
-                          "model assumes a short coherence time", stacklevel=2)
-        lor = delta*delta + 1.0/sig.tau_c**2
-        flux = sig.flux if sig.flux is not None else sig.nbar*lor*sig.tau_c
-        return flux/(sig.tau_c*lor), None
-    raise TypeError(f"unknown signal state {sig!r}")
-
-
-def thermal_flux(sig: Thermal, params: SystemParams) -> float:
-    omega = signal_frequency(sig, params)
-    delta = omega - params.omega_c_star
-    lor = delta*delta + 1.0/sig.tau_c**2
-    return sig.flux if sig.flux is not None else sig.nbar*lor*sig.tau_c
+    """(nbar, beta) in the cavity; only the coherent states carry beta."""
+    return sig.photon_number(params)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +377,7 @@ def _cmul(x, y):
 
 def qubit_response_coherent(omega_p, qubit: QubitParams,
                             params: SystemParams, beta: complex,
-                            signal_omega: Optional[float] = None,
-                            method: str = "series"):
+                            signal_omega: Optional[float] = None):
     """Probe-normalised dipole response with a coherent field beta.
 
     Series form: chi e^-W sum_n W^n/n! / D_n with
@@ -345,8 +385,6 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     D_n = omega_p - omega_j - 2 chi(|beta|^2 + n)
           - n (omega_c* - omega - i gc/2) + i gamma_coh
           + 4 chi^2 |beta|^2 / w.
-    method="closed" evaluates the equivalent confluent-hypergeometric
-    closed form instead, point by point; both paths agree to ~1e-12.
     """
     chi, gc = qubit.chi, params.cavity.gamma_c
     omega = params.omega_c_star if signal_omega is None else signal_omega
@@ -356,15 +394,6 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     lanes = _Lanes(omega_p)
     base = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
             + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)
-    if method == "closed":
-        def closed(b: complex) -> complex:
-            w0 = b - 4.0*chi*chi*beta2/w
-            a = -w0/w - big_w
-            return chi*cmath.exp(-big_w)/b*hyp1f1(a, 1.0 + a, big_w)
-        lanes.out[:] = [closed(b) for b in base.tolist()]
-        return lanes.result(1.0, "coherent")
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
     step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
     # scaled Poisson accumulation: amp*exp(logscale) = e^-W W^n/n!
     logscale = -big_w
@@ -480,32 +509,13 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
                           f"thermal response series cap at nbar={nbar:.3g}")
 
 
-def response_function(params: SystemParams, sig: SignalState,
-                      method: str = "series"
+def response_function(params: SystemParams, sig: SignalState
                       ) -> Callable[[float, QubitParams], complex]:
     """Bind a signal state into the per-qubit response R(omega_p, qubit).
 
     omega_p is a probe frequency or an array of them, as for the kernels.
     """
-    omega = signal_frequency(sig, params)
-    if isinstance(sig, Vacuum):
-        return lambda wp, q: qubit_response_coherent(
-            wp, q, params, 0.0, omega, method=method)
-    if isinstance(sig, Coherent):
-        _, beta = cavity_photon_number(sig, params)
-        return lambda wp, q: qubit_response_coherent(
-            wp, q, params, beta, omega, method=method)
-    if isinstance(sig, Incoherent):
-        nbar, _ = cavity_photon_number(sig, params)
-        if nbar == 0:
-            return lambda wp, q: qubit_response_coherent(
-                wp, q, params, 0.0, omega, method=method)
-        return lambda wp, q: qubit_response_incoherent(wp, q, params, nbar, omega)
-    if isinstance(sig, Thermal):
-        flux = thermal_flux(sig, params)
-        return lambda wp, q: qubit_response_thermal(
-            wp, q, params, flux, sig.tau_c, omega)
-    raise TypeError(f"unknown signal state {sig!r}")
+    return sig.response(params)
 
 
 # ---------------------------------------------------------------------------
@@ -520,23 +530,21 @@ def s21_signal(omega: float, params: SystemParams) -> complex:
 
 
 def s21_probe(omega_p, params: SystemParams, sig: SignalState,
-              probe_amplitude: float = 1.0, method: str = "series",
               parts: Optional[dict] = None):
     """Probe transmission at omega_p for the given signal state.
 
     omega_p is one probe frequency (a complex comes back) or an array of
     them, evaluated in one pass: the signal state is bound once, and each
     distinct qubit's response is evaluated once and added once per qubit,
-    in qubit order.  Linear response: the probe amplitude cancels
-    identically (it is kept as an explicit placeholder so the cancellation
-    is testable).  When `parts` is a dict it receives the cavity term and
-    one entry per qubit.
+    in qubit order.  The responses are probe-normalised (linear response),
+    so no probe amplitude enters.  When `parts` is a dict it receives the
+    cavity term and one entry per qubit.
     """
     wp = np.asarray(omega_p, dtype=float)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
     wcs = params.omega_c_star
-    respond = response_function(params, sig, method=method)
+    respond = response_function(params, sig)
     cavity_term = (-0.5j*gc/(wp - wcs + 0.5j*gc)
                    - 0.5j*gc/(wp + wcs + 0.5j*gc))
     total = cavity_term
@@ -545,36 +553,14 @@ def s21_probe(omega_p, params: SystemParams, sig: SignalState,
     terms: dict = {}
     for idx, q in enumerate(params.qubits):
         if q not in terms:
-            sigma_co = probe_amplitude*respond(wp, q)      # co-rotating
-            sigma_counter = probe_amplitude*np.conj(respond(-wp, q))
-            terms[q] = (
-                0.5j*gc*(sigma_co/probe_amplitude)/(wp - omega_c + 0.5j*gc)
-                + 0.5j*gc*(sigma_counter/probe_amplitude)/(wp + omega_c + 0.5j*gc))
+            sigma_co = respond(wp, q)      # co-rotating
+            sigma_counter = np.conj(respond(-wp, q))
+            terms[q] = (0.5j*gc*sigma_co/(wp - omega_c + 0.5j*gc)
+                        + 0.5j*gc*sigma_counter/(wp + omega_c + 0.5j*gc))
         total = total + terms[q]
         if parts is not None:
             parts[f"qubit_{idx}"] = terms[q]
     return total if wp.ndim else complex(total)
-
-
-# Table of sideband weights and cavity-induced widths per signal state.
-
-def sideband_weight(sig: SignalState, n: int, nbar: float) -> float:
-    if isinstance(sig, Vacuum) or nbar == 0:
-        return 1.0 if n == 0 else 0.0
-    if isinstance(sig, Coherent):
-        return math.exp(-nbar + n*math.log(nbar) - math.lgamma(n + 1))
-    return math.exp(n*math.log(nbar) - (n + 1)*math.log(nbar + 1.0))
-
-
-def sideband_cavity_width(sig: SignalState, n: int, nbar: float,
-                          gamma_c: float) -> float:
-    if isinstance(sig, Vacuum) or nbar == 0:
-        return 0.0
-    if isinstance(sig, Coherent):
-        return 0.5*(n + nbar)*gamma_c
-    if isinstance(sig, Incoherent):
-        return 0.5*n*gamma_c
-    return ((2.0*nbar + 1.0)*n + nbar)*gamma_c
 
 
 def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
@@ -582,7 +568,8 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
 
     -i gc/(2(omega_p - omega_c)) plus, per qubit and photon number n, a
     pole at omega_j + 2 chi n of weight P(n) gc chi/(2(omega_j - omega_c))
-    and width Gamma_cav(n) + gamma_coh; valid for gc << chi.  omega_p is a
+    and width Gamma_cav(n) + gamma_coh, as the signal state gives them,
+    up to a total weight of 1 - 1e-10; valid for gc << chi.  omega_p is a
     scalar or an array of probe points; the sideband table is built once.
     """
     wp = np.asarray(omega_p, dtype=float)
@@ -593,17 +580,18 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
     if gc > 0.2*min_chi:
         warnings.warn(f"comb approximation needs gamma_c << chi "
                       f"(ratio {gc/min_chi:.2f})", stacklevel=2)
+    sidebands = [(1.0, 0.0)]     # without photons every state is the vacuum
+    if nbar > 0:
+        sidebands, cumulative = [], 0.0
+        while cumulative < 1.0 - 1e-10 and len(sidebands) < 100000:
+            sidebands.append(sig.sideband(len(sidebands), nbar, gc))
+            cumulative += sidebands[-1][0]
     total = -0.5j*gc/(wp - omega_c)
     for q in params.qubits:
         amp = 0.5j*gc*q.chi/(q.omega_q - omega_c)
-        cumulative = 0.0
-        n = 0
-        while cumulative < 1.0 - 1e-10 and n < 100000:
-            p_n = sideband_weight(sig, n, nbar)
-            cumulative += p_n
-            width = sideband_cavity_width(sig, n, nbar, gc) + q.gamma_coh
-            total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n - 1j*width))
-            n += 1
+        for n, (p_n, width) in enumerate(sidebands):
+            total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n
+                                    - 1j*(width + q.gamma_coh)))
     return total if wp.ndim else complex(total)
 
 
@@ -611,13 +599,12 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
 # Sweeps and figures of merit
 
 def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
-          model: str = "full", with_components: bool = False,
-          method: str = "series") -> Spectrum:
+          model: str = "full", with_components: bool = False) -> Spectrum:
     """Evaluate S21 over a probe grid; model is "full" or "comb".
 
     The whole grid goes through `s21_probe` (or `comb_spectrum`) in one
-    call.  with_components adds the cavity term and one column per qubit
-    to the full model.
+    call, with the series form of every response.  with_components adds the
+    cavity term and one column per qubit to the full model.
     """
     if model not in ("full", "comb"):
         raise ValueError(f"unknown model {model!r}")
@@ -627,7 +614,7 @@ def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
         values = comb_spectrum(grid, params, sig)
     else:
         components = {} if with_components else None
-        values = s21_probe(grid, params, sig, method=method, parts=components)
+        values = s21_probe(grid, params, sig, parts=components)
     nbar, _ = cavity_photon_number(sig, params)
     meta = {
         "model": model,
@@ -653,17 +640,6 @@ def figure_of_merit(spec_signal: Spectrum, spec_vacuum: Spectrum) -> np.ndarray:
     return np.abs(spec_signal.s21)/np.abs(spec_vacuum.s21)
 
 
-def _with_signal_omega(sig: SignalState, omega: float) -> SignalState:
-    kwargs = {"signal_omega": omega}
-    if isinstance(sig, Vacuum):
-        return Vacuum(**kwargs)
-    if isinstance(sig, Coherent):
-        return Coherent(flux=sig.flux, nbar=sig.nbar, **kwargs)
-    if isinstance(sig, Incoherent):
-        return Incoherent(flux=sig.flux, nbar=sig.nbar, **kwargs)
-    return Thermal(tau_c=sig.tau_c, flux=sig.flux, nbar=sig.nbar, **kwargs)
-
-
 def detuning_error(params: SystemParams, sig: SignalState,
                    detunings: Sequence[float],
                    omega_p_grid: Sequence[float]) -> dict[float, np.ndarray]:
@@ -676,12 +652,8 @@ def detuning_error(params: SystemParams, sig: SignalState,
     for d in detunings:
         if abs(d) > gc:
             warnings.warn(f"detuning {d:.3g} exceeds gamma_c", stacklevel=2)
-    base = sweep(params, _with_signal_omega(sig, params.omega_c_star),
-                 omega_p_grid).s21
-    base_mag = np.abs(base)
-    out: dict[float, np.ndarray] = {}
-    for d in detunings:
-        shifted = sweep(params, _with_signal_omega(sig, params.omega_c_star + d),
-                        omega_p_grid).s21
-        out[d] = np.abs(np.abs(shifted) - base_mag)/base_mag
-    return out
+    mags = {}
+    for d in dict.fromkeys([0.0, *detunings]):     # one sweep per detuning
+        shifted = replace(sig, signal_omega=params.omega_c_star + d)
+        mags[d] = np.abs(sweep(params, shifted, omega_p_grid).s21)
+    return {d: np.abs(mags[d] - mags[0.0])/mags[0.0] for d in detunings}

@@ -99,8 +99,6 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
         raise TypeError("oracle supports vacuum and coherent signals only")
     qubit = _single_qubit(params)
     nbar, beta = cavity_photon_number(sig, params)
-    if beta is None:
-        beta = 0j
     if nbar > 3.0 + 1e-12:
         raise ValueError("keep nbar <= 3 for an economical truncation")
     omega = signal_frequency(sig, params)

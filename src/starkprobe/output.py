@@ -15,8 +15,6 @@ import numpy as np
 
 from .detector import Spectrum
 
-TWO_PI = 2.0*math.pi
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -30,7 +28,7 @@ def spectrum_to_csv(spec: Spectrum, path: Path) -> None:
     lines = [",".join(cols)]
     mag = np.abs(spec.s21)
     for i in range(spec.omega_p.size):
-        row = [_fmt(spec.omega_p[i]/TWO_PI), _fmt(spec.s21[i].real),
+        row = [_fmt(spec.omega_p[i]/math.tau), _fmt(spec.s21[i].real),
                _fmt(spec.s21[i].imag), _fmt(mag[i])]
         for key in comp_keys:
             val = spec.components[key][i]
@@ -47,7 +45,7 @@ def csv_to_spectrum(path: Path) -> Spectrum:
     omega, s21 = [], []
     for line in lines[1:]:
         cells = line.split(",")
-        omega.append(float(cells[idx["omega_p_hz"]])*TWO_PI)
+        omega.append(float(cells[idx["omega_p_hz"]])*math.tau)
         s21.append(complex(float(cells[idx["re_s21"]]),
                            float(cells[idx["im_s21"]])))
     return Spectrum(omega_p=np.array(omega), s21=np.array(s21))

@@ -16,8 +16,6 @@ from .cavity import ResonatorGeometry
 from .detector import CavityParams, QubitParams, SystemParams
 from .waveguide import CpwGeometry
 
-TWO_PI = 2.0*math.pi
-
 
 @dataclass(frozen=True)
 class FigurePreset:
@@ -50,9 +48,9 @@ def _preset(pid, *, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
             tau_c_choices=(), detunings_frac=()):
     return FigurePreset(
         preset_id=pid, n_qubits=n_qubits,
-        omega_q=TWO_PI*10e9, omega_c=TWO_PI*9e9,
+        omega_q=math.tau*10e9, omega_c=math.tau*9e9,
         chi=chi, gamma_c=gamma_c,
-        gamma=TWO_PI*250e3, gamma_phi=0.0,
+        gamma=math.tau*250e3, gamma_phi=0.0,
         nbar=nbar, tau_c=tau_c, tau_c_choices=tau_c_choices,
         detunings_frac=detunings_frac)
 
@@ -61,26 +59,26 @@ def _preset(pid, *, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
 # beat tau_c |omega_p - omega| deep in the short-coherence regime the
 # closed-form widths assume.
 FIGURES: dict[str, FigurePreset] = {
-    "fig1": _preset("fig1", chi=TWO_PI*10e6, gamma_c=TWO_PI*100e3,
+    "fig1": _preset("fig1", chi=math.tau*10e6, gamma_c=math.tau*100e3,
                     tau_c=1e-12),
-    "fig2": _preset("fig2", chi=TWO_PI*10e6, gamma_c=TWO_PI*1e6,
+    "fig2": _preset("fig2", chi=math.tau*10e6, gamma_c=math.tau*1e6,
                     tau_c=1e-12),
-    "fig2bis": _preset("fig2bis", chi=TWO_PI*1e6, gamma_c=TWO_PI*100e3,
+    "fig2bis": _preset("fig2bis", chi=math.tau*1e6, gamma_c=math.tau*100e3,
                        tau_c=1e-12),
-    "fig3": _preset("fig3", chi=TWO_PI*1e6, gamma_c=TWO_PI*1e6,
+    "fig3": _preset("fig3", chi=math.tau*1e6, gamma_c=math.tau*1e6,
                     tau_c=1e-12),
-    "fig4": _preset("fig4", chi=TWO_PI*100e3, gamma_c=TWO_PI*500e6,
+    "fig4": _preset("fig4", chi=math.tau*100e3, gamma_c=math.tau*500e6,
                     tau_c=1e-14),
-    "fig5": _preset("fig5", chi=TWO_PI*1e6, gamma_c=TWO_PI*1e6, nbar=2.0,
+    "fig5": _preset("fig5", chi=math.tau*1e6, gamma_c=math.tau*1e6, nbar=2.0,
                     tau_c=1e-12),
-    "fig5q": _preset("fig5q", n_qubits=5, chi=TWO_PI*1e6, gamma_c=TWO_PI*1e6,
+    "fig5q": _preset("fig5q", n_qubits=5, chi=math.tau*1e6, gamma_c=math.tau*1e6,
                      tau_c=1e-12),
-    "fig6": _preset("fig6", chi=TWO_PI*1e6, gamma_c=TWO_PI*100e3, nbar=2.0,
+    "fig6": _preset("fig6", chi=math.tau*1e6, gamma_c=math.tau*100e3, nbar=2.0,
                     tau_c=1e-12),
-    "fig7": _preset("fig7", chi=TWO_PI*1e6, gamma_c=TWO_PI*100e3,
-                    tau_c=1e-9/TWO_PI,
-                    tau_c_choices=(1e-12/TWO_PI, 1e-9/TWO_PI, 1e-8/TWO_PI)),
-    "fig10": _preset("fig10", chi=TWO_PI*1e6, gamma_c=TWO_PI*100e3,
+    "fig7": _preset("fig7", chi=math.tau*1e6, gamma_c=math.tau*100e3,
+                    tau_c=1e-9/math.tau,
+                    tau_c_choices=(1e-12/math.tau, 1e-9/math.tau, 1e-8/math.tau)),
+    "fig10": _preset("fig10", chi=math.tau*1e6, gamma_c=math.tau*100e3,
                      detunings_frac=(-1.0/3.0, 1.0/3.0)),
 }
 

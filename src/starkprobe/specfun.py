@@ -1,11 +1,13 @@
 """Complex special functions used by the analytic spectra.
 
+Lambert W (cavity poles), the complete elliptic integral K (line
+constants) and the exponential integrals E_n (incoherent response).
 Everything here is pure and thread-safe, and scalar except the scaled
 exponential integral `expint_scaled`, which also takes an array of
 arguments and evaluates it elementwise in one pass.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
-z >= -1/e); the Tricomi U and exponential integrals use the principal
-branch with the cut along the negative real axis.
+z >= -1/e); the exponential integrals use the principal branch with the
+cut along the negative real axis.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_RTOL = 1e-15      # relative term cutoff for all power series
-_SERIES_MAX_TERMS = 10000
 
 
 class ConvergenceError(ArithmeticError):
@@ -123,144 +124,6 @@ def elliptic_k(k: float) -> float:
             break
         a, b = 0.5*(a + b), math.sqrt(a*b)
     return math.pi/(2.0*a)
-
-
-# ---------------------------------------------------------------------------
-# Confluent hypergeometric 1F1 (Kummer M)
-
-def hyp1f1(a: complex, b: complex, z: complex) -> complex:
-    """1F1(a; b; z) by Taylor series, Kummer-transformed for Re z < 0."""
-    a, b, z = complex(a), complex(b), complex(z)
-    if b.imag == 0 and b.real <= 0 and b.real == round(b.real):
-        raise ValueError(f"hyp1f1 pole: b={b} is a non-positive integer")
-    if z.real < 0:
-        # 1F1(a;b;z) = e^z 1F1(b-a;b;-z), avoids alternating cancellation
-        return cmath.exp(z)*_hyp1f1_series(b - a, b, -z)
-    return _hyp1f1_series(a, b, z)
-
-
-def _hyp1f1_series(a: complex, b: complex, z: complex) -> complex:
-    total = term = 1.0 + 0j
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n)/(b + n)*z/(n + 1)
-        total += term
-        if abs(term) < _SERIES_RTOL*abs(total):
-            return _check_finite(total, "hyp1f1")
-    raise ConvergenceError(
-        f"hyp1f1({a},{b},{z}): {_SERIES_MAX_TERMS} terms, last |term|={abs(term):.3e}")
-
-
-# ---------------------------------------------------------------------------
-# Digamma (needed by the logarithmic Kummer U series)
-
-def digamma(z: complex) -> complex:
-    """psi(z) for complex z, recurrence plus asymptotic series."""
-    z = complex(z)
-    if z.imag == 0 and z.real == round(z.real) and z.real <= 0:
-        raise ValueError(f"digamma pole at {z}")
-    shift = 0j
-    while z.real < 12.0:
-        shift -= 1.0/z
-        z += 1.0
-    inv = 1.0/z
-    inv2 = inv*inv
-    tail = inv2*(1/12.0 - inv2*(1/120.0 - inv2*(1/252.0 - inv2*(1/240.0 - inv2/132.0))))
-    return shift + cmath.log(z) - 0.5*inv - tail
-
-
-def _gamma(z: complex) -> complex:
-    # Lanczos, g = 7
-    coeff = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-             771.32342877765313, -176.61502916214059, 12.507343278686905,
-             -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
-    z = complex(z)
-    if z.real < 0.5:
-        return math.pi/(cmath.sin(math.pi*z)*_gamma(1.0 - z))
-    z -= 1.0
-    x = coeff[0] + sum(c/(z + i) for i, c in enumerate(coeff[1:], start=1))
-    t = z + 7.5
-    return math.sqrt(2.0*math.pi)*t**(z + 0.5)*cmath.exp(-t)*x
-
-
-def _recip_gamma(z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0 and z.real == round(z.real) and z.real <= 0:
-        return 0j  # 1/Gamma at the poles
-    return 1.0/_gamma(z)
-
-
-# ---------------------------------------------------------------------------
-# Tricomi (Kummer) U
-
-def kummer_u(a: complex, b: complex, z: complex) -> complex:
-    """Tricomi U(a, b, z) for integer b >= 1, principal branch.
-
-    Integer b is the only case the spectra need (U(n, n, x) and the
-    asymptotic tails); the logarithmic series DLMF 13.2.9 covers moderate
-    |z| on any ray off the cut, the 2F0 asymptotic series covers large |z|.
-    """
-    a, z = complex(a), complex(z)
-    if z == 0:
-        raise ValueError("kummer_u: z = 0 is a branch point")
-    n_b = complex(b)
-    if n_b.imag != 0 or n_b.real != round(n_b.real) or n_b.real < 1:
-        raise ValueError(f"kummer_u implemented for integer b >= 1, got {b}")
-    if abs(z) > 38.0 + 2.0*abs(a):
-        return _kummer_u_asymptotic(a, n_b.real, z)
-    return _kummer_u_logseries(a, int(n_b.real), z)
-
-
-def _kummer_u_asymptotic(a: complex, b: float, z: complex) -> complex:
-    # U ~ z^-a 2F0(a, a-b+1; ; -1/z), truncated at the smallest term
-    total = term = 1.0 + 0j
-    best = abs(term)
-    out = total
-    for k in range(1, 400):
-        term *= (a + k - 1.0)*(a - b + k)/(-z*k)
-        if abs(term) > best:
-            break
-        total += term
-        best, out = abs(term), total
-        if abs(term) < _SERIES_RTOL*abs(total):
-            break
-    return _check_finite(out*z**(-a), "kummer_u")
-
-
-def _kummer_u_logseries(a: complex, b: int, z: complex) -> complex:
-    n = b - 1
-    log_z = cmath.log(z)
-    rg_an = _recip_gamma(a - n)
-    total = 0j
-    if rg_an != 0:
-        s = 0j
-        poch_a, poch_b, fact, zk = 1.0 + 0j, 1.0, 1.0, 1.0 + 0j
-        for k in range(_SERIES_MAX_TERMS):
-            term = poch_a/(poch_b*fact)*zk*(log_z + digamma(a + k)
-                                            - digamma(1.0 + k) - digamma(n + 1.0 + k))
-            s += term
-            if k > 3 and abs(term) < _SERIES_RTOL*abs(s):
-                break
-            poch_a *= a + k
-            poch_b *= n + 1 + k
-            fact *= k + 1
-            zk *= z
-        else:
-            raise ConvergenceError(f"kummer_u({a},{b},{z}): log series stalled")
-        total += (-1.0)**(n + 1)/math.factorial(n)*rg_an*s
-    if n >= 1:
-        rg_a = _recip_gamma(a)
-        if rg_a != 0:
-            s = 0j
-            poch, poch_low, fact, zk = 1.0 + 0j, 1.0, 1.0, 1.0 + 0j
-            for k in range(n):
-                s += poch/(poch_low*fact)*zk
-                poch *= a - n + k
-                if k < n - 1:
-                    poch_low *= 1 - n + k
-                fact *= k + 1
-                zk *= z
-            total += math.factorial(n - 1)*rg_a*z**(-n)*s
-    return _check_finite(total, "kummer_u")
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +283,3 @@ def _expint_scaled_cf_lanes(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 if not lane.size:
                     break
     return out, ~np.isfinite(out)
-
-
-# ---------------------------------------------------------------------------
-# Laguerre polynomials
-
-def laguerre(n: int, x: complex) -> complex:
-    """L_n(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError("laguerre requires n >= 0")
-    x = complex(x)
-    if n == 0:
-        return 1.0 + 0j
-    prev, cur = 1.0 + 0j, 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2*k + 1 - x)*cur - k*prev)/(k + 1)
-    return cur

@@ -308,3 +308,27 @@ def test_cli_exit_codes(tmp_path):
     cfg.write_text("omega_q = 10 lightyears\n")
     assert run_cli(["detect", "--config", str(cfg),
                     "--out", str(tmp_path)]) == 2
+    # rejected values -> 2, before anything is written
+    fig1 = ["figure", "--preset", "fig1"]
+    for argv in ([*fig1, "--nbar", "-1"], [*fig1, "--nbar", "nan"],
+                 [*fig1, "--state", "thermal", "--tau-c", "inf"],
+                 ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
+                 ["oracle", "--nbar", "nan"], ["detect", "--points", "0"],
+                 [*fig1, "--points", "1"],
+                 [*fig1, "--state", "thermal", "--oracle-check"]):
+        assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
+        assert not (tmp_path/"no").exists(), argv
+
+
+def test_cli_oracle_check_columns_agree(tmp_path, capsys):
+    # the table sets the analytic per-qubit response beside the oracle's
+    for state in ("vacuum", "coherent"):
+        assert run_cli(["figure", "--preset", "fig1", "--state", state,
+                        "--points", "21", "--format", "csv", "--oracle-check",
+                        "--out", str(tmp_path)]) == 0
+        rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 7
+        for _, *ana, ore, oim, dev in rows:
+            for a, o in zip(ana, (ore, oim)):   # one unit in the last digit
+                assert abs(float(a) - float(o)) <= 10.0**(int(a[-3:]) - 6), rows
+            assert float(dev) < 1e-5, rows

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  position_coupling, qubit_response_coherent,
                                  qubit_response_incoherent,
                                  qubit_response_thermal, s21_probe,
-                                 s21_signal, sideband_weight, sweep)
+                                 s21_signal, sweep)
 from starkprobe.presets import FIGURES
-from starkprobe.specfun import expint_scaled, kummer_u
+from starkprobe.specfun import expint_scaled
 from starkprobe.waveguide import WaveguideParams
 
+from closedform import coherent_response_closed, kummer_u
 from peakfit import analyze_comb, response_from_s21
 
 TWO_PI = 2.0*math.pi
@@ -72,6 +74,10 @@ def test_nbar_flux_exclusivity():
         Coherent(flux=1.0, nbar=1.0)
     with pytest.raises(ValueError):
         Incoherent()
+    for bad in (math.nan, math.inf):
+        for make in (lambda: Incoherent(flux=bad), lambda: Thermal(bad, nbar=1.0)):
+            with pytest.raises(ValueError):
+                make()
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_dual_path_identity_spot():
     for dwp in (-5.0, 0.0, 1.0, 2.3):
         wp = Q1.omega_q + dwp*2.0*Q1.chi
         series = qubit_response_coherent(wp, Q1, FIG1, beta)
-        closed = qubit_response_coherent(wp, Q1, FIG1, beta, method="closed")
+        closed = coherent_response_closed(wp, Q1, FIG1, beta)
         assert abs(series - closed) < 1e-10*abs(series)
 
 
@@ -234,8 +240,7 @@ def test_large_nbar_against_quadrature():
     assert abs(got - ref) < 1e-6*abs(ref)
     # coherent dual path at the same intensity
     series = qubit_response_coherent(wp, Q1, FIG1, math.sqrt(nbar))
-    closed = qubit_response_coherent(wp, Q1, FIG1, math.sqrt(nbar),
-                                     method="closed")
+    closed = coherent_response_closed(wp, Q1, FIG1, math.sqrt(nbar))
     assert abs(series - closed) < 1e-9*abs(series)
 
 
@@ -306,6 +311,19 @@ def test_vacuum_coincidence_pairwise():
         assert abs(inc - th) < 1e-4*scale
 
 
+@pytest.mark.parametrize("preset", ["fig1", "fig5q"])
+def test_zero_photon_states_are_the_vacuum(preset):
+    fp = FIGURES[preset]
+    system = fp.system()
+    grid = fp.probe_grid_default(201)
+    for model in ("full", "comb"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # fig5q is outside the comb's range
+            vac, coh, inc = (sweep(system, sig, grid, model=model).s21 for sig in
+                             (Vacuum(), Coherent(nbar=0.0), Incoherent(nbar=0.0)))
+        assert np.array_equal(coh, vac) and np.array_equal(inc, vac), model
+
+
 # ---------------------------------------------------------------------------
 # transmission assembly
 
@@ -319,15 +337,6 @@ def test_s21_signal_values():
     assert abs(abs(half)**2 - 0.5) < 1e-5
     far = s21_signal(wcs + 1000.0*gc, FIG1)
     assert abs(far) < 1e-3
-
-
-def test_probe_amplitude_independence_bitwise():
-    sig = Coherent(nbar=1.0)
-    wp = Q1.omega_q + 1.3*Q1.chi
-    base = s21_probe(wp, FIG1, sig, probe_amplitude=1.0)
-    for k in (-40, -7, 13, 40):
-        scaled = s21_probe(wp, FIG1, sig, probe_amplitude=2.0**k)
-        assert scaled == base
 
 
 def test_s21_conjugation_symmetry():
@@ -377,11 +386,12 @@ def test_comb_vs_full_near_peaks():
 
 
 def test_comb_weights_table_values():
-    assert abs(sideband_weight(Coherent(nbar=1.0), 0, 1.0) - math.exp(-1)) < 1e-12
-    assert abs(sideband_weight(Coherent(nbar=1.0), 2, 1.0)
+    gc = FIG1.cavity.gamma_c
+    assert abs(Coherent(nbar=1.0).sideband(0, 1.0, gc)[0] - math.exp(-1)) < 1e-12
+    assert abs(Coherent(nbar=1.0).sideband(2, 1.0, gc)[0]
                - math.exp(-1)/2.0) < 1e-12
     for n in range(5):
-        assert abs(sideband_weight(Incoherent(nbar=1.0), n, 1.0)
+        assert abs(Incoherent(nbar=1.0).sideband(n, 1.0, gc)[0]
                    - 0.5**(n + 1)) < 1e-12
 
 
@@ -390,10 +400,10 @@ def test_comb_weight_normalisation():
         for sig in (Coherent(nbar=nbar), Incoherent(nbar=nbar)):
             total, n = 0.0, 0
             while total < 1.0 - 1e-10 and n < 100000:
-                total += sideband_weight(sig, n, nbar)
+                total += sig.sideband(n, nbar, 1.0)[0]
                 n += 1
             assert total > 1.0 - 1e-10
-            assert abs(sum(sideband_weight(sig, k, nbar) for k in range(n + 200))
+            assert abs(sum(sig.sideband(k, nbar, 1.0)[0] for k in range(n + 200))
                        - 1.0) < 1e-10
 
 
@@ -470,6 +480,16 @@ def test_detuning_error_zero_and_asymmetry():
     half = grid.size//2
     e = errs[gc/3.0]
     assert np.max(e[half:]) > np.max(e[:half]) > 10.0*min(e[0], e[half - 1])
+
+
+def test_detuning_error_sweeps_each_detuning_once(monkeypatch):
+    calls = []
+    real = det.sweep
+    monkeypatch.setattr(det, "sweep", lambda *a: calls.append(a) or real(*a))
+    d = FIG1.cavity.gamma_c/3.0
+    errs = detuning_error(FIG1, Coherent(nbar=1.0), [0.0, d, 0.0, -d],
+                          Q1.omega_q + np.linspace(-1.0, 1.0, 5)*Q1.chi)
+    assert len(calls) == 3 and sorted(errs) == [-d, 0.0, d]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from starkprobe.detector import (CavityParams, Coherent, QubitParams,
-                                 SystemParams, Thermal, Vacuum,
+from starkprobe.detector import (CavityParams, Coherent, Incoherent,
+                                 QubitParams, SystemParams, Thermal, Vacuum,
                                  cavity_photon_number,
                                  qubit_response_coherent,
                                  qubit_response_incoherent)
@@ -12,6 +12,8 @@ from starkprobe.oracle import (FockOperatorSpace, lindblad_steady_response,
                                liouvillian, propagator_vacuum_element,
                                steady_state)
 from starkprobe.presets import FIGURES
+
+from closedform import coherent_response_closed
 
 TWO_PI = 2.0*math.pi
 FIG1 = FIGURES["fig1"].system()
@@ -30,7 +32,7 @@ def test_propagator_diagonal_case():
 
 def test_propagator_matches_closed_form():
     # displaced-oscillator element against the confluent-hypergeometric
-    # closed form wrapped by qubit_response_coherent(method="closed")
+    # closed form of tests/closedform.py
     space = FockOperatorSpace(40)
     chi, gc = Q1.chi, FIG1.cavity.gamma_c
     omega = FIG1.omega_c_star
@@ -41,8 +43,7 @@ def test_propagator_matches_closed_form():
         wp = Q1.omega_q + dwp*2.0*chi
         w0 = wp - Q1.omega_q - 2.0*chi*nbar + 1j*Q1.gamma_coh
         elem = propagator_vacuum_element(space, w0, w, 2.0*chi*beta)
-        closed = qubit_response_coherent(wp, Q1, FIG1, beta,
-                                         method="closed")/chi
+        closed = coherent_response_closed(wp, Q1, FIG1, beta)/chi
         assert abs(elem - closed) < 1e-8*abs(closed)
 
 
@@ -141,9 +142,9 @@ def test_lindblad_truncation_doubling():
 
 
 def test_lindblad_guards():
-    with pytest.raises(TypeError):
-        lindblad_steady_response(FIG1, Thermal(tau_c=1e-12, nbar=1.0),
-                                 Q1.omega_q, 16)
+    for sig in (Thermal(tau_c=1e-12, nbar=1.0), Incoherent(nbar=1.0)):
+        with pytest.raises(TypeError):
+            lindblad_steady_response(FIG1, sig, Q1.omega_q, 16)
     with pytest.raises(ValueError):
         lindblad_steady_response(FIG1, Coherent(nbar=4.0), Q1.omega_q, 16)
     two = SystemParams(FIG1.cavity, (Q1, Q1))

@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw as scipy_lambertw
 
-from starkprobe.specfun import (ConvergenceError, digamma, elliptic_k,
-                                expint_en, expint_scaled, hyp1f1, kummer_u,
-                                lambert_w, lambert_w_log, laguerre)
+from starkprobe.specfun import (ConvergenceError, elliptic_k, expint_en,
+                                expint_scaled, lambert_w, lambert_w_log)
+
+from closedform import _hyp1f1_series, digamma, hyp1f1, kummer_u
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -48,13 +49,6 @@ def hyp1f1_rational(a: QC, b: QC, z: QC, terms: int = 200) -> complex:
         term = term*(a + nn)/(b + nn)*z/QC(n + 1)
         total = total + term
     return total.to_complex()
-
-
-def laguerre_rational(n: int, x: Fraction) -> Fraction:
-    prev, cur = Fraction(1), Fraction(1) - x
-    for k in range(1, n):
-        prev, cur = cur, ((Fraction(2*k + 1) - x)*cur - k*prev)/(k + 1)
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,6 @@ def test_hyp1f1_kummer_transformation():
 
 def test_hyp1f1_transform_against_plain_series():
     # the public function transforms Re z < 0; check against the raw series
-    from starkprobe.specfun import _hyp1f1_series
     a, b, z = 0.8 + 0.1j, 2.2 - 0.3j, -4.0 + 1.0j
     assert abs(hyp1f1(a, b, z) - _hyp1f1_series(a, b, z)) < 1e-11*abs(hyp1f1(a, b, z))
 
@@ -316,32 +309,7 @@ def test_expint_scaled_series_branch_against_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# Laguerre and digamma
-
-def test_laguerre_at_zero():
-    for n in (0, 1, 4, 9):
-        assert laguerre(n, 0.0) == 1.0
-
-
-def test_laguerre_linear():
-    for x in (0.3, -1.2, 2.0 + 1.0j):
-        assert abs(laguerre(1, x) - (1.0 - complex(x))) < 1e-15
-
-
-def test_laguerre_against_rational():
-    ref = laguerre_rational(5, Fraction(5, 2))
-    assert abs(laguerre(5, 2.5) - float(ref)) < 1e-13*max(1.0, abs(float(ref)))
-
-
-def test_laguerre_recurrence_consistency():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(1, 12))
-        x = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
-        lhs = (n + 1)*laguerre(n + 1, x)
-        rhs = (2*n + 1 - x)*laguerre(n, x) - n*laguerre(n - 1, x)
-        assert abs(lhs - rhs) < 1e-12*max(1.0, abs(lhs))
-
+# Digamma
 
 def test_digamma_reflection():
     z = 0.3 + 0.7j
