@@ -235,7 +235,7 @@ def _signal_from(args, system, preset) -> detector.SignalState:
         nbar = preset.nbar if preset is not None else 1.0
     fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
     if args.state == "vacuum":
-        return detector.Vacuum(signal_omega=omega)
+        return _checked(detector.Vacuum, signal_omega=omega)
     if args.state == "coherent":
         return _checked(detector.Coherent, **fields)
     if args.state == "incoherent":
@@ -284,6 +284,8 @@ def _cmd_spectrum(args, model: str) -> int:
     system, info = _system_from(args)
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
+    if getattr(args, "oracle_check", False):
+        _checked(oracle.check_supported, system, sig)
     grid = _probe_grid(args, system, preset, info.get("config", {}))
     fmts = _formats(args.format)
     stem = (f"{model}_{args.preset}_{args.state}" if preset is not None

@@ -118,7 +118,7 @@ class Coherent:
     signal_omega: Optional[float] = None
 
     def __post_init__(self):
-        _check_flux_nbar(self.flux, self.nbar)
+        _check_signal(self)
 
     def photon_number(self, params: SystemParams) -> tuple[float, complex]:
         """(nbar, beta), beta real positive at zero detuning."""
@@ -150,7 +150,7 @@ class Incoherent:
     signal_omega: Optional[float] = None
 
     def __post_init__(self):
-        _check_flux_nbar(self.flux, self.nbar)
+        _check_signal(self)
 
     def photon_number(self, params: SystemParams) -> tuple[float, None]:
         return _lorentzian_fill(self, params)[2], None
@@ -176,7 +176,7 @@ class Thermal:
     def __post_init__(self):
         if not 0 < self.tau_c < math.inf:
             raise ValueError("tau_c must be positive and finite")
-        _check_flux_nbar(self.flux, self.nbar)
+        _check_signal(self)
 
     def _flux(self, params: SystemParams) -> tuple[float, float]:
         """(flux, lor) with lor = (omega - omega_c*)^2 + 1/tau_c^2."""
@@ -207,12 +207,14 @@ class Thermal:
 SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
 
 
-def _check_flux_nbar(flux, nbar):
-    if (flux is None) == (nbar is None):
+def _check_signal(sig):
+    if (sig.flux is None) == (sig.nbar is None):
         raise ValueError("give exactly one of flux or nbar")
-    for name, value in (("flux", flux), ("nbar", nbar)):
+    for name, value in (("flux", sig.flux), ("nbar", sig.nbar)):
         if value is not None and not 0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and non-negative")
+    if sig.signal_omega is not None and not math.isfinite(sig.signal_omega):
+        raise ValueError("signal_omega must be finite")
 
 
 @dataclass(frozen=True)

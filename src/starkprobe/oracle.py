@@ -1,19 +1,23 @@
 """Truncated-Fock numerical validator for the analytic responses.
 
-Everything here works with dense matrices on a Fock space of dimension
-n_fock (optionally tensored with one qubit) and knows nothing about the
-series expansions it is meant to check: expectation values come out of
-direct linear solves against the displaced-frame master equation.
+Everything here works on a Fock space of dimension n_fock (optionally
+tensored with one qubit) and knows nothing about the series expansions it
+is meant to check: expectation values come out of direct linear solves
+against the displaced-frame master equation.  The matrices are dense,
+except that the sideband response divides out its diagonal ground block;
+the probe-independent Stark block of its excited sector is cached per
+(n_fock, beta, chi).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .detector import (Coherent, SystemParams, Vacuum,
+from .detector import (Coherent, QubitParams, SystemParams, Vacuum,
                        cavity_photon_number, signal_frequency)
 
 
@@ -77,10 +81,49 @@ def propagator_vacuum_element(space: FockOperatorSpace, w0: complex,
     return complex(sol[0])
 
 
-def _single_qubit(params: SystemParams):
+def check_supported(params: SystemParams,
+                    sig: Union[Vacuum, Coherent]) -> tuple[QubitParams, complex]:
+    """(qubit, beta) of a system and signal the sideband solve can take.
+
+    Raises TypeError for a signal state the oracle does not model and
+    ValueError for more than one qubit or nbar above 3, where the
+    truncation stops being economical.
+    """
+    nbar, beta = _coherent_photon_number(params, sig)
+    qubit = _single_qubit(params)
+    if nbar > 3.0 + 1e-12:
+        raise ValueError("keep nbar <= 3 for an economical truncation")
+    return qubit, beta
+
+
+def _single_qubit(params: SystemParams) -> QubitParams:
     if len(params.qubits) != 1:
         raise ValueError("the Lindblad oracle handles exactly one qubit")
     return params.qubits[0]
+
+
+def _coherent_photon_number(params: SystemParams,
+                            sig: Union[Vacuum, Coherent]) -> tuple[float, complex]:
+    # Vacuum derives from Coherent; incoherent and thermal light have no beta
+    if not isinstance(sig, Coherent):
+        raise TypeError("oracle supports vacuum and coherent signals only")
+    return cavity_photon_number(sig, params)
+
+
+@lru_cache(maxsize=16)
+def _field_block(n_fock: int, beta: complex, chi: float) -> np.ndarray:
+    """Read-only 2 chi (a+ + beta*)(a + beta) on n_fock levels.
+
+    The Stark pull of the displaced field on the qubit-excited sector; it
+    does not depend on the probe frequency, so a sweep builds it once.
+    """
+    space = FockOperatorSpace(n_fock)
+    eye = space.identity
+    disp = space.lowering + beta*eye
+    disp_dag = space.raising + np.conj(beta)*eye
+    field = 2.0*chi*(disp_dag @ disp)
+    field.flags.writeable = False
+    return field
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
@@ -91,47 +134,42 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     The zeroth-order steady state in the displaced frame is the pure state
     |g, 0>; the probe sideband perturbation keeps the <g,0| bra, so the
     sideband linear system closes on kets of dimension n_fock per qubit
-    sector.  The returned sigma_minus is the probe-normalised response
-    (directly comparable to qubit_response_coherent); a_expect keeps its
-    Omega_p/2 drive factor.
+    sector.  The qubit-excited block is dense (the displaced field couples
+    neighbouring Fock levels) and goes through a dense solve; the ground
+    block is diagonal and is divided out.  The returned sigma_minus is the
+    probe-normalised response (directly comparable to
+    qubit_response_coherent); a_expect keeps its Omega_p/2 drive factor.
     """
-    if not isinstance(sig, (Vacuum, Coherent)):
-        raise TypeError("oracle supports vacuum and coherent signals only")
-    qubit = _single_qubit(params)
-    nbar, beta = cavity_photon_number(sig, params)
-    if nbar > 3.0 + 1e-12:
-        raise ValueError("keep nbar <= 3 for an economical truncation")
+    qubit, beta = check_supported(params, sig)
     omega = signal_frequency(sig, params)
-    space = FockOperatorSpace(n_fock)
-    a = space.lowering
-    adag = space.raising
-    num = space.number
-    eye = space.identity
     chi, gc = qubit.chi, params.cavity.gamma_c
     drive = 0.5*probe_amplitude
 
-    # displaced field a + beta; qubit-excited block of H(2) minus the
-    # ground-state reference energy, with the damping folded in
-    disp = a + beta*eye
-    disp_dag = adag + np.conj(beta)*eye
-    block_e = ((omega_p - qubit.omega_q + 1j*qubit.gamma_coh)*eye
-               - 2.0*chi*(disp_dag @ disp)
-               - (params.omega_c_star - omega - 0.5j*gc)*num)
-    block_g = ((omega_p - omega)*eye
-               - (params.omega_c_star - omega - 0.5j*gc)*num)
+    # qubit-excited block of H(2) minus the ground-state reference energy,
+    # with the damping folded in: the cached field block off the diagonal,
+    # the probe detuning and the cavity term on it
+    field = _field_block(n_fock, beta, chi)
+    cavity = (params.omega_c_star - omega - 0.5j*gc)*np.arange(n_fock)
+    block_e = -field
+    np.fill_diagonal(block_e, ((omega_p - qubit.omega_q + 1j*qubit.gamma_coh)
+                               - np.diagonal(field)) - cavity)
+    diag_g = (omega_p - omega) - cavity
 
     rhs_e = np.zeros(n_fock, dtype=complex)
     rhs_e[0] = drive                      # (Omega_p/2)(g/(wq-wc)) |0>, g-scale divided out
-    rhs_g = drive*adag[:, 0]              # (Omega_p/2) a+ |0>
+    rhs_g = np.zeros(n_fock, dtype=complex)
+    rhs_g[1] = drive                      # (Omega_p/2) a+ |0>
 
+    if not diag_g.all():
+        raise ArithmeticError("sideband linear solve failed")
     try:
         psi_e = np.linalg.solve(block_e, rhs_e)
-        psi_g = np.linalg.solve(block_g, rhs_g)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("sideband linear solve failed") from exc
+    psi_g = rhs_g/diag_g
 
     res = max(np.linalg.norm(block_e @ psi_e - rhs_e),
-              np.linalg.norm(block_g @ psi_g - rhs_g))
+              np.linalg.norm(diag_g*psi_g - rhs_g))
     # <g,0|sigma^-|Psi> is the vacuum component of the excited block;
     # dividing by the drive gives the probe-normalised response that
     # qubit_response_coherent computes.  <a> keeps its Omega_p/2 factor.
@@ -151,10 +189,8 @@ def liouvillian(params: SystemParams, sig: Union[Vacuum, Coherent],
     plus the dispersive Hamiltonian; used to cross-check the reduced
     sideband solve and the steady state.
     """
+    _, beta = _coherent_photon_number(params, sig)
     qubit = _single_qubit(params)
-    _, beta = cavity_photon_number(sig, params)
-    if beta is None:
-        beta = 0j
     omega = signal_frequency(sig, params)
     space = FockOperatorSpace(n_fock)
     dim = 2*n_fock

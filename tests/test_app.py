@@ -308,14 +308,24 @@ def test_cli_exit_codes(tmp_path):
     cfg.write_text("omega_q = 10 lightyears\n")
     assert run_cli(["detect", "--config", str(cfg),
                     "--out", str(tmp_path)]) == 2
-    # rejected values -> 2, before anything is written
+    # rejected values and oracle preconditions -> 2, before anything is
+    # written
     fig1 = ["figure", "--preset", "fig1"]
+    no_qubit = tmp_path/"no_qubit.cfg"
+    no_qubit.write_text("omega_c = 10 GHz\ngamma_c = 1 MHz\nn_qubits = 0\n"
+                        "probe_center = 10 GHz\nprobe_span = 10 MHz\n")
     for argv in ([*fig1, "--nbar", "-1"], [*fig1, "--nbar", "nan"],
                  [*fig1, "--state", "thermal", "--tau-c", "inf"],
                  ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
                  ["oracle", "--nbar", "nan"], ["detect", "--points", "0"],
                  [*fig1, "--points", "1"],
-                 [*fig1, "--state", "thermal", "--oracle-check"]):
+                 [*fig1, "--state", "thermal", "--oracle-check"],
+                 [*fig1, "--nbar", "4", "--oracle-check"],
+                 ["figure", "--preset", "fig5q", "--oracle-check"],
+                 ["detect", "--config", str(no_qubit), "--oracle-check"],
+                 ["detect", "--preset", "fig1", "--detuning", "nan"],
+                 ["detect", "--preset", "fig1", "--state", "vacuum",
+                  "--detuning", "inf"]):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
 

@@ -75,7 +75,10 @@ def test_nbar_flux_exclusivity():
     with pytest.raises(ValueError):
         Incoherent()
     for bad in (math.nan, math.inf):
-        for make in (lambda: Incoherent(flux=bad), lambda: Thermal(bad, nbar=1.0)):
+        for make in (lambda: Incoherent(flux=bad), lambda: Thermal(bad, nbar=1.0),
+                     lambda: Coherent(nbar=1.0, signal_omega=bad),
+                     lambda: Vacuum(signal_omega=bad),
+                     lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad)):
             with pytest.raises(ValueError):
                 make()
 

@@ -8,6 +8,7 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  cavity_photon_number,
                                  qubit_response_coherent,
                                  qubit_response_incoherent)
+from starkprobe import oracle
 from starkprobe.oracle import (FockOperatorSpace, lindblad_steady_response,
                                liouvillian, propagator_vacuum_element,
                                steady_state)
@@ -145,11 +146,79 @@ def test_lindblad_guards():
     for sig in (Thermal(tau_c=1e-12, nbar=1.0), Incoherent(nbar=1.0)):
         with pytest.raises(TypeError):
             lindblad_steady_response(FIG1, sig, Q1.omega_q, 16)
+        with pytest.raises(TypeError):
+            liouvillian(FIG1, sig, 8)
+        with pytest.raises(TypeError):
+            steady_state(FIG1, sig, 8)
     with pytest.raises(ValueError):
         lindblad_steady_response(FIG1, Coherent(nbar=4.0), Q1.omega_q, 16)
     two = SystemParams(FIG1.cavity, (Q1, Q1))
     with pytest.raises(ValueError):
         lindblad_steady_response(two, Vacuum(), Q1.omega_q, 16)
+    # probing at the signal frequency leaves the ground block singular
+    with pytest.raises(ArithmeticError):
+        lindblad_steady_response(FIG1, Vacuum(), FIG1.omega_c_star, 16)
+
+
+# sigma^- recorded with the dense solve of both sector blocks, at
+# omega_p = omega_q + x 2 chi for x = -1, 0.5, 2 (the same at n_fock 40 and 80)
+PINNED_SIGMA = {
+    0.0: (-0.49998046951290526-0.0031248779344556304j,
+          0.9998437744103004-0.012498047180129401j,
+          0.24999755861758946-0.0007812423706799602j),
+    1.0: (-0.31604937548423323-0.0016445537650777752j,
+          -0.07609958988402322-0.0176733885026416j,
+          0.2712352510120579-6.692542012503826j),
+    3.0: (-0.15836576437814706-0.0004994056219362719j,
+          -0.2612014565164862-0.007029850470245877j,
+          -0.12891783123672942-5.980476073720629j),
+}
+
+
+@pytest.mark.parametrize("n_fock", [40, 80])
+@pytest.mark.parametrize("nbar", sorted(PINNED_SIGMA))
+def test_lindblad_sigma_pinned(n_fock, nbar):
+    sig = Coherent(nbar=nbar)
+    for x, ref in zip((-1.0, 0.5, 2.0), PINNED_SIGMA[nbar]):
+        wp = Q1.omega_q + x*2.0*Q1.chi
+        assert lindblad_steady_response(FIG1, sig, wp, n_fock).sigma_minus == ref
+
+
+def test_lindblad_field_block_cache():
+    # interleaved truncations, displacements and pulls give what a cold
+    # cache gives, and the shared block cannot be written through
+    slow = QubitParams(omega_q=Q1.omega_q, chi=0.5*Q1.chi, gamma=Q1.gamma,
+                       gamma_phi=Q1.gamma_phi)
+    cases = [(params, Coherent(nbar=nbar), n_fock)
+             for n_fock in (16, 40) for nbar in (0.5, 2.0)
+             for params in (FIG1, SystemParams(FIG1.cavity, (slow,)))]
+    wps = [Q1.omega_q + x*2.0*Q1.chi for x in (-0.5, 1.5)]
+    warm = [lindblad_steady_response(p, s, wp, n).sigma_minus
+            for wp in wps for p, s, n in cases]
+    cold = []
+    for wp in wps:
+        for p, s, n in cases:
+            oracle._field_block.cache_clear()
+            cold.append(lindblad_steady_response(p, s, wp, n).sigma_minus)
+    assert warm == cold
+    _, beta = cavity_photon_number(Coherent(nbar=1.0), FIG1)
+    block = oracle._field_block(16, beta, Q1.chi)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+
+
+def test_lindblad_cavity_amplitude_closed_form():
+    # the ground block is diagonal: <a> = (Omega_p/2)/((omega_p - omega)
+    # - (omega_c* - omega - i gc/2)) for every signal
+    gc = FIG1.cavity.gamma_c
+    omega = FIG1.omega_c_star + gc/3.0
+    sig = Coherent(nbar=2.0, signal_omega=omega)
+    for x in (-1.0, 0.5, 2.0):
+        wp = Q1.omega_q + x*2.0*Q1.chi
+        got = lindblad_steady_response(FIG1, sig, wp, 40).a_expect
+        ref = 0.5/((wp - omega) - (FIG1.omega_c_star - omega - 0.5j*gc))
+        assert abs(got - ref) <= 1e-15*abs(ref)
 
 
 # ---------------------------------------------------------------------------
