@@ -34,6 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="key/value or JSON config")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
+
+    def add_format(p):
+        # only the spectrum commands choose their output formats
         p.add_argument("--format", default="csv,json",
                        help="comma list of csv,json,svg or 'all'")
 
@@ -58,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="probe transmission spectrum "
                            + ("(comb approximation)" if name == "comb" else ""))
         add_common(p)
+        add_format(p)
         p.add_argument("--preset", choices=sorted(presets.FIGURES))
         p.add_argument("--state", default="coherent",
                        choices=["vacuum", "coherent", "incoherent", "thermal"])
@@ -81,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="published-figure parameter presets")
     add_common(p)
+    add_format(p)
     p.add_argument("--preset", required=True, choices=sorted(presets.FIGURES))
     p.add_argument("--state", default="coherent",
                    choices=["vacuum", "coherent", "incoherent", "thermal"])
@@ -344,6 +349,7 @@ def _cmd_spectrum(args, model: str) -> int:
 def _cmd_oracle(args) -> int:
     fp = presets.FIGURES[args.preset]
     sig = _checked(detector.Coherent, nbar=args.nbar)
+    _checked(oracle.FockOperatorSpace, args.n_fock)
     text = _oracle_table(fp.system(), sig, fp.probe_grid_default(args.points),
                          args.n_fock)
     args.out.mkdir(parents=True, exist_ok=True)

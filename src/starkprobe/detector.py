@@ -35,6 +35,13 @@ HBAR = 1.054571817e-34
 # _TERM_RTOL of the accumulated magnitude; hard cap _TERM_CAP
 _TERM_RTOL = 1e-12
 _TERM_CAP = 5000
+# while few lanes remain, a series takes a block of terms per array pass:
+# at most _BLOCK_ROWS terms and _BLOCK_CELLS terms x lanes, and one term at
+# a time where a block would be shorter than _BLOCK_MIN_ROWS.  A lane's last
+# block computes terms past its stop.
+_BLOCK_ROWS = 64
+_BLOCK_CELLS = 1024
+_BLOCK_MIN_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +319,8 @@ class _Lanes:
     A lane stops once three consecutive terms each fall below _TERM_RTOL of
     its running total and then leaves the active set, so the per-term work
     follows the points still summing; `active` holds their grid indices.
+    The terms come one per call (`add`) or, while few lanes are left, a
+    block of `rows()` terms per call (`add_block`), with the same sums.
     """
 
     def __init__(self, omega_p):
@@ -338,11 +347,50 @@ class _Lanes:
         if not np.count_nonzero(done):
             return None
         self.out[self.active[done]] = self.total[done]
+        return self._retire(done)
+
+    def add_block(self, terms: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+        """`add` for one row of terms after another, in one array pass.
+
+        terms has one row per series term and one column per active lane,
+        stop[j] is `add`'s flag for row j.  The sums, the rows at which the
+        lanes stop and the mask returned are those of successive `add` calls.
+        """
+        totals = np.add.accumulate(np.concatenate((self.total[None], terms)))[1:]
+        self.total = totals[-1]
+        checked = stop.nonzero()[0]
+        if not checked.size:
+            return None
+        small = (np.abs(terms[checked])
+                 < _TERM_RTOL*np.maximum(np.abs(totals[checked]), 1e-300))
+        flags = np.concatenate((self.small2[None], self.small1[None], small))
+        done = flags[2:] & flags[1:-1] & flags[:-2]
+        self.small1, self.small2 = flags[-1], flags[-2]
+        finished = done.any(axis=0)
+        if not np.count_nonzero(finished):
+            return None
+        # a lane keeps its total at the first row where it stopped
+        lanes = finished.nonzero()[0]
+        first = checked[done[:, lanes].argmax(axis=0)]
+        self.out[self.active[lanes]] = totals[first, lanes]
+        return self._retire(finished)
+
+    def _retire(self, done: np.ndarray) -> np.ndarray:
         keep = ~done
         self.active, self.total, self.small1, self.small2 = (
             self.active[keep], self.total[keep], self.small1[keep],
             self.small2[keep])
         return keep
+
+    def rows(self, n: int, end: int = _TERM_CAP) -> int:
+        """Terms to take in the next array pass, from term n on.
+
+        A block reaches no further than term `end`, the caller's estimate
+        of where its series stops, nor past _TERM_CAP.
+        """
+        rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size,
+                   min(end, _TERM_CAP) - n)
+        return rows if rows >= _BLOCK_MIN_ROWS else 1
 
     def result(self, scale: float, state: str):
         """The finished sums times scale, in the grid's shape."""
@@ -400,18 +448,28 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     # scaled Poisson accumulation: amp*exp(logscale) = e^-W W^n/n!
     logscale = -big_w
     amp = 1.0 + 0j
+    n = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n in range(_TERM_CAP):
+        while n < _TERM_CAP:
             if not lanes.active.size:
                 return lanes.result(chi, "coherent")
-            keep = lanes.add(amp*cmath.exp(logscale)/(base - n*step),
-                             n >= abs(big_w))
+            weights = []
+            for m in range(n, n + lanes.rows(n)):
+                weights.append(amp*cmath.exp(logscale))
+                amp *= big_w/(m + 1)
+                if abs(amp) > 1e250:
+                    logscale += math.log(abs(amp))
+                    amp /= abs(amp)
+            if len(weights) == 1:
+                keep = lanes.add(weights[0]/(base - n*step), n >= abs(big_w))
+            else:
+                ns = np.arange(n, n + len(weights))
+                keep = lanes.add_block(
+                    np.array(weights)[:, None]/(base - ns[:, None]*step),
+                    ns >= abs(big_w))
             if keep is not None:
                 base = base[keep]
-            amp *= big_w/(n + 1)
-            if abs(amp) > 1e250:
-                logscale += math.log(abs(amp))
-                amp /= abs(amp)
+            n += len(weights)
     raise lanes.cap_error("coherent", "coherent response series cap: "
                           f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
 
@@ -446,15 +504,34 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     if pole.size:
         # x_0 = 0, where e^x E_1(x) diverges
         raise _not_finite("incoherent", lanes.grid.flat[pole[0]])
+    # the terms fall off about like |k/c|^n, so the series stops near the
+    # term where that drops below _TERM_RTOL; no block reaches past it, and
+    # a short series (fig4: 5 terms) runs one term at a time instead of
+    # paying for a block of terms past its stop
+    decay = abs(k/c)
+    end = (3 + int(math.log(_TERM_RTOL)/math.log(decay)) if 0 < decay < 1
+           else _TERM_CAP)
     ratio = 1.0 + 0j      # (k/c)^n
-    for n in range(_TERM_CAP):
+    n = 0
+    while n < _TERM_CAP:
         if not lanes.active.size:
             return lanes.result(chi, "incoherent")
-        x_n = _cmul(base - n*step, c)/b_coef
-        keep = lanes.add(ratio*expint_scaled(n + 1, x_n)/(nbar*b_coef))
+        ratios = []
+        for _ in range(lanes.rows(n, end)):
+            ratios.append(ratio)
+            ratio *= k/c
+        if len(ratios) == 1:
+            x_n = _cmul(base - n*step, c)/b_coef
+            keep = lanes.add(ratios[0]*expint_scaled(n + 1, x_n)/(nbar*b_coef))
+        else:
+            ns = np.arange(n, n + len(ratios))
+            x = _cmul(base - ns[:, None]*step, c)/b_coef
+            keep = lanes.add_block(
+                np.array(ratios)[:, None]*expint_scaled((ns + 1)[:, None], x)
+                / (nbar*b_coef), np.ones(len(ratios), dtype=bool))
         if keep is not None:
             base = base[keep]
-        ratio *= k/c
+        n += len(ratios)
     raise lanes.cap_error("incoherent",
                           f"incoherent response series cap at nbar={nbar:.3g}")
 

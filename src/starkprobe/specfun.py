@@ -4,7 +4,8 @@ Lambert W (cavity poles), the complete elliptic integral K (line
 constants) and the exponential integrals E_n (incoherent response).
 Everything here is pure and thread-safe, and scalar except the scaled
 exponential integral `expint_scaled`, which also takes an array of
-arguments and evaluates it elementwise in one pass.  Branch conventions:
+arguments, with one order for all or an array of orders broadcast against
+them, and evaluates it elementwise in one pass.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
 z >= -1/e); the exponential integrals use the principal branch with the
 cut along the negative real axis.
@@ -151,49 +152,56 @@ def expint_en(n: int, z: complex) -> complex:
     return cmath.exp(-z)*expint_scaled(n, z)
 
 
-def expint_scaled(n: int, z):
+def expint_scaled(n, z):
     """e^z E_n(z) without the exponential over/underflow, n >= 1.
 
     z is a scalar (a complex comes back) or an array (an array of the same
-    shape comes back).  Arguments in the continued-fraction region run
-    together through one vectorised Lentz recurrence.  Those that need the
-    series, a lone argument and those where the fraction stalls go through
-    the scalar helpers one at a time, with the values of a scalar call.  A
-    non-finite result raises ConvergenceError.
+    shape comes back).  n is an integer or an integer array broadcast
+    against z, each element taking its own order.  Arguments in the
+    continued-fraction region run together through one vectorised Lentz
+    recurrence.  Those that need the series, a lone argument and those where
+    the fraction stalls go through the scalar helpers one at a time, with
+    the values of a scalar call.  A non-finite result raises
+    ConvergenceError.
     """
     zs = np.asarray(z, dtype=complex)
+    each_n = np.ndim(n) > 0
+    if each_n:
+        zs, n = np.broadcast_arrays(zs, np.asarray(n))
+        n = n.ravel()
     flat = zs.ravel()
     out = np.empty(flat.shape, dtype=complex)
     # np.abs may differ from abs() in the last bit: take the candidates for
     # the series generously and decide each one with the scalar rule
     fraction = np.abs(flat) > 12.5
     for i in (~fraction).nonzero()[0]:
-        zi = complex(flat[i])
-        if zi == 0 and n >= 2:
-            out[i] = 1.0/(n - 1)
+        zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
+        if zi == 0 and ni >= 2:
+            out[i] = 1.0/(ni - 1)
         elif abs(zi) <= (6.0 if zi.real > 0 else 12.0):
             # the series cancellation grows like e^|Re z| on the right half
             # plane, so hand over to the fraction earlier there
-            out[i] = _expint_scaled_series(n, zi)
+            out[i] = _expint_scaled_series(ni, zi)
         else:
             fraction[i] = True
     lanes = fraction.nonzero()[0]
     if lanes.size > 1:
-        out[lanes], stalled = _expint_scaled_cf_lanes(n, flat[lanes])
+        out[lanes], stalled = _expint_scaled_cf_lanes(
+            n[lanes] if each_n else n, flat[lanes])
         lanes = lanes[stalled]
     # a lone argument runs the scalar recurrence, at a tenth of the cost of
     # the array one, and so do the lanes where the array one stalled
     for i in lanes:
-        zi = complex(flat[i])
+        zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         try:
-            out[i] = _expint_scaled_cf(n, zi)
+            out[i] = _expint_scaled_cf(ni, zi)
         except ConvergenceError:
             # near the branch cut the fraction stalls; the scaled series
             # covers moderate |z|, the asymptotic tail the rest (its
             # exponentially small branch term is below double precision for
             # n << |z|/log|z|).
-            out[i] = (_expint_scaled_series(n, zi) if abs(zi) <= 200.0
-                      else _expint_scaled_asymptotic(n, zi))
+            out[i] = (_expint_scaled_series(ni, zi) if abs(zi) <= 200.0
+                      else _expint_scaled_asymptotic(ni, zi))
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -251,10 +259,11 @@ def _expint_scaled_cf(n: int, z: complex) -> complex:
     raise ConvergenceError(f"expint_scaled({n},{z}): continued fraction stalled")
 
 
-def _expint_scaled_cf_lanes(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expint_scaled_cf_lanes(n, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _expint_scaled_cf with one lane per element of z; a lane leaves the
-    # recurrence once it has converged.  The second result masks the lanes
-    # that stalled or went non-finite, which the caller replaces.
+    # recurrence once it has converged.  n is one order for every lane or an
+    # array of one per lane.  The second result masks the lanes that stalled
+    # or went non-finite, which the caller replaces.
     tiny = 1e-300
     out = np.full(z.shape, np.nan, dtype=complex)
     lane = np.arange(z.size)
@@ -274,12 +283,17 @@ def _expint_scaled_cf_lanes(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 c[c == 0] = tiny
                 d[d == 0] = tiny
                 delta = c*d
-            h *= delta
+            # not in place: numpy's in-place complex product on a one-element
+            # array rounds unfused, unlike its other array products, which
+            # would make a lane's value depend on how many lanes are left
+            h = h*delta
             done = np.abs(delta - 1.0) < 1e-16
             if np.count_nonzero(done):
                 out[lane[done]] = h[done]
                 keep = ~done
                 lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
+                if np.ndim(n):
+                    n = n[keep]
                 if not lane.size:
                     break
     return out, ~np.isfinite(out)

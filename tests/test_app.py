@@ -317,7 +317,8 @@ def test_cli_exit_codes(tmp_path):
     for argv in ([*fig1, "--nbar", "-1"], [*fig1, "--nbar", "nan"],
                  [*fig1, "--state", "thermal", "--tau-c", "inf"],
                  ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
-                 ["oracle", "--nbar", "nan"], ["detect", "--points", "0"],
+                 ["oracle", "--nbar", "nan"], ["oracle", "--n-fock", "3"],
+                 ["oracle", "--n-fock", "0"], ["detect", "--points", "0"],
                  [*fig1, "--points", "1"],
                  [*fig1, "--state", "thermal", "--oracle-check"],
                  [*fig1, "--nbar", "4", "--oracle-check"],
@@ -328,6 +329,16 @@ def test_cli_exit_codes(tmp_path):
                   "--detuning", "inf"]):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
+
+
+def test_cli_format_only_for_spectra(tmp_path):
+    # detect, comb and figure choose their output formats; the other commands
+    # write fixed files and reject --format as a usage error
+    for command in ("waveguide", "cavity", "atom", "oracle"):
+        with pytest.raises(SystemExit) as exited:
+            run_cli([command, "--format", "svg", "--out", str(tmp_path/"no")])
+        assert exited.value.code == 2, command
+        assert not (tmp_path/"no").exists(), command
 
 
 def test_cli_oracle_check_columns_agree(tmp_path, capsys):

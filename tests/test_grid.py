@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import starkprobe.detector as det
 from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, SystemParams, Thermal, Vacuum,
                                  comb_spectrum, response_function, s21_probe,
@@ -25,8 +26,9 @@ def _states(fp):
 
 @pytest.mark.parametrize("preset", sorted(FIGURES))
 def test_grid_equals_pointwise(preset):
-    # every fourth point of the grid alone: a size-1 incoherent call costs
-    # about 1.5 ms, so all 201 would add some 10 s to the suite
+    # every fourth point of the grid alone: a size-1 incoherent s21_probe
+    # costs about 0.6 ms (1 ms on fig4, 2 cores), so all 201 would add
+    # about 1 s to the suite
     fp = FIGURES[preset]
     system = fp.system()
     grid = fp.probe_grid_default(201)
@@ -58,6 +60,128 @@ def test_fig5q_incoherent_pinned_values():
     spec = sweep(fp.system(), Incoherent(nbar=fp.nbar), fp.probe_grid_default(2001))
     for idx, ref in FIG5Q_INCOHERENT.items():
         assert abs(spec.s21[idx] - ref) <= 1e-13*abs(ref), idx
+
+
+# fig1 on its 101-point default grid, recorded at three points before the
+# series were summed a block of terms at a time: S21 of the grid sweep (for
+# coherent light and the vacuum also of the point alone, which was equal).
+FIG1_PINNED = {
+    "vacuum": (Vacuum(), (complex(-4.14450720571585e-09, -7.548007153988937e-05),
+                          complex(0.0039999975323156975, -5.233923088095394e-05),
+                          complex(-6.00295423627074e-10, -4.1157914252347405e-05))),
+    "coherent 1": (Coherent(nbar=1.0), (
+        complex(-4.243765817494699e-09, -7.533955226643086e-05),
+        complex(0.0010512258685425222, -7.031732231791065e-05),
+        complex(-3.567704898909407e-10, -4.09694546600982e-05))),
+    "coherent 3": (Coherent(nbar=3.0), (
+        complex(-4.399511950946553e-09, -7.510109153872164e-05),
+        complex(9.05872193539185e-05, -6.390284681814063e-05),
+        complex(1.6334470858465721e-09, -4.039213899402948e-05))),
+    "coherent 50": (Coherent(nbar=50.0), (
+        complex(-4.951165133870219e-09, -7.36551411955078e-05),
+        complex(-2.4160577898191915e-09, -5.264959441333241e-05),
+        complex(-1.5575128825156483e-09, -4.3472531351753544e-05))),
+    "coherent 200": (Coherent(nbar=200.0), (
+        complex(-4.973515054395071e-09, -7.326572833215789e-05),
+        complex(-2.4599887076686987e-09, -5.226464308086622e-05),
+        complex(-1.6334493045544357e-09, -4.303355072143751e-05))),
+    "incoherent 10": (Incoherent(nbar=10.0), (
+        complex(-4.578299051626065e-09, -7.471740202532004e-05),
+        complex(0.0002812716607208438, -5.876927419346452e-05),
+        complex(3.794201709137846e-07, -4.151198548886577e-05))),
+    "incoherent 30": (Incoherent(nbar=30.0), (
+        complex(-4.768195073880047e-09, -7.421161007334911e-05),
+        complex(9.857860333492383e-05, -5.5343808822595835e-05),
+        complex(2.8339690385083226e-07, -4.2888043746880006e-05))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIG1_PINNED))
+def test_fig1_series_pinned_values(case):
+    # a grid of 101 lanes sums 10 terms per pass, a lone point 64: coherent
+    # sums are unchanged to the bit; an incoherent point alone now shares the
+    # array continued fraction, which rounds its last bit differently
+    sig, pinned = FIG1_PINNED[case]
+    rtol = 1e-15 if isinstance(sig, Incoherent) else 0.0
+    fp = FIGURES["fig1"]
+    system, grid = fp.system(), fp.probe_grid_default(101)
+    spec = sweep(system, sig, grid)
+    for idx, ref in zip((20, 50, 73), pinned):
+        for got in (spec.s21[idx], s21_probe(float(grid[idx]), system, sig)):
+            assert abs(got - ref) <= rtol*abs(ref), (idx, got)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig3", "fig5q"])
+def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
+    # summing a block of terms per pass changes no bit of a grid's spectrum
+    fp = FIGURES[preset]
+    system = fp.system()
+    for npts in (2, 7, 101):
+        grid = fp.probe_grid_default(npts)
+        for sig in (Coherent(nbar=3.0), Incoherent(nbar=3.0)):
+            blocks = sweep(system, sig, grid).s21
+            with monkeypatch.context() as m:
+                m.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)
+                one = sweep(system, sig, grid).s21
+            assert np.array_equal(blocks, one), (npts, sig)
+
+
+def test_incoherent_cap_inside_a_block():
+    # 11 lanes take blocks of 64 terms; the 5000-term cap falls 8 terms into
+    # the 79th block and still stops the sum at exactly 5000 terms
+    fp = FIGURES["fig1"]
+    with pytest.raises(ConvergenceError,
+                       match="incoherent response series cap at nbar=400"):
+        sweep(fp.system(), Incoherent(nbar=400.0), fp.probe_grid_default(11))
+
+
+def _run_lanes(terms, stop, heights):
+    """Feed the rows of terms to _Lanes, `heights` rows per add_block call
+    (0 for one add per row); returns the state after every call."""
+    lanes = det._Lanes(np.zeros(terms.shape[1]))
+    states, row = [], 0
+    for height in heights:
+        before = lanes.active
+        if height:
+            block = terms[row:row + height][:, lanes.active]
+            keep = lanes.add_block(block, stop[row:row + height])
+            row += height
+        else:
+            keep = lanes.add(terms[row, lanes.active], stop[row])
+            row += 1
+        if lanes.active.size == before.size:
+            assert keep is None
+        else:
+            assert np.array_equal(keep, np.isin(before, lanes.active))
+        states.append((row, lanes.active.copy(), lanes.total.copy(),
+                       lanes.small1.copy(), lanes.small2.copy(),
+                       lanes.out[np.setdiff1d(np.arange(terms.shape[1]), lanes.active)]))
+    return states
+
+
+def test_lanes_add_block_equals_add():
+    rng = np.random.default_rng(5)
+    rows = 24
+    terms = rng.normal(size=(rows, 8)) + 1j*rng.normal(size=(rows, 8))
+    # a lane turns quiet at row q: it stops at the third quiet row with a stop
+    # flag, the first of which is row 3.  Lanes stop at rows 5, 10, 11, 12
+    # and 16; in blocks of 4, 6, 6 and 8 rows that is inside a block and at
+    # rows 0, 1 and 2 of one, with the small flags of the rows before carried
+    # into it.  Lane 5 turns NaN and never stops, lanes 6 and 7 never turn
+    # quiet.
+    for lane, quiet in enumerate((1, 8, 9, 10, 14)):
+        terms[quiet:, lane] *= 1e-14
+    terms[2:, 5] = np.nan
+    stop = np.arange(rows) >= 3
+    one = _run_lanes(terms, stop, [0]*rows)
+    for schedule in ((4, 6, 6, 8), (rows,), (1,)*rows, (3, 1, 2, 9, 9)):
+        blocks = _run_lanes(terms, stop, schedule)
+        for state in blocks:
+            ref = one[state[0] - 1]
+            assert ref[0] == state[0]
+            for got, want in zip(state[1:], ref[1:]):
+                assert np.array_equal(got, want, equal_nan=True), schedule
+    assert np.array_equal(one[-1][1], [5, 6, 7])
 
 
 def test_identical_qubits_add_up():

@@ -291,6 +291,28 @@ def test_expint_scaled_array_matches_scalar():
     assert isinstance(expint_scaled(3, 2.0 + 1.0j), complex)
 
 
+def test_expint_scaled_array_order_matches_scalar_order():
+    # an array of orders gives every element the value a call with its order
+    # alone gives it: bit for bit, in the series, in the fraction and at a
+    # stall near the cut
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-60.0, 60.0, (6, 40)) + 1j*rng.uniform(-60.0, 60.0, (6, 40))
+    z[:, :8] *= 0.1
+    z[0, 8] = -40.0 - 1e-6j
+    n = rng.integers(1, 5, z.shape)
+    got = expint_scaled(n, z)
+    assert got.shape == z.shape
+    for m in np.unique(n):
+        assert np.array_equal(got[n == m], expint_scaled(int(m), z)[n == m]), m
+    for j, i in zip(*(np.abs(z) <= 6.0).nonzero()):
+        assert got[j, i] == expint_scaled(int(n[j, i]), complex(z[j, i]))
+    # one order per row, as the incoherent series asks for a block of terms
+    orders = np.arange(3, 9)[:, None]
+    block = expint_scaled(orders, z)
+    for j in range(z.shape[0]):
+        assert np.array_equal(block[j], expint_scaled(int(orders[j, 0]), z[j])), j
+
+
 @pytest.mark.xfail(strict=True, reason="expint_scaled's series branch (Re z > 0, "
                    "|z| <= 6) loses up to 1.2e-10 relative accuracy (n = 8, "
                    "z = 6 e^(-i pi/12)); the continued fraction is good to "
