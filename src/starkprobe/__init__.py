@@ -4,7 +4,8 @@ The package computes the complex transmission S21 seen by a weak probe
 scanning a qubit array in a waveguide cavity while a signal field
 (vacuum, coherent, incoherent or thermal) populates the cavity, along
 with the supporting transmission-line, bare-cavity and open-waveguide
-atom models, and a truncated-Fock master-equation validator.
+atom models, and a truncated-Fock master-equation solve of the probe
+response that validates the single-qubit vacuum and coherent spectra.
 """
 
 from .atom import AtomParams, atom_s_params, atom_steady_state
@@ -16,8 +17,7 @@ from .detector import (CavityParams, Coherent, Incoherent, QubitParams,
                        qubit_response_coherent, qubit_response_incoherent,
                        qubit_response_thermal, response_function, s21_probe,
                        s21_signal, sweep)
-from .oracle import (FockOperatorSpace, SteadyResponse,
-                     lindblad_steady_response, propagator_vacuum_element)
+from .oracle import SteadyResponse, lindblad_steady_response
 from .waveguide import (CpwGeometry, ParallelPlateGeometry, WaveguideParams,
                         cpw_params, half_plane_params, parallel_plate_params)
 
@@ -32,8 +32,7 @@ __all__ = [
     "detuning_error", "figure_of_merit", "qubit_response_coherent",
     "qubit_response_incoherent", "qubit_response_thermal",
     "response_function", "s21_probe", "s21_signal", "sweep",
-    "FockOperatorSpace", "SteadyResponse", "lindblad_steady_response",
-    "propagator_vacuum_element",
+    "SteadyResponse", "lindblad_steady_response",
     "CpwGeometry", "ParallelPlateGeometry", "WaveguideParams",
     "cpw_params", "half_plane_params", "parallel_plate_params",
     "__version__",

@@ -268,6 +268,10 @@ def _probe_grid(args, system, preset, cfg) -> np.ndarray:
     return np.linspace(center - span, center + span, args.points)
 
 
+# truncation of the oracle table that `--oracle-check` prints
+_ORACLE_CHECK_FOCK = 40
+
+
 def _oracle_table(system, sig, grid, n_fock: int) -> str:
     """The first qubit's response R on the grid against the truncated-Fock
     oracle's, with their relative deviation."""
@@ -290,7 +294,7 @@ def _cmd_spectrum(args, model: str) -> int:
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
     if getattr(args, "oracle_check", False):
-        _checked(oracle.check_supported, system, sig)
+        _checked(oracle.check_supported, system, sig, _ORACLE_CHECK_FOCK)
     grid = _probe_grid(args, system, preset, info.get("config", {}))
     fmts = _formats(args.format)
     stem = (f"{model}_{args.preset}_{args.state}" if preset is not None
@@ -342,15 +346,17 @@ def _cmd_spectrum(args, model: str) -> int:
 
     print(f"wrote {', '.join(str(p) for p in written)}")
     if getattr(args, "oracle_check", False):
-        print(_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7), 40))
+        print(_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7),
+                            _ORACLE_CHECK_FOCK))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     fp = presets.FIGURES[args.preset]
+    system = fp.system()
     sig = _checked(detector.Coherent, nbar=args.nbar)
-    _checked(oracle.FockOperatorSpace, args.n_fock)
-    text = _oracle_table(fp.system(), sig, fp.probe_grid_default(args.points),
+    _checked(oracle.check_supported, system, sig, args.n_fock)
+    text = _oracle_table(system, sig, fp.probe_grid_default(args.points),
                          args.n_fock)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out/"oracle_check.txt").write_text(text + "\n")

@@ -193,7 +193,12 @@ class Thermal:
                 else self.nbar*lor*self.tau_c), lor
 
     def photon_number(self, params: SystemParams) -> tuple[float, None]:
-        """The thermal line gives nbar = (J/tau)/lor = tau J on resonance."""
+        """The thermal line gives nbar = (J/tau)/lor = tau J on resonance.
+
+        Warns where gamma_c tau_c > 0.1, outside the short-coherence regime
+        that the thermal photon number, response and sidebands assume; the
+        response kernel does not warn again.
+        """
         gc = params.cavity.gamma_c
         if self.tau_c*gc > 0.1:
             warnings.warn(f"gamma_c tau_c = {self.tau_c*gc:.3f} > 0.1: thermal "
@@ -279,12 +284,6 @@ def derive_qubit(josephson_energy: float, capacitance: float,
                        josephson_energy=josephson_energy,
                        capacitance=capacitance,
                        flux_fraction=flux_fraction, position=position)
-
-
-def coupling_estimate(gamma: float, omega_q: float) -> float:
-    """Order-of-magnitude g ~ kappa/2 = sqrt(gamma omega_q)/2 (position
-    factor not included)."""
-    return 0.5*math.sqrt(gamma*omega_q)
 
 
 def position_coupling(kappa: float, position: float, length: float) -> float:
@@ -552,9 +551,6 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
         raise ValueError("flux must be non-negative")
     chi, gc = qubit.chi, params.cavity.gamma_c
     omega = params.omega_c_star if signal_omega is None else signal_omega
-    if gc*tau_c > 0.1:
-        warnings.warn(f"gamma_c tau_c = {gc*tau_c:.3f} > 0.1: outside the "
-                      "validity of the short-coherence expansion", stacklevel=2)
     lanes = _Lanes(omega_p)
     wp = lanes.grid.ravel()
     delta = omega - params.omega_c_star
@@ -569,21 +565,21 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
         q1 = 0.5*gc + s_root - 1j*chi
         r2 = gc*(v - nbar/(1.0 + nbar))*(1.0 + nbar_p)
         q2 = r2 + 2.0*s_root
-        rate1, rate2 = r1/q1, r2/q2
-        prefactor = 2.0*s_root*gc
+        # one geometric factor (r1 r2/(q1 q2))^n: |r1/q1| alone can exceed 1
+        # and overflow long before the product decays
+        rate = (r1/q1)*(r2/q2)
+        prefactor = 2.0*s_root*gc/(q1*q2)
         pole0 = qubit.omega_q - 1j*qubit.gamma_coh
-        f1 = f2 = np.ones(wp.shape, dtype=complex)
+        f = np.ones(wp.shape, dtype=complex)
         for n in range(_TERM_CAP):
             if not lanes.active.size:
                 return lanes.result(chi, "thermal")
             pole = pole0 - 1j*(2*n + 1)*s_root - chi + 0.5j*gc
-            keep = lanes.add(prefactor/(wp - pole)*f1/q1*f2/q2)
-            f1 = f1*rate1
-            f2 = f2*rate2
+            keep = lanes.add(prefactor/(wp - pole)*f)
+            f = f*rate
             if keep is not None:
-                wp, s_root, prefactor, q1, q2, rate1, rate2, f1, f2 = (
-                    a[keep] for a in (wp, s_root, prefactor, q1, q2,
-                                      rate1, rate2, f1, f2))
+                wp, s_root, prefactor, rate, f = (
+                    a[keep] for a in (wp, s_root, prefactor, rate, f))
     raise lanes.cap_error("thermal",
                           f"thermal response series cap at nbar={nbar:.3g}")
 
@@ -600,8 +596,12 @@ def response_function(params: SystemParams, sig: SignalState
 # ---------------------------------------------------------------------------
 # Transmission assembly
 
-def s21_signal(omega: float, params: SystemParams) -> complex:
-    """Transmission seen by the signal beam itself (near cavity resonance)."""
+def s21_signal(omega, params: SystemParams):
+    """Transmission seen by the signal beam itself (near cavity resonance).
+
+    omega is a frequency or an array of them; `s21_probe` takes this as its
+    cavity term.
+    """
     gc = params.cavity.gamma_c
     wcs = params.omega_c_star
     return (-0.5j*gc/(omega - wcs + 0.5j*gc)
@@ -622,10 +622,8 @@ def s21_probe(omega_p, params: SystemParams, sig: SignalState,
     wp = np.asarray(omega_p, dtype=float)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
-    wcs = params.omega_c_star
     respond = response_function(params, sig)
-    cavity_term = (-0.5j*gc/(wp - wcs + 0.5j*gc)
-                   - 0.5j*gc/(wp + wcs + 0.5j*gc))
+    cavity_term = s21_signal(wp, params)
     total = cavity_term
     if parts is not None:
         parts["cavity"] = cavity_term
@@ -642,7 +640,8 @@ def s21_probe(omega_p, params: SystemParams, sig: SignalState,
     return total if wp.ndim else complex(total)
 
 
-def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
+def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
+                  nbar: Optional[float] = None):
     """Well-resolved-limit comb approximation of the probe transmission.
 
     -i gc/(2(omega_p - omega_c)) plus, per qubit and photon number n, a
@@ -650,11 +649,14 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState):
     and width Gamma_cav(n) + gamma_coh, as the signal state gives them,
     up to a total weight of 1 - 1e-10; valid for gc << chi.  omega_p is a
     scalar or an array of probe points; the sideband table is built once.
+    nbar is the signal's in-cavity photon number when the caller already
+    has it from `cavity_photon_number`.
     """
     wp = np.asarray(omega_p, dtype=float)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
-    nbar, _ = cavity_photon_number(sig, params)
+    if nbar is None:
+        nbar, _ = cavity_photon_number(sig, params)
     min_chi = min((abs(q.chi) for q in params.qubits), default=math.inf)
     if gc > 0.2*min_chi:
         warnings.warn(f"comb approximation needs gamma_c << chi "
@@ -688,13 +690,14 @@ def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
     if model not in ("full", "comb"):
         raise ValueError(f"unknown model {model!r}")
     grid = np.asarray(omega_p_grid, dtype=float)
+    # the one photon-number lookup of a sweep, and so its one validity warning
+    nbar, _ = cavity_photon_number(sig, params)
     components: Optional[dict] = None
     if model == "comb":
-        values = comb_spectrum(grid, params, sig)
+        values = comb_spectrum(grid, params, sig, nbar)
     else:
         components = {} if with_components else None
         values = s21_probe(grid, params, sig, parts=components)
-    nbar, _ = cavity_photon_number(sig, params)
     meta = {
         "model": model,
         "state": type(sig).__name__.lower(),

@@ -130,28 +130,6 @@ def elliptic_k(k: float) -> float:
 # ---------------------------------------------------------------------------
 # Exponential integrals E_n
 
-def expint_en(n: int, z: complex) -> complex:
-    """E_n(z) = int_1^inf e^(-z t)/t^n dt, analytically continued.
-
-    Principal branch; the cut of the continuation lies along the negative
-    real axis (approach it with a small imaginary part to pick a side).
-    """
-    if n < 0:
-        raise ValueError("expint_en requires n >= 0")
-    z = complex(z)
-    if z == 0:
-        if n >= 2:
-            return complex(1.0/(n - 1))
-        raise ValueError(f"E_{n}(0) diverges")
-    if z.imag == 0 and z.real < 0:
-        raise ValueError(
-            "expint_en: argument on the negative real axis is on the branch "
-            "cut; offset it by a small imaginary part to choose a side")
-    if n == 0:
-        return cmath.exp(-z)/z
-    return cmath.exp(-z)*expint_scaled(n, z)
-
-
 def expint_scaled(n, z):
     """e^z E_n(z) without the exponential over/underflow, n >= 1.
 

@@ -17,10 +17,10 @@ from starkprobe.detector import (Coherent, Incoherent, Thermal, Vacuum,
                                  qubit_response_coherent,
                                  qubit_response_incoherent,
                                  qubit_response_thermal, s21_probe, sweep)
-from starkprobe.oracle import FockOperatorSpace, lindblad_steady_response
+from starkprobe.oracle import lindblad_steady_response
 from starkprobe.presets import (FIGURES, TABLE_GEOMETRY, TABLE_ROWS,
                                 resonator_preset)
-from starkprobe.specfun import elliptic_k, expint_en, lambert_w
+from starkprobe.specfun import elliptic_k, expint_scaled, lambert_w
 from starkprobe.waveguide import (C_LIGHT, CpwGeometry, cpw_params,
                                   half_plane_params)
 
@@ -242,7 +242,7 @@ def test_criterion_09_special_function_identities():
     for n in range(1, 7):
         for y in ys:
             y = complex(y)
-            lhs = cmath.exp(y)*expint_en(n, y)
+            lhs = expint_scaled(n, y)
             rhs = y**(n - 1)*kummer_u(float(n), n, y)
             worst_ku = max(worst_ku, abs(lhs - rhs)/abs(lhs))
     assert worst_ku < 1e-10

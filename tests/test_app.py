@@ -296,9 +296,10 @@ def test_cli_figure_detuning_error_and_fom(tmp_path):
 def test_cli_exit_codes(tmp_path):
     # missing config -> 2
     assert run_cli(["detect", "--out", str(tmp_path)]) == 2
-    # numerical guard (oracle truncation economy) -> 3
-    assert run_cli(["oracle", "--preset", "fig1", "--nbar", "9",
-                    "--points", "3", "--out", str(tmp_path)]) == 3
+    # a series that cannot converge inside its term cap -> 3
+    assert run_cli(["detect", "--preset", "fig1", "--state", "incoherent",
+                    "--nbar", "300", "--points", "3",
+                    "--out", str(tmp_path)]) == 3
     # unwritable output (a file where a directory is needed) -> 4
     blocker = tmp_path/"blocked"
     blocker.write_text("")
@@ -318,7 +319,9 @@ def test_cli_exit_codes(tmp_path):
                  [*fig1, "--state", "thermal", "--tau-c", "inf"],
                  ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
                  ["oracle", "--nbar", "nan"], ["oracle", "--n-fock", "3"],
-                 ["oracle", "--n-fock", "0"], ["detect", "--points", "0"],
+                 ["oracle", "--n-fock", "0"],
+                 ["oracle", "--preset", "fig1", "--nbar", "9"],
+                 ["oracle", "--preset", "fig5q"], ["detect", "--points", "0"],
                  [*fig1, "--points", "1"],
                  [*fig1, "--state", "thermal", "--oracle-check"],
                  [*fig1, "--nbar", "4", "--oracle-check"],

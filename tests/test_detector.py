@@ -10,7 +10,7 @@ from starkprobe.cavity import ResonatorGeometry
 from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, Spectrum, SystemParams, Thermal,
                                  Vacuum, cavity_photon_number, comb_spectrum,
-                                 coupling_estimate, derive_qubit,
+                                 derive_qubit,
                                  detuning_error, figure_of_merit,
                                  position_coupling, qubit_response_coherent,
                                  qubit_response_incoherent,
@@ -502,15 +502,6 @@ def test_position_coupling_values():
     kappa = TWO_PI*200e6
     assert position_coupling(kappa, 0.0, 0.02) == kappa/math.sqrt(math.pi)
     assert abs(position_coupling(kappa, 0.01, 0.02)) < 1e-9*kappa
-
-
-def test_coupling_estimate_chain():
-    gamma = TWO_PI*6.4e6
-    omega_q = TWO_PI*8e9
-    g = coupling_estimate(gamma, omega_q)
-    assert abs(g/(TWO_PI*100e6) - 1.0) < 0.15
-    chi = g*g/(TWO_PI*1e9)
-    assert abs(chi/(TWO_PI*10e6) - 1.0) < 0.3
 
 
 def test_derive_qubit_chain():

@@ -233,3 +233,40 @@ def test_pole_on_grid_raises(sig):
             sweep(system, sig, grid)
         off = sweep(system, sig, grid[[0, 2]])
     assert np.all(np.isfinite(off.s21))
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig7"])
+def test_thermal_large_nbar(preset):
+    # the thermal series carries one geometric factor per term: where the
+    # two rates apart would overflow (fig1 and fig7 from nbar 10 on) the
+    # spectrum comes back, and the series stops only at its term cap
+    fp = FIGURES[preset]
+    system, grid = fp.system(), fp.probe_grid_default(51)
+    for nbar in (10.0, 100.0):
+        spec = sweep(system, Thermal(tau_c=fp.tau_c, nbar=nbar), grid)
+        assert np.all(np.isfinite(spec.s21)), nbar
+    with pytest.raises(ConvergenceError, match="series cap"):
+        sweep(system, Thermal(tau_c=fp.tau_c, nbar=1000.0), grid)
+
+
+@pytest.mark.parametrize("model", ["full", "comb"])
+def test_thermal_sweep_warns_once(model):
+    # gamma_c tau_c > 0.1: one warning per sweep, not one per kernel call
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    tau_c = 0.2/system.cavity.gamma_c
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(system, Thermal(tau_c=tau_c, nbar=1.0), fp.probe_grid_default(51),
+              model=model)
+    assert [str(w.message) for w in caught] == [
+        "gamma_c tau_c = 0.200 > 0.1: thermal model assumes a short "
+        "coherence time"]
+
+
+def test_s21_probe_cavity_term_is_s21_signal():
+    fp = FIGURES["fig1"]
+    system, grid = fp.system(), fp.probe_grid_default(51)
+    parts = {}
+    s21_probe(grid, system, Vacuum(), parts=parts)
+    assert np.array_equal(parts["cavity"], det.s21_signal(grid, system))

@@ -9,12 +9,12 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  qubit_response_coherent,
                                  qubit_response_incoherent)
 from starkprobe import oracle
-from starkprobe.oracle import (FockOperatorSpace, lindblad_steady_response,
-                               liouvillian, propagator_vacuum_element,
-                               steady_state)
+from starkprobe.oracle import check_supported, lindblad_steady_response
 from starkprobe.presets import FIGURES
 
 from closedform import coherent_response_closed
+from fockref import (FockOperatorSpace, liouvillian, propagator_vacuum_element,
+                     steady_state)
 
 TWO_PI = 2.0*math.pi
 FIG1 = FIGURES["fig1"].system()
@@ -73,9 +73,13 @@ def test_propagator_truncation_convergence():
     assert abs(small - big) < 1e-9*abs(big)
 
 
-def test_propagator_rejects_tiny_space():
-    with pytest.raises(ValueError):
-        FockOperatorSpace(3)
+def test_oracle_rejects_tiny_space():
+    # n_fock >= 4 is part of the oracle's stated domain
+    with pytest.raises(ValueError, match="n_fock"):
+        check_supported(FIG1, Vacuum(), 3)
+    with pytest.raises(ValueError, match="n_fock"):
+        lindblad_steady_response(FIG1, Vacuum(), Q1.omega_q, 3)
+    assert check_supported(FIG1, Vacuum(), 4) == (Q1, 0j)
 
 
 def test_fock_space_algebra():

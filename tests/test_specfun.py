@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw as scipy_lambertw
 
-from starkprobe.specfun import (ConvergenceError, elliptic_k, expint_en,
-                                expint_scaled, lambert_w, lambert_w_log)
+from starkprobe.specfun import (ConvergenceError, elliptic_k, expint_scaled,
+                                lambert_w, lambert_w_log)
 
 from closedform import _hyp1f1_series, digamma, hyp1f1, kummer_u
 
@@ -200,7 +200,7 @@ def test_kummer_u_leading_asymptotic_order():
 
 def test_kummer_expint_identity_single():
     y = 0.8
-    lhs = cmath.exp(y)*expint_en(2, y)
+    lhs = expint_scaled(2, y)
     rhs = y**(2 - 1)*kummer_u(2.0, 2, y)
     assert abs(lhs - rhs) < 1e-12*abs(lhs)
 
@@ -213,45 +213,27 @@ def test_kummer_expint_identity_grid():
     for n in range(1, 7):
         for y in ys:
             y = complex(y)
-            lhs = cmath.exp(y)*expint_en(n, y)
+            lhs = expint_scaled(n, y)
             rhs = y**(n - 1)*kummer_u(float(n), n, y)
             assert abs(lhs - rhs) <= 1e-10*max(abs(lhs), 1e-30), (n, y)
 
 
 def test_expint_at_zero():
-    assert abs(expint_en(4, 0.0) - 1.0/3.0) < 1e-15
-    with pytest.raises(ValueError):
-        expint_en(1, 0.0)
+    assert abs(expint_scaled(4, 0.0) - 1.0/3.0) < 1e-15
 
 
 def test_expint_recurrence():
+    # E_3 = (e^-z - z E_2)/2, times e^z
     z = 0.5 + 0.5j
-    lhs = expint_en(3, z)
-    rhs = (cmath.exp(-z) - z*expint_en(2, z))/2.0
+    lhs = expint_scaled(3, z)
+    rhs = (1.0 - z*expint_scaled(2, z))/2.0
     assert abs(lhs - rhs) < 1e-13*abs(lhs)
 
 
 def test_expint_small_x_log_limit():
     x = 1e-4
-    assert abs(expint_en(1, x) + EULER_GAMMA + math.log(x)) < 1e-3
-
-
-def test_expint_zero_order():
-    z = 1.2 - 0.7j
-    assert abs(expint_en(0, z) - cmath.exp(-z)/z) < 1e-14
-
-
-def test_expint_branch_cut_rejected():
-    with pytest.raises(ValueError):
-        expint_en(2, -1.0)
-
-
-def test_expint_scaled_matches_product():
-    for n in (1, 2, 5):
-        for z in (0.7, 3.0 + 1.0j, 9.0 - 2.0j):
-            z = complex(z)
-            assert abs(expint_scaled(n, z) - cmath.exp(z)*expint_en(n, z)) \
-                < 1e-12*abs(expint_scaled(n, z))
+    e1 = math.exp(-x)*expint_scaled(1, x)
+    assert abs(e1 + EULER_GAMMA + math.log(x)) < 1e-3
 
 
 def test_expint_scaled_near_cut_continuity():
