@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -35,10 +34,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
 
-    def add_format(p):
+    def add_spectrum(p, preset_required=False):
+        add_common(p)
         # only the spectrum commands choose their output formats
         p.add_argument("--format", default="csv,json",
                        help="comma list of csv,json,svg or 'all'")
+        p.add_argument("--preset", required=preset_required,
+                       choices=sorted(presets.FIGURES))
+        p.add_argument("--state", default="coherent",
+                       choices=["vacuum", "coherent", "incoherent", "thermal"])
+        p.add_argument("--nbar", type=float)
+        p.add_argument("--flux", type=float, help="photon flux [1/s]")
+        p.add_argument("--tau-c", type=float, help="coherence time [s]")
+        p.add_argument("--detuning", type=float, default=0.0,
+                       help="signal detuning from omega_c* [Hz]")
+        p.add_argument("--points", type=int, default=2001)
+        p.add_argument("--oracle-check", action="store_true",
+                       help="print analytic-vs-oracle deviations")
 
     p = sub.add_parser("waveguide", help="transmission line parameters")
     add_common(p)
@@ -60,21 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("detect", "comb"):
         p = sub.add_parser(name, help="probe transmission spectrum "
                            + ("(comb approximation)" if name == "comb" else ""))
-        add_common(p)
-        add_format(p)
-        p.add_argument("--preset", choices=sorted(presets.FIGURES))
-        p.add_argument("--state", default="coherent",
-                       choices=["vacuum", "coherent", "incoherent", "thermal"])
-        p.add_argument("--nbar", type=float)
-        p.add_argument("--flux", type=float, help="photon flux [1/s]")
-        p.add_argument("--tau-c", type=float, help="coherence time [s]")
-        p.add_argument("--detuning", type=float, default=0.0,
-                       help="signal detuning from omega_c* [Hz]")
-        p.add_argument("--points", type=int, default=2001)
+        add_spectrum(p)
         p.add_argument("--components", action="store_true",
                        help="emit per-term columns")
-        p.add_argument("--oracle-check", action="store_true",
-                       help="print analytic-vs-oracle deviations")
 
     p = sub.add_parser("oracle", help="analytic vs truncated-Fock deviations")
     add_common(p)
@@ -84,20 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=9)
 
     p = sub.add_parser("figure", help="published-figure parameter presets")
-    add_common(p)
-    add_format(p)
-    p.add_argument("--preset", required=True, choices=sorted(presets.FIGURES))
-    p.add_argument("--state", default="coherent",
-                   choices=["vacuum", "coherent", "incoherent", "thermal"])
-    p.add_argument("--nbar", type=float)
-    p.add_argument("--flux", type=float, help="photon flux [1/s]")
-    p.add_argument("--tau-c", type=float)
-    p.add_argument("--detuning", type=float, default=0.0,
-                   help="signal detuning from omega_c* [Hz]")
-    p.add_argument("--points", type=int, default=2001)
+    add_spectrum(p, preset_required=True)
     p.add_argument("--fom", action="store_true",
                    help="also emit |S21|/|S21_vacuum| (panel-4 ratio)")
-    p.add_argument("--oracle-check", action="store_true")
     return parser
 
 
@@ -117,16 +106,6 @@ def _checked(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _write_report(data: dict, out_dir: Path, stem: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = "\n".join(f"{k} = {format(v, '.17g') if isinstance(v, float) else v}"
-                     for k, v in data.items())
-    (out_dir/f"{stem}.txt").write_text(text + "\n")
-    (out_dir/f"{stem}.json").write_text(
-        json.dumps(data, indent=2, sort_keys=True, default=float) + "\n")
-    print(text)
 
 
 def _cmd_waveguide(args) -> int:
@@ -153,8 +132,11 @@ def _cmd_waveguide(args) -> int:
                 w=w, s=s, h1=cfg.get("h1", base.h1), h2=cfg.get("h2", base.h2),
                 eps1_rel=eps1, eps2_rel=eps2)
             params = waveguide.cpw_params(geom)
-    report = {"model": args.model, **params.as_dict()}
-    _write_report(report, args.out, f"waveguide_{args.model}")
+    stem = f"waveguide_{args.model}"
+    texts = output.report_texts({"model": args.model, **params.as_dict()},
+                                stem)
+    output.write_texts(args.out, texts)
+    print(texts[f"{stem}.txt"], end="")
     return 0
 
 
@@ -168,22 +150,21 @@ def _cmd_cavity(args) -> int:
     else:
         geom = _checked(presets.resonator_preset, args.ratio)
     modes = cavity_mod.resonances(geom, args.modes)
-    rows = ["n,f_n_hz,gamma_n_hz,q_factor"]
-    for m in modes:
-        rows.append(f"{m.n},{m.omega_n/math.tau:.17g},{m.gamma_n/math.tau:.17g},"
-                    f"{m.q_factor:.17g}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out/"cavity_modes.csv").write_text("\n".join(rows) + "\n")
-    print("\n".join(rows))
-    lo = 0.5*modes[0].omega_n
-    hi = 1.15*modes[-1].omega_n
-    rows = ["omega_hz,re_s21,im_s21,abs_s21,re_s11,im_s11,abs_s11"]
-    for w in np.linspace(lo, hi, args.points):
-        s21, s11 = cavity_mod.bare_s_params(geom, w)
-        rows.append(",".join(format(v, ".17g") for v in
-                             (w/math.tau, s21.real, s21.imag, abs(s21),
-                              s11.real, s11.imag, abs(s11))))
-    (args.out/"cavity_sweep.csv").write_text("\n".join(rows) + "\n")
+    mode_table = output.csv_text(
+        "n,f_n_hz,gamma_n_hz,q_factor", [m.n for m in modes],
+        [m.omega_n/math.tau for m in modes],
+        [m.gamma_n/math.tau for m in modes], [m.q_factor for m in modes])
+    grid = np.linspace(0.5*modes[0].omega_n, 1.15*modes[-1].omega_n,
+                       args.points)
+    s21, s11 = zip(*(cavity_mod.bare_s_params(geom, w) for w in grid))
+    # abs() per value: np.abs may differ from it in the last digit
+    sweep_table = output.csv_text(
+        "omega_hz,re_s21,im_s21,abs_s21,re_s11,im_s11,abs_s11", grid/math.tau,
+        np.real(s21), np.imag(s21), [abs(v) for v in s21],
+        np.real(s11), np.imag(s11), [abs(v) for v in s11])
+    output.write_texts(args.out, {"cavity_modes.csv": mode_table,
+                                  "cavity_sweep.csv": sweep_table})
+    print(mode_table, end="")
     return 0
 
 
@@ -193,21 +174,20 @@ def _cmd_atom(args) -> int:
     gamma_phi = cfg.get("gamma_phi", 0.0)
     rabi = cfg.get("rabi", 0.0)
     span = cfg.get("span", 10.0*(0.5*gamma1 + gamma_phi))
-    rows = ["delta_hz,re_s11,im_s11,re_s21,im_s21"]
-    for d in np.linspace(-span, span, args.points):
-        p = atom_mod.AtomParams(delta_omega=d, gamma1=gamma1,
-                                gamma_phi=gamma_phi, rabi=rabi)
-        s11, s21 = atom_mod.atom_s_params(p)
-        rows.append(",".join(format(v, ".17g") for v in
-                             (d/math.tau, s11.real, s11.imag, s21.real, s21.imag)))
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out/"atom_sweep.csv").write_text("\n".join(rows) + "\n")
-    print(f"wrote {args.points} points to {args.out/'atom_sweep.csv'}")
+    grid = np.linspace(-span, span, args.points)
+    s11, s21 = zip(*(atom_mod.atom_s_params(atom_mod.AtomParams(
+        delta_omega=d, gamma1=gamma1, gamma_phi=gamma_phi, rabi=rabi))
+        for d in grid))
+    table = output.csv_text("delta_hz,re_s11,im_s11,re_s21,im_s21",
+                            grid/math.tau, np.real(s11), np.imag(s11),
+                            np.real(s21), np.imag(s21))
+    path, = output.write_texts(args.out, {"atom_sweep.csv": table})
+    print(f"wrote {args.points} points to {path}")
     return 0
 
 
 def _system_from(args) -> tuple[detector.SystemParams, dict]:
-    if getattr(args, "preset", None):
+    if args.preset:
         fp = presets.FIGURES[args.preset]
         return fp.system(), {"preset": fp, "config": {}}
     cfg = load_config(args.config) if args.config else {}
@@ -233,9 +213,9 @@ def _system_from(args) -> tuple[detector.SystemParams, dict]:
 
 
 def _signal_from(args, system, preset) -> detector.SignalState:
-    omega = system.omega_c_star + math.tau*getattr(args, "detuning", 0.0)
+    omega = system.omega_c_star + math.tau*args.detuning
     nbar = args.nbar
-    flux = getattr(args, "flux", None)
+    flux = args.flux
     if nbar is None and flux is None:
         nbar = preset.nbar if preset is not None else 1.0
     fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
@@ -245,7 +225,7 @@ def _signal_from(args, system, preset) -> detector.SignalState:
         return _checked(detector.Coherent, **fields)
     if args.state == "incoherent":
         return _checked(detector.Incoherent, **fields)
-    tau = getattr(args, "tau_c", None)
+    tau = args.tau_c
     if tau is None and preset is not None:
         tau = preset.tau_c
     if tau is None:
@@ -287,13 +267,12 @@ def _oracle_table(system, sig, grid, n_fock: int) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
-    if (getattr(args, "oracle_check", False)
-            and args.state not in ("vacuum", "coherent")):
+    if args.oracle_check and args.state not in ("vacuum", "coherent"):
         raise ConfigError("--oracle-check supports vacuum/coherent only")
     system, info = _system_from(args)
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
-    if getattr(args, "oracle_check", False):
+    if args.oracle_check:
         _checked(oracle.check_supported, system, sig, _ORACLE_CHECK_FOCK)
     grid = _probe_grid(args, system, preset, info.get("config", {}))
     fmts = _formats(args.format)
@@ -302,31 +281,25 @@ def _cmd_spectrum(args, model: str) -> int:
 
     runs = [(stem, sig)]
     if (preset is not None and args.state == "thermal"
-            and getattr(args, "tau_c", None) is None
-            and preset.tau_c_choices):
+            and args.tau_c is None and preset.tau_c_choices):
         # figure presets that sweep the coherence time emit one spectrum
         # per listed tau_c
         runs = [(f"{stem}_tau{i + 1}", dataclasses.replace(sig, tau_c=tau))
                 for i, tau in enumerate(preset.tau_c_choices)]
 
-    written = []
-    spec = None
-    for run_stem, run_sig in runs:
-        spec = detector.sweep(system, run_sig, grid, model=model,
-                              with_components=getattr(args, "components",
-                                                      False))
-        written += output.emit_spectrum(spec, args.out, run_stem, fmts)
-
+    # every output is computed before the first is written, so a run that
+    # fails leaves nothing behind
+    spectra = {run_stem: detector.sweep(
+        system, run_sig, grid, model=model,
+        with_components=getattr(args, "components", False))
+        for run_stem, run_sig in runs}
+    tables = {}
     if getattr(args, "fom", False) and args.state != "vacuum":
         vac = detector.sweep(system, detector.Vacuum(), grid, model=model)
-        ratio = detector.figure_of_merit(spec, vac)
-        lines = ["omega_p_hz,ratio"]
-        lines += [f"{w/math.tau:.17g},{r:.17g}" for w, r in zip(grid, ratio)]
-        target = args.out/f"{stem}_fom.csv"
-        args.out.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(lines) + "\n")
-        written.append(target)
-
+        for run_stem, spec in spectra.items():
+            tables[f"{run_stem}_fom.csv"] = output.csv_text(
+                "omega_p_hz,ratio", grid/math.tau,
+                detector.figure_of_merit(spec, vac))
     if (preset is not None and preset.detunings_frac
             and args.state != "vacuum"):
         gc = system.cavity.gamma_c
@@ -334,20 +307,18 @@ def _cmd_spectrum(args, model: str) -> int:
         errs = detector.detuning_error(system, sig, detunings, grid)
         header = "omega_p_hz," + ",".join(
             f"err_detuning_{f:+.4g}_gc" for f in preset.detunings_frac)
-        lines = [header]
-        for i, w in enumerate(grid):
-            cells = [f"{w/math.tau:.17g}"] + [f"{errs[d][i]:.17g}"
-                                            for d in detunings]
-            lines.append(",".join(cells))
-        target = args.out/f"{stem}_detuning_error.csv"
-        args.out.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(lines) + "\n")
-        written.append(target)
+        tables[f"{stem}_detuning_error.csv"] = output.csv_text(
+            header, grid/math.tau, *(errs[d] for d in detunings))
+    check = (_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7),
+                           _ORACLE_CHECK_FOCK) if args.oracle_check else None)
 
+    written = []
+    for run_stem, spec in spectra.items():
+        written += output.emit_spectrum(spec, args.out, run_stem, fmts)
+    written += output.write_texts(args.out, tables)
     print(f"wrote {', '.join(str(p) for p in written)}")
-    if getattr(args, "oracle_check", False):
-        print(_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7),
-                            _ORACLE_CHECK_FOCK))
+    if check is not None:
+        print(check)
     return 0
 
 
@@ -358,10 +329,20 @@ def _cmd_oracle(args) -> int:
     _checked(oracle.check_supported, system, sig, args.n_fock)
     text = _oracle_table(system, sig, fp.probe_grid_default(args.points),
                          args.n_fock)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out/"oracle_check.txt").write_text(text + "\n")
+    output.write_texts(args.out, {"oracle_check.txt": text + "\n"})
     print(text)
     return 0
+
+
+_COMMANDS = {
+    "waveguide": _cmd_waveguide,
+    "cavity": _cmd_cavity,
+    "atom": _cmd_atom,
+    "detect": lambda args: _cmd_spectrum(args, "full"),
+    "comb": lambda args: _cmd_spectrum(args, "comb"),
+    "figure": lambda args: _cmd_spectrum(args, "full"),
+    "oracle": _cmd_oracle,
+}
 
 
 def run_cli(argv=None) -> int:
@@ -370,21 +351,7 @@ def run_cli(argv=None) -> int:
     try:
         if getattr(args, "points", 2) < 2:
             raise ConfigError("--points must be at least 2")
-        if args.command == "waveguide":
-            return _cmd_waveguide(args)
-        if args.command == "cavity":
-            return _cmd_cavity(args)
-        if args.command == "atom":
-            return _cmd_atom(args)
-        if args.command == "detect":
-            return _cmd_spectrum(args, "full")
-        if args.command == "comb":
-            return _cmd_spectrum(args, "comb")
-        if args.command == "figure":
-            return _cmd_spectrum(args, "full")
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

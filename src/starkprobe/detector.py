@@ -53,11 +53,6 @@ class QubitParams:
     chi: float            # rad/s, per-photon Stark shift
     gamma: float          # rad/s, decay into non-line channels
     gamma_phi: float      # rad/s, pure dephasing
-    # optional physical provenance, filled in by derive_qubit
-    josephson_energy: Optional[float] = None   # J
-    capacitance: Optional[float] = None        # F
-    flux_fraction: Optional[float] = None
-    position: Optional[float] = None           # m
 
     def __post_init__(self):
         if self.chi == 0:
@@ -280,10 +275,7 @@ def derive_qubit(josephson_energy: float, capacitance: float,
                       stacklevel=2)
     chi = g*g/(omega_q - omega_c)
     return QubitParams(omega_q=omega_q, chi=chi,
-                       gamma=kappa**2/omega_q, gamma_phi=gamma_phi,
-                       josephson_energy=josephson_energy,
-                       capacitance=capacitance,
-                       flux_fraction=flux_fraction, position=position)
+                       gamma=kappa**2/omega_q, gamma_phi=gamma_phi)
 
 
 def position_coupling(kappa: float, position: float, length: float) -> float:

@@ -1,4 +1,5 @@
-"""Spectrum emission: CSV, JSON sidecar and SVG line plots.
+"""Output files: spectra as CSV, JSON sidecar and SVG line plots, plain
+CSV tables, the line-parameter report, and the one writer for them all.
 
 Output is byte-deterministic: floats are written with repr-exact 17
 significant digits so a re-parsed CSV reproduces the in-memory arrays
@@ -20,21 +21,49 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def spectrum_to_csv(spec: Spectrum, path: Path) -> None:
+def csv_text(header: str, *columns) -> str:
+    """A CSV table: the header line, then one row per index of the equally
+    long columns, every value in repr-exact 17 significant digits."""
+    rows = [header]
+    rows += [",".join(map(_fmt, row)) for row in
+             zip(*(np.asarray(col, dtype=float).tolist() for col in columns))]
+    return "\n".join(rows) + "\n"
+
+
+def write_texts(out_dir: Path, texts: dict[str, str]) -> list[Path]:
+    """Write each named text into out_dir, made if missing; returns the
+    written paths in order."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir/name for name in texts]
+    for path, text in zip(paths, texts.values()):
+        path.write_text(text)
+    return paths
+
+
+def report_texts(data: dict, stem: str) -> dict[str, str]:
+    """A flat parameter report as `key = value` lines and as JSON, named
+    {stem}.txt and {stem}.json."""
+    lines = (f"{k} = {_fmt(v) if isinstance(v, float) else v}"
+             for k, v in data.items())
+    return {f"{stem}.txt": "\n".join(lines) + "\n",
+            f"{stem}.json": json.dumps(data, indent=2, sort_keys=True,
+                                       default=float) + "\n"}
+
+
+def _column_names(spec: Spectrum) -> list[str]:
     cols = ["omega_p_hz", "re_s21", "im_s21", "abs_s21"]
-    comp_keys = sorted(spec.components) if spec.components else []
-    for key in comp_keys:
+    for key in sorted(spec.components or ()):
         cols += [f"re_{key}", f"im_{key}"]
-    lines = [",".join(cols)]
-    mag = np.abs(spec.s21)
-    for i in range(spec.omega_p.size):
-        row = [_fmt(spec.omega_p[i]/math.tau), _fmt(spec.s21[i].real),
-               _fmt(spec.s21[i].imag), _fmt(mag[i])]
-        for key in comp_keys:
-            val = spec.components[key][i]
-            row += [_fmt(val.real), _fmt(val.imag)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    return cols
+
+
+def spectrum_to_csv(spec: Spectrum, path: Path) -> None:
+    columns = [spec.omega_p/math.tau, spec.s21.real, spec.s21.imag,
+               np.abs(spec.s21)]
+    for key in sorted(spec.components or ()):
+        columns += [spec.components[key].real, spec.components[key].imag]
+    path.write_text(csv_text(",".join(_column_names(spec)), *columns))
 
 
 def csv_to_spectrum(path: Path) -> Spectrum:
@@ -64,13 +93,9 @@ SIDECAR_SCHEMA = {
 
 
 def sidecar_dict(spec: Spectrum) -> dict:
-    cols = ["omega_p_hz", "re_s21", "im_s21", "abs_s21"]
-    if spec.components:
-        for key in sorted(spec.components):
-            cols += [f"re_{key}", f"im_{key}"]
     return {
         "format": "starkprobe-spectrum-v1",
-        "columns": cols,
+        "columns": _column_names(spec),
         "points": int(spec.omega_p.size),
         "parameters": spec.meta,
     }

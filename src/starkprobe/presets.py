@@ -19,7 +19,6 @@ from .waveguide import CpwGeometry
 
 @dataclass(frozen=True)
 class FigurePreset:
-    preset_id: str
     n_qubits: int
     omega_q: float
     omega_c: float
@@ -44,10 +43,10 @@ class FigurePreset:
         return np.linspace(self.omega_q - span, self.omega_q + span, n_points)
 
 
-def _preset(pid, *, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
+def _preset(*, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
             tau_c_choices=(), detunings_frac=()):
     return FigurePreset(
-        preset_id=pid, n_qubits=n_qubits,
+        n_qubits=n_qubits,
         omega_q=math.tau*10e9, omega_c=math.tau*9e9,
         chi=chi, gamma_c=gamma_c,
         gamma=math.tau*250e3, gamma_phi=0.0,
@@ -59,26 +58,26 @@ def _preset(pid, *, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
 # beat tau_c |omega_p - omega| deep in the short-coherence regime the
 # closed-form widths assume.
 FIGURES: dict[str, FigurePreset] = {
-    "fig1": _preset("fig1", chi=math.tau*10e6, gamma_c=math.tau*100e3,
+    "fig1": _preset(chi=math.tau*10e6, gamma_c=math.tau*100e3,
                     tau_c=1e-12),
-    "fig2": _preset("fig2", chi=math.tau*10e6, gamma_c=math.tau*1e6,
+    "fig2": _preset(chi=math.tau*10e6, gamma_c=math.tau*1e6,
                     tau_c=1e-12),
-    "fig2bis": _preset("fig2bis", chi=math.tau*1e6, gamma_c=math.tau*100e3,
+    "fig2bis": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
                        tau_c=1e-12),
-    "fig3": _preset("fig3", chi=math.tau*1e6, gamma_c=math.tau*1e6,
+    "fig3": _preset(chi=math.tau*1e6, gamma_c=math.tau*1e6,
                     tau_c=1e-12),
-    "fig4": _preset("fig4", chi=math.tau*100e3, gamma_c=math.tau*500e6,
+    "fig4": _preset(chi=math.tau*100e3, gamma_c=math.tau*500e6,
                     tau_c=1e-14),
-    "fig5": _preset("fig5", chi=math.tau*1e6, gamma_c=math.tau*1e6, nbar=2.0,
+    "fig5": _preset(chi=math.tau*1e6, gamma_c=math.tau*1e6, nbar=2.0,
                     tau_c=1e-12),
-    "fig5q": _preset("fig5q", n_qubits=5, chi=math.tau*1e6, gamma_c=math.tau*1e6,
+    "fig5q": _preset(n_qubits=5, chi=math.tau*1e6, gamma_c=math.tau*1e6,
                      tau_c=1e-12),
-    "fig6": _preset("fig6", chi=math.tau*1e6, gamma_c=math.tau*100e3, nbar=2.0,
+    "fig6": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3, nbar=2.0,
                     tau_c=1e-12),
-    "fig7": _preset("fig7", chi=math.tau*1e6, gamma_c=math.tau*100e3,
+    "fig7": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
                     tau_c=1e-9/math.tau,
                     tau_c_choices=(1e-12/math.tau, 1e-9/math.tau, 1e-8/math.tau)),
-    "fig10": _preset("fig10", chi=math.tau*1e6, gamma_c=math.tau*100e3,
+    "fig10": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
                      detunings_frac=(-1.0/3.0, 1.0/3.0)),
 }
 

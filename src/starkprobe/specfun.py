@@ -140,13 +140,15 @@ def expint_scaled(n, z):
     recurrence.  Those that need the series, a lone argument and those where
     the fraction stalls go through the scalar helpers one at a time, with
     the values of a scalar call.  A non-finite result raises
-    ConvergenceError.
+    ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
     """
     zs = np.asarray(z, dtype=complex)
     each_n = np.ndim(n) > 0
     if each_n:
         zs, n = np.broadcast_arrays(zs, np.asarray(n))
         n = n.ravel()
+    if (np.any(n < 1) if each_n else n < 1):
+        raise ValueError(f"expint_scaled needs orders n >= 1, got {n!r}")
     flat = zs.ravel()
     out = np.empty(flat.shape, dtype=complex)
     # np.abs may differ from abs() in the last bit: take the candidates for
@@ -154,7 +156,9 @@ def expint_scaled(n, z):
     fraction = np.abs(flat) > 12.5
     for i in (~fraction).nonzero()[0]:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
-        if zi == 0 and ni >= 2:
+        if zi == 0:
+            if ni == 1:
+                raise ValueError("expint_scaled: E_1(z) diverges at z = 0")
             out[i] = 1.0/(ni - 1)
         elif abs(zi) <= (6.0 if zi.real > 0 else 12.0):
             # the series cancellation grows like e^|Re z| on the right half

@@ -6,7 +6,8 @@ import pytest
 
 from starkprobe.cli import run_cli
 from starkprobe.config import ConfigError, load_config, parse_quantity
-from starkprobe.detector import Coherent, Spectrum, sweep
+from starkprobe.detector import (Coherent, Spectrum, Thermal, Vacuum,
+                                 figure_of_merit, sweep)
 from starkprobe.output import (csv_to_spectrum, emit_spectrum, sidecar_dict,
                                spectrum_to_csv, validate_sidecar)
 from starkprobe.presets import FIGURES
@@ -278,6 +279,32 @@ def test_cli_figure_tau_sweep(tmp_path):
     assert rc == 0
     for i in (1, 2, 3):
         assert (tmp_path/f"full_fig7_thermal_tau{i}.csv").exists()
+
+
+def test_cli_figure_fom_per_tau_run(tmp_path):
+    # one ratio file per coherence time, each against the vacuum spectrum
+    rc = run_cli(["figure", "--preset", "fig7", "--state", "thermal",
+                  "--nbar", "1", "--points", "15", "--format", "csv",
+                  "--fom", "--out", str(tmp_path)])
+    assert rc == 0
+    fp = FIGURES["fig7"]
+    system, grid = fp.system(), fp.probe_grid_default(15)
+    vac = sweep(system, Vacuum(), grid)
+    assert not (tmp_path/"full_fig7_thermal_fom.csv").exists()
+    for i, tau in enumerate(fp.tau_c_choices, 1):
+        spec = sweep(system, Thermal(tau_c=tau, nbar=1.0), grid)
+        text = (tmp_path/f"full_fig7_thermal_tau{i}_fom.csv").read_text()
+        ratio = [float(row.split(",")[1]) for row in text.splitlines()[1:]]
+        assert np.array_equal(ratio, figure_of_merit(spec, vac)), i
+
+
+def test_cli_failed_run_writes_nothing(tmp_path):
+    # the third coherence time reaches the thermal series cap after the
+    # first two have returned: nothing of the run is written
+    out = tmp_path/"out"
+    assert run_cli(["figure", "--preset", "fig7", "--state", "thermal",
+                    "--nbar", "300", "--points", "21", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_cli_figure_detuning_error_and_fom(tmp_path):

@@ -222,6 +222,20 @@ def test_expint_at_zero():
     assert abs(expint_scaled(4, 0.0) - 1.0/3.0) < 1e-15
 
 
+def test_expint_scaled_domain():
+    # orders below 1 are refused, scalar or array, and so is E_1 at its pole
+    for n in (0, -2, np.array([3, 0]), np.array([[1], [-1]])):
+        with pytest.raises(ValueError, match="n >= 1"):
+            expint_scaled(n, 1.0)
+    with pytest.raises(ValueError, match="diverges at z = 0"):
+        expint_scaled(1, 0.0)
+    with pytest.raises(ValueError, match="diverges at z = 0"):
+        expint_scaled(np.array([2, 1]), np.zeros(2))
+    assert expint_scaled(2, 0.0) == 1.0
+    assert np.array_equal(expint_scaled(np.array([2, 3, 5]), 0.0),
+                          [1.0, 0.5, 0.25])
+
+
 def test_expint_recurrence():
     # E_3 = (e^-z - z E_2)/2, times e^z
     z = 0.5 + 0.5j
