@@ -97,6 +97,8 @@ def _formats(arg: str) -> tuple[str, ...]:
     for f in fmts:
         if f not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown format {f!r}")
+    if not fmts:
+        raise ConfigError(f"no output format in {arg!r}")
     return fmts
 
 

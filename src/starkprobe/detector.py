@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, count, islice, repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -36,12 +39,20 @@ HBAR = 1.054571817e-34
 _TERM_RTOL = 1e-12
 _TERM_CAP = 5000
 # while few lanes remain, a series takes a block of terms per array pass:
-# at most _BLOCK_ROWS terms and _BLOCK_CELLS terms x lanes, and one term at
-# a time where a block would be shorter than _BLOCK_MIN_ROWS.  A lane's last
-# block computes terms past its stop.
+# at most _BLOCK_ROWS terms and _BLOCK_CELLS terms x lanes (101 lanes: 40),
+# else one term at a time where a block would be shorter than
+# _BLOCK_MIN_ROWS.  A lane's last block computes terms past its stop.
 _BLOCK_ROWS = 64
-_BLOCK_CELLS = 1024
+_BLOCK_CELLS = 4096
 _BLOCK_MIN_ROWS = 8
+
+
+def _warn(message: str) -> None:
+    """Warn at the first caller outside this module, such as that of `sweep`."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals["__name__"] == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +207,8 @@ class Thermal:
         """
         gc = params.cavity.gamma_c
         if self.tau_c*gc > 0.1:
-            warnings.warn(f"gamma_c tau_c = {self.tau_c*gc:.3f} > 0.1: thermal "
-                          "model assumes a short coherence time", stacklevel=3)
+            _warn(f"gamma_c tau_c = {self.tau_c*gc:.3f} > 0.1: thermal "
+                  "model assumes a short coherence time")
         flux, lor = self._flux(params)
         return flux/(self.tau_c*lor), None
 
@@ -259,8 +270,8 @@ def derive_qubit(josephson_energy: float, capacitance: float,
     """
     e_c = E_CHARGE**2/(2.0*capacitance)
     if e_c/josephson_energy > 0.1:
-        warnings.warn(f"E_C/E_J = {e_c/josephson_energy:.3f} > 0.1: "
-                      "outside the transmon regime", stacklevel=2)
+        _warn(f"E_C/E_J = {e_c/josephson_energy:.3f} > 0.1: "
+              "outside the transmon regime")
     omega_q = (math.sqrt(4.0*E_CHARGE**2*josephson_energy/capacitance)
                - e_c)/HBAR
     kappa = (2.0*E_CHARGE/HBAR)*flux_fraction*math.sqrt(
@@ -271,8 +282,7 @@ def derive_qubit(josephson_energy: float, capacitance: float,
         raise ZeroDivisionError("omega_q equals omega_c: dispersive "
                                 "approximation breaks down")
     if g != 0 and abs(omega_q - omega_c) < 10.0*abs(g):
-        warnings.warn("detuning below 10 g: dispersive validity is marginal",
-                      stacklevel=2)
+        _warn("detuning below 10 g: dispersive validity is marginal")
     chi = g*g/(omega_q - omega_c)
     return QubitParams(omega_q=omega_q, chi=chi,
                        gamma=kappa**2/omega_q, gamma_phi=gamma_phi)
@@ -309,9 +319,10 @@ class _Lanes:
 
     A lane stops once three consecutive terms each fall below _TERM_RTOL of
     its running total and then leaves the active set, so the per-term work
-    follows the points still summing; `active` holds their grid indices.
-    The terms come one per call (`add`) or, while few lanes are left, a
-    block of `rows()` terms per call (`add_block`), with the same sums.
+    follows the points still summing; `active` holds their grid indices and
+    `lane` the kernel's per-lane arrays.  `run` adds the terms one per array
+    pass (`add`) or, while few lanes are left, a block of terms per pass
+    (`add_block`), with the same sums.
     """
 
     def __init__(self, omega_p):
@@ -322,12 +333,45 @@ class _Lanes:
         # whether the last term and the one before were small
         self.small1 = self.small2 = np.zeros(size, dtype=bool)
         self.out = np.empty(size, dtype=complex)
+        self.lane: dict = {}
+
+    def run(self, terms: Callable, factors, end: int, scale: float,
+            state: str, cap: str, stop_from: float = 0.0):
+        """The finished sums times scale, in the grid's shape.
+
+        terms(n, f) is term n of the active lanes with f the next item of
+        `factors`; for a block, n is a column of indices and f has one row
+        per index.  A lane may stop from term `stop_from` on, and `end` is
+        where the series should stop.  Lanes still summing after _TERM_CAP
+        terms raise ConvergenceError(cap), or name a lane gone non-finite.
+        """
+        n, end = 0, min(end, _TERM_CAP)
+        while self.active.size and n < _TERM_CAP:
+            # a block reaches neither past term `end` nor past _TERM_CAP
+            rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size, end - n)
+            if rows < _BLOCK_MIN_ROWS:
+                self.add(terms(n, next(factors)), n >= stop_from)
+                n += 1
+            else:
+                ns = np.arange(n, n + rows)
+                f = np.array(list(islice(factors, rows))).reshape(rows, -1)
+                self.add_block(terms(ns[:, None], f), ns >= stop_from)
+                n += rows
+        if n >= _TERM_CAP:
+            bad = self.active[~np.isfinite(self.total)]
+            raise (_not_finite(state, self.grid.flat[bad[0]]) if bad.size
+                   else ConvergenceError(cap))
+        values = self.out*scale
+        bad = (~np.isfinite(values)).nonzero()[0]
+        if bad.size:
+            raise _not_finite(state, self.grid.flat[bad[0]])
+        return (complex(values[0]) if self.grid.ndim == 0
+                else values.reshape(self.grid.shape))
 
     def add(self, term, stop: bool = True) -> Optional[np.ndarray]:
         """Add one term per active lane and retire the converged lanes.
 
-        Returns the mask of lanes kept, for the caller to compact its own
-        per-lane arrays, or None when no lane finished.
+        Returns the mask of lanes kept, or None when no lane finished.
         """
         self.total += term
         if not stop:
@@ -371,39 +415,19 @@ class _Lanes:
         self.active, self.total, self.small1, self.small2 = (
             self.active[keep], self.total[keep], self.small1[keep],
             self.small2[keep])
+        self.lane.update({key: values[keep] for key, values in self.lane.items()})
         return keep
-
-    def rows(self, n: int, end: int = _TERM_CAP) -> int:
-        """Terms to take in the next array pass, from term n on.
-
-        A block reaches no further than term `end`, the caller's estimate
-        of where its series stops, nor past _TERM_CAP.
-        """
-        rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size,
-                   min(end, _TERM_CAP) - n)
-        return rows if rows >= _BLOCK_MIN_ROWS else 1
-
-    def result(self, scale: float, state: str):
-        """The finished sums times scale, in the grid's shape."""
-        values = self.out*scale
-        bad = (~np.isfinite(values)).nonzero()[0]
-        if bad.size:
-            raise _not_finite(state, self.grid.flat[bad[0]])
-        if self.grid.ndim == 0:
-            return complex(values[0])
-        return values.reshape(self.grid.shape)
-
-    def cap_error(self, state: str, message: str) -> ConvergenceError:
-        """Error for lanes still summing at _TERM_CAP terms."""
-        bad = self.active[~np.isfinite(self.total)]
-        if bad.size:
-            return _not_finite(state, self.grid.flat[bad[0]])
-        return ConvergenceError(message)
 
 
 def _not_finite(state: str, omega_p: float) -> ConvergenceError:
     return ConvergenceError(f"{state} response is not finite at "
                             f"omega_p = {float(omega_p):.17g} rad/s")
+
+
+def _geometric_end(decay) -> int:
+    """Term where decay^n drops below _TERM_RTOL, three terms on (or _TERM_CAP)."""
+    return (3 + int(math.log(_TERM_RTOL)/math.log(decay)) if 0 < decay < 1
+            else _TERM_CAP)
 
 
 def _cmul(x, y):
@@ -414,6 +438,20 @@ def _cmul(x, y):
     such a bit ten-thousandfold.
     """
     return (x.real*y.real - x.imag*y.imag) + 1j*(x.real*y.imag + x.imag*y.real)
+
+
+def _poisson_weights(big_w: complex):
+    """e^-W W^n/n! for n = 0, 1, ... as amp*exp(logscale), amp rescaled
+    into logscale before it overflows."""
+    amp, logscale = 1.0 + 0j, -big_w
+    scale = cmath.exp(logscale)
+    for n in count(1):
+        yield amp*scale
+        amp *= big_w/n
+        if abs(amp) > 1e250:
+            logscale += math.log(abs(amp))
+            amp /= abs(amp)
+            scale = cmath.exp(logscale)
 
 
 def qubit_response_coherent(omega_p, qubit: QubitParams,
@@ -433,36 +471,21 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     beta2 = abs(beta)**2
     big_w = 4.0*chi*chi*beta2/(w*w)
     lanes = _Lanes(omega_p)
-    base = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
-            + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)
+    lanes.lane["base"] = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
+                          + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)
     step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
-    # scaled Poisson accumulation: amp*exp(logscale) = e^-W W^n/n!
-    logscale = -big_w
-    amp = 1.0 + 0j
-    n = 0
+    # the weights fall off past term |W|; the series stops near the term
+    # where they drop below _TERM_RTOL of the largest, three terms on
+    end, drop = int(abs(big_w)), 1.0
+    while drop >= _TERM_RTOL and end < _TERM_CAP:
+        end += 1
+        drop *= abs(big_w)/end
     with np.errstate(divide="ignore", invalid="ignore"):
-        while n < _TERM_CAP:
-            if not lanes.active.size:
-                return lanes.result(chi, "coherent")
-            weights = []
-            for m in range(n, n + lanes.rows(n)):
-                weights.append(amp*cmath.exp(logscale))
-                amp *= big_w/(m + 1)
-                if abs(amp) > 1e250:
-                    logscale += math.log(abs(amp))
-                    amp /= abs(amp)
-            if len(weights) == 1:
-                keep = lanes.add(weights[0]/(base - n*step), n >= abs(big_w))
-            else:
-                ns = np.arange(n, n + len(weights))
-                keep = lanes.add_block(
-                    np.array(weights)[:, None]/(base - ns[:, None]*step),
-                    ns >= abs(big_w))
-            if keep is not None:
-                base = base[keep]
-            n += len(weights)
-    raise lanes.cap_error("coherent", "coherent response series cap: "
-                          f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
+        return lanes.run(lambda n, weight: weight/(lanes.lane["base"] - n*step),
+                         _poisson_weights(big_w), end + 3, chi, "coherent",
+                         "coherent response series cap: "
+                         f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}",
+                         stop_from=abs(big_w))
 
 
 def qubit_response_incoherent(omega_p, qubit: QubitParams,
@@ -495,36 +518,17 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     if pole.size:
         # x_0 = 0, where e^x E_1(x) diverges
         raise _not_finite("incoherent", lanes.grid.flat[pole[0]])
-    # the terms fall off about like |k/c|^n, so the series stops near the
-    # term where that drops below _TERM_RTOL; no block reaches past it, and
-    # a short series (fig4: 5 terms) runs one term at a time instead of
-    # paying for a block of terms past its stop
-    decay = abs(k/c)
-    end = (3 + int(math.log(_TERM_RTOL)/math.log(decay)) if 0 < decay < 1
-           else _TERM_CAP)
-    ratio = 1.0 + 0j      # (k/c)^n
-    n = 0
-    while n < _TERM_CAP:
-        if not lanes.active.size:
-            return lanes.result(chi, "incoherent")
-        ratios = []
-        for _ in range(lanes.rows(n, end)):
-            ratios.append(ratio)
-            ratio *= k/c
-        if len(ratios) == 1:
-            x_n = _cmul(base - n*step, c)/b_coef
-            keep = lanes.add(ratios[0]*expint_scaled(n + 1, x_n)/(nbar*b_coef))
-        else:
-            ns = np.arange(n, n + len(ratios))
-            x = _cmul(base - ns[:, None]*step, c)/b_coef
-            keep = lanes.add_block(
-                np.array(ratios)[:, None]*expint_scaled((ns + 1)[:, None], x)
-                / (nbar*b_coef), np.ones(len(ratios), dtype=bool))
-        if keep is not None:
-            base = base[keep]
-        n += len(ratios)
-    raise lanes.cap_error("incoherent",
-                          f"incoherent response series cap at nbar={nbar:.3g}")
+    lanes.lane["base"] = base
+    ratios = accumulate(repeat(k/c), operator.mul, initial=1.0 + 0j)  # (k/c)^n
+
+    def terms(n, ratio):
+        x = _cmul(lanes.lane["base"] - n*step, c)/b_coef
+        return ratio*expint_scaled(n + 1, x)/(nbar*b_coef)
+
+    # the terms fall off about like |k/c|^n; a short series (fig4: 5 terms)
+    # runs one term at a time instead of paying for terms past its stop
+    return lanes.run(terms, ratios, _geometric_end(abs(k/c)), chi, "incoherent",
+                     f"incoherent response series cap at nbar={nbar:.3g}")
 
 
 def qubit_response_thermal(omega_p, qubit: QubitParams,
@@ -544,7 +548,8 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
     chi, gc = qubit.chi, params.cavity.gamma_c
     omega = params.omega_c_star if signal_omega is None else signal_omega
     lanes = _Lanes(omega_p)
-    wp = lanes.grid.ravel()
+    lane = lanes.lane
+    wp = lane["wp"] = lanes.grid.ravel()
     delta = omega - params.omega_c_star
     nbar = (flux/tau_c)/(delta*delta + 1.0/tau_c**2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -557,23 +562,25 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
         q1 = 0.5*gc + s_root - 1j*chi
         r2 = gc*(v - nbar/(1.0 + nbar))*(1.0 + nbar_p)
         q2 = r2 + 2.0*s_root
-        # one geometric factor (r1 r2/(q1 q2))^n: |r1/q1| alone can exceed 1
-        # and overflow long before the product decays
-        rate = (r1/q1)*(r2/q2)
-        prefactor = 2.0*s_root*gc/(q1*q2)
+        # one geometric factor f = (r1 r2/(q1 q2))^n, a running product:
+        # |r1/q1| alone can exceed 1 and overflow long before f decays
+        lane.update(s_root=s_root, prefactor=2.0*s_root*gc/(q1*q2),
+                    rate=(r1/q1)*(r2/q2), f=np.ones(wp.shape, dtype=complex))
         pole0 = qubit.omega_q - 1j*qubit.gamma_coh
-        f = np.ones(wp.shape, dtype=complex)
-        for n in range(_TERM_CAP):
-            if not lanes.active.size:
-                return lanes.result(chi, "thermal")
-            pole = pole0 - 1j*(2*n + 1)*s_root - chi + 0.5j*gc
-            keep = lanes.add(prefactor/(wp - pole)*f)
-            f = f*rate
-            if keep is not None:
-                wp, s_root, prefactor, rate, f = (
-                    a[keep] for a in (wp, s_root, prefactor, rate, f))
-    raise lanes.cap_error("thermal",
-                          f"thermal response series cap at nbar={nbar:.3g}")
+
+        def factors():            # the next f, formed before lanes retire
+            while True:
+                f = lane["f"]
+                lane["f"] = f*lane["rate"]
+                yield f
+
+        def terms(n, f):
+            pole = pole0 - 1j*(2*n + 1)*lane["s_root"] - chi + 0.5j*gc
+            return lane["prefactor"]/(lane["wp"] - pole)*f
+
+        end = _geometric_end(np.abs(lane["rate"]).max(initial=0.0))
+        return lanes.run(terms, factors(), end, chi, "thermal",
+                         f"thermal response series cap at nbar={nbar:.3g}")
 
 
 def response_function(params: SystemParams, sig: SignalState
@@ -651,8 +658,7 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
         nbar, _ = cavity_photon_number(sig, params)
     min_chi = min((abs(q.chi) for q in params.qubits), default=math.inf)
     if gc > 0.2*min_chi:
-        warnings.warn(f"comb approximation needs gamma_c << chi "
-                      f"(ratio {gc/min_chi:.2f})", stacklevel=2)
+        _warn(f"comb approximation needs gamma_c << chi (ratio {gc/min_chi:.2f})")
     sidebands = [(1.0, 0.0)]     # without photons every state is the vacuum
     if nbar > 0:
         sidebands, cumulative = [], 0.0
@@ -725,7 +731,7 @@ def detuning_error(params: SystemParams, sig: SignalState,
     gc = params.cavity.gamma_c
     for d in detunings:
         if abs(d) > gc:
-            warnings.warn(f"detuning {d:.3g} exceeds gamma_c", stacklevel=2)
+            _warn(f"detuning {d:.3g} exceeds gamma_c")
     mags = {}
     for d in dict.fromkeys([0.0, *detunings]):     # one sweep per detuning
         shifted = replace(sig, signal_omega=params.omega_c_star + d)

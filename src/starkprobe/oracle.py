@@ -4,9 +4,10 @@ The probe sideband response of one qubit under vacuum or coherent light,
 from a direct linear solve against the displaced-frame master equation on
 n_fock Fock levels per qubit sector; it knows nothing about the series
 expansions it is meant to check.  The qubit-excited block is dense and the
-ground block diagonal, which is divided out; the probe-independent Stark
-block of the excited sector is cached per (n_fock, beta, chi).
-`check_supported` states the oracle's domain.
+ground block diagonal, which is divided out.  The probe-independent Stark
+block of the excited sector, its diagonal and the level index are cached
+per (n_fock, beta, chi); a probe point then copies the block, sets its
+diagonal and solves.  `check_supported` states the oracle's domain.
 """
 
 from __future__ import annotations
@@ -52,19 +53,21 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
 
 
 @lru_cache(maxsize=16)
-def _field_block(n_fock: int, beta: complex, chi: float) -> np.ndarray:
-    """Read-only 2 chi (a+ + beta*)(a + beta) on n_fock levels.
+def _field_block(n_fock: int, beta: complex, chi: float) -> tuple:
+    """Read-only field 2 chi (a+ + beta*)(a + beta), its diagonal and levels.
 
-    The Stark pull of the displaced field on the qubit-excited sector; it
-    does not depend on the probe frequency, so a sweep builds it once.
+    The Stark pull of the displaced field on the n_fock levels 0, 1, ... of
+    the qubit-excited sector; none of the three depends on the probe
+    frequency, so a sweep builds them once.
     """
-    lowering = np.diag(np.sqrt(np.arange(1, n_fock)), 1).astype(complex)
+    levels = np.arange(n_fock)
+    lowering = np.diag(np.sqrt(levels[1:]), 1).astype(complex)
     eye = np.eye(n_fock, dtype=complex)
     disp = lowering + beta*eye
     disp_dag = lowering.conj().T + np.conj(beta)*eye
     field = 2.0*chi*(disp_dag @ disp)
-    field.flags.writeable = False
-    return field
+    field.flags.writeable = levels.flags.writeable = False
+    return field, field.diagonal(), levels
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
@@ -88,11 +91,11 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     # qubit-excited block of H(2) minus the ground-state reference energy,
     # with the damping folded in: the cached field block off the diagonal,
     # the probe detuning and the cavity term on it
-    field = _field_block(n_fock, beta, chi)
-    cavity = (params.omega_c_star - omega - 0.5j*gc)*np.arange(n_fock)
+    field, field_diag, levels = _field_block(n_fock, beta, chi)
+    cavity = (params.omega_c_star - omega - 0.5j*gc)*levels
     block_e = -field
-    np.fill_diagonal(block_e, ((omega_p - qubit.omega_q + 1j*qubit.gamma_coh)
-                               - np.diagonal(field)) - cavity)
+    block_e.ravel()[::n_fock + 1] = (
+        (omega_p - qubit.omega_q + 1j*qubit.gamma_coh) - field_diag) - cavity
     diag_g = (omega_p - omega) - cavity
 
     rhs_e = np.zeros(n_fock, dtype=complex)

@@ -355,6 +355,7 @@ def test_cli_exit_codes(tmp_path):
                  ["figure", "--preset", "fig5q", "--oracle-check"],
                  ["detect", "--config", str(no_qubit), "--oracle-check"],
                  ["detect", "--preset", "fig1", "--detuning", "nan"],
+                 ["detect", "--preset", "fig1", "--points", "5", "--format", ","],
                  ["detect", "--preset", "fig1", "--state", "vacuum",
                   "--detuning", "inf"]):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv

@@ -1,0 +1,60 @@
+"""The domain of the response series, mapped on the figure presets.
+
+A full `sweep` on the 51-point default grid, over nbar in NBARS: within its
+domain a state returns a finite spectrum, and past it the sweep raises a
+ConvergenceError that names the series cap, not a bare overflow.
+"""
+
+import numpy as np
+import pytest
+
+from starkprobe.detector import Coherent, Incoherent, Thermal, sweep
+from starkprobe.presets import FIGURES
+from starkprobe.specfun import ConvergenceError
+
+NBARS = (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3, 3e3, 1e4)
+
+# (preset, state): (largest nbar that returns, first nbar that reaches the
+# 5000-term cap), None where every nbar up to 1e4 returns.  The coherent
+# series cannot stop before term |W| ~ nbar; the incoherent and thermal
+# terms fall off geometrically, the slower the larger nbar.
+DOMAIN = {
+    ("fig1", "coherent"): (3e3, 1e4),
+    ("fig1", "incoherent"): (100.0, 300.0),
+    ("fig1", "thermal"): (300.0, 1e3),
+    ("fig3", "coherent"): (3e3, 1e4),
+    ("fig3", "incoherent"): (100.0, 300.0),
+    ("fig3", "thermal"): (1e4, None),
+    ("fig4", "coherent"): (1e4, None),
+    ("fig4", "incoherent"): (1e4, None),
+    ("fig4", "thermal"): (1e4, None),
+    ("fig7", "coherent"): (3e3, 1e4),
+    ("fig7", "incoherent"): (100.0, 300.0),
+    ("fig7", "thermal"): (300.0, 1e3),
+}
+
+
+def _signal(state, fp, nbar):
+    if state == "coherent":
+        return Coherent(nbar=nbar)
+    if state == "incoherent":
+        return Incoherent(nbar=nbar)
+    return Thermal(tau_c=fp.tau_c, nbar=nbar)
+
+
+@pytest.mark.parametrize(("preset", "state"), sorted(DOMAIN))
+def test_domain_map(preset, state):
+    returns, capped = DOMAIN[preset, state]
+    fp = FIGURES[preset]
+    system, grid = fp.system(), fp.probe_grid_default(51)
+    last = None
+    for nbar in NBARS:
+        sig = _signal(state, fp, nbar)
+        if nbar == capped:
+            with pytest.raises(ConvergenceError,
+                               match=f"{state} response series cap"):
+                sweep(system, sig, grid)
+            break
+        assert np.all(np.isfinite(sweep(system, sig, grid).s21)), nbar
+        last = nbar
+    assert last == returns

@@ -113,12 +113,14 @@ def test_fig1_series_pinned_values(case):
 
 @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig5q"])
 def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
-    # summing a block of terms per pass changes no bit of a grid's spectrum
+    # summing a block of terms per pass changes no bit of a grid's spectrum;
+    # 101 lanes take blocks of 40 terms, 401 lanes blocks of 10
     fp = FIGURES[preset]
     system = fp.system()
-    for npts in (2, 7, 101):
+    for npts in (2, 7, 101, 401):
         grid = fp.probe_grid_default(npts)
-        for sig in (Coherent(nbar=3.0), Incoherent(nbar=3.0)):
+        for sig in (Coherent(nbar=3.0), Incoherent(nbar=3.0),
+                    Thermal(tau_c=fp.tau_c, nbar=3.0)):
             blocks = sweep(system, sig, grid).s21
             with monkeypatch.context() as m:
                 m.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)
@@ -133,6 +135,16 @@ def test_incoherent_cap_inside_a_block():
     with pytest.raises(ConvergenceError,
                        match="incoherent response series cap at nbar=400"):
         sweep(fp.system(), Incoherent(nbar=400.0), fp.probe_grid_default(11))
+
+
+def test_thermal_cap_inside_a_block():
+    # the thermal series takes blocks of 64 terms as well, and its cap too
+    # falls 8 terms into the 79th block
+    fp = FIGURES["fig1"]
+    with pytest.raises(ConvergenceError,
+                       match="thermal response series cap at nbar=1e\\+03"):
+        sweep(fp.system(), Thermal(tau_c=fp.tau_c, nbar=1000.0),
+              fp.probe_grid_default(11))
 
 
 def _run_lanes(terms, stop, heights):
@@ -262,6 +274,19 @@ def test_thermal_sweep_warns_once(model):
     assert [str(w.message) for w in caught] == [
         "gamma_c tau_c = 0.200 > 0.1: thermal model assumes a short "
         "coherence time"]
+    # the warning names the line that called sweep, not one inside it
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_comb_sweep_warning_points_at_caller():
+    fp = FIGURES["fig4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(fp.system(), Coherent(nbar=1.0), fp.probe_grid_default(21),
+              model="comb")
+    assert [str(w.message) for w in caught] == [
+        "comb approximation needs gamma_c << chi (ratio 5000.00)"]
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_s21_probe_cavity_term_is_s21_signal():

@@ -206,7 +206,7 @@ def test_lindblad_field_block_cache():
             cold.append(lindblad_steady_response(p, s, wp, n).sigma_minus)
     assert warm == cold
     _, beta = cavity_photon_number(Coherent(nbar=1.0), FIG1)
-    block = oracle._field_block(16, beta, Q1.chi)
+    block, _, _ = oracle._field_block(16, beta, Q1.chi)
     assert not block.flags.writeable
     with pytest.raises(ValueError):
         block[0, 0] = 0.0
