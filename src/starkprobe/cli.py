@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: waveguide, cavity, atom, detect, comb, oracle, figure.
-Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 output/IO error.
+`run_cli` alone maps what a command raises to its exit code: 3 for an
+ArithmeticError or a singular solve, 2 for any other ValueError (each
+names the input it rejects), 4 for an OSError, and 0 on success.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from . import atom as atom_mod
 from . import cavity as cavity_mod
 from . import detector, oracle, output, presets, waveguide
 from .config import ConfigError, load_config
-from .specfun import ConvergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,14 +103,6 @@ def _formats(arg: str) -> tuple[str, ...]:
     return fmts
 
 
-def _checked(make, *args, **kwargs):
-    """make(*args, **kwargs), reporting a rejected input as a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_waveguide(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if args.model == "parallel-plate":
@@ -145,12 +138,11 @@ def _cmd_waveguide(args) -> int:
 def _cmd_cavity(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     if {"length", "gap_capacitance", "line_capacitance", "velocity"} <= set(cfg):
-        geom = _checked(
-            cavity_mod.ResonatorGeometry,
+        geom = cavity_mod.ResonatorGeometry(
             length=cfg["length"], gap_capacitance=cfg["gap_capacitance"],
             line_capacitance=cfg["line_capacitance"], velocity=cfg["velocity"])
     else:
-        geom = _checked(presets.resonator_preset, args.ratio)
+        geom = presets.resonator_preset(args.ratio)
     modes = cavity_mod.resonances(geom, args.modes)
     mode_table = output.csv_text(
         "n,f_n_hz,gamma_n_hz,q_factor", [m.n for m in modes],
@@ -196,7 +188,10 @@ def _system_from(args) -> tuple[detector.SystemParams, dict]:
     if not {"omega_c", "gamma_c"} <= set(cfg):
         raise ConfigError("need --preset or a config defining at least "
                           "omega_c and gamma_c")
-    n_qubits = int(cfg.get("n_qubits", 1))
+    n_qubits = cfg.get("n_qubits", 1.0)
+    if not (n_qubits >= 0 and n_qubits.is_integer()):
+        raise ConfigError(f"n_qubits must be a non-negative integer, "
+                          f"got {n_qubits:g}")
     if n_qubits > 0:
         if not {"omega_q", "chi"} <= set(cfg):
             raise ConfigError("config must define omega_q and chi "
@@ -205,7 +200,7 @@ def _system_from(args) -> tuple[detector.SystemParams, dict]:
             omega_q=cfg["omega_q"], chi=cfg["chi"],
             gamma=cfg.get("gamma", math.tau*250e3),
             gamma_phi=cfg.get("gamma_phi", 0.0))
-        qubits = (qubit,)*n_qubits
+        qubits = (qubit,)*int(n_qubits)
     else:
         qubits = ()
     system = detector.SystemParams(
@@ -222,17 +217,17 @@ def _signal_from(args, system, preset) -> detector.SignalState:
         nbar = preset.nbar if preset is not None else 1.0
     fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
     if args.state == "vacuum":
-        return _checked(detector.Vacuum, signal_omega=omega)
+        return detector.Vacuum(signal_omega=omega)
     if args.state == "coherent":
-        return _checked(detector.Coherent, **fields)
+        return detector.Coherent(**fields)
     if args.state == "incoherent":
-        return _checked(detector.Incoherent, **fields)
+        return detector.Incoherent(**fields)
     tau = args.tau_c
     if tau is None and preset is not None:
         tau = preset.tau_c
     if tau is None:
         raise ConfigError("thermal state needs --tau-c")
-    return _checked(detector.Thermal, tau_c=tau, **fields)
+    return detector.Thermal(tau_c=tau, **fields)
 
 
 def _probe_grid(args, system, preset, cfg) -> np.ndarray:
@@ -269,13 +264,11 @@ def _oracle_table(system, sig, grid, n_fock: int) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
-    if args.oracle_check and args.state not in ("vacuum", "coherent"):
-        raise ConfigError("--oracle-check supports vacuum/coherent only")
     system, info = _system_from(args)
     preset = info.get("preset")
     sig = _signal_from(args, system, preset)
     if args.oracle_check:
-        _checked(oracle.check_supported, system, sig, _ORACLE_CHECK_FOCK)
+        oracle.check_supported(system, sig, _ORACLE_CHECK_FOCK)
     grid = _probe_grid(args, system, preset, info.get("config", {}))
     fmts = _formats(args.format)
     stem = (f"{model}_{args.preset}_{args.state}" if preset is not None
@@ -327,8 +320,8 @@ def _cmd_spectrum(args, model: str) -> int:
 def _cmd_oracle(args) -> int:
     fp = presets.FIGURES[args.preset]
     system = fp.system()
-    sig = _checked(detector.Coherent, nbar=args.nbar)
-    _checked(oracle.check_supported, system, sig, args.n_fock)
+    sig = detector.Coherent(nbar=args.nbar)
+    oracle.check_supported(system, sig, args.n_fock)
     text = _oracle_table(system, sig, fp.probe_grid_default(args.points),
                          args.n_fock)
     output.write_texts(args.out, {"oracle_check.txt": text + "\n"})
@@ -348,22 +341,27 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
+    """Run one command and return its exit code, by what it raised."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if getattr(args, "points", 2) < 2:
             raise ConfigError("--points must be at least 2")
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError,
-            ValueError, TypeError) as exc:
+    # LinAlgError derives from ValueError, so it is caught first
+    except (ArithmeticError, np.linalg.LinAlgError, TypeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def main() -> None:

@@ -368,34 +368,30 @@ class _Lanes:
         return (complex(values[0]) if self.grid.ndim == 0
                 else values.reshape(self.grid.shape))
 
-    def add(self, term, stop: bool = True) -> Optional[np.ndarray]:
-        """Add one term per active lane and retire the converged lanes.
-
-        Returns the mask of lanes kept, or None when no lane finished.
-        """
+    def add(self, term, stop: bool = True) -> None:
+        """Add one term per active lane and retire the converged lanes."""
         self.total += term
         if not stop:
-            return None
+            return
         small = np.abs(term) < _TERM_RTOL*np.maximum(np.abs(self.total), 1e-300)
         done = small & self.small1 & self.small2
         self.small1, self.small2 = small, self.small1
-        if not np.count_nonzero(done):
-            return None
-        self.out[self.active[done]] = self.total[done]
-        return self._retire(done)
+        if np.count_nonzero(done):
+            self.out[self.active[done]] = self.total[done]
+            self._retire(done)
 
-    def add_block(self, terms: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    def add_block(self, terms: np.ndarray, stop: np.ndarray) -> None:
         """`add` for one row of terms after another, in one array pass.
 
         terms has one row per series term and one column per active lane,
-        stop[j] is `add`'s flag for row j.  The sums, the rows at which the
-        lanes stop and the mask returned are those of successive `add` calls.
+        stop[j] is `add`'s flag for row j.  The sums and the rows at which
+        the lanes stop are those of successive `add` calls.
         """
         totals = np.add.accumulate(np.concatenate((self.total[None], terms)))[1:]
         self.total = totals[-1]
         checked = stop.nonzero()[0]
         if not checked.size:
-            return None
+            return
         small = (np.abs(terms[checked])
                  < _TERM_RTOL*np.maximum(np.abs(totals[checked]), 1e-300))
         flags = np.concatenate((self.small2[None], self.small1[None], small))
@@ -403,20 +399,19 @@ class _Lanes:
         self.small1, self.small2 = flags[-1], flags[-2]
         finished = done.any(axis=0)
         if not np.count_nonzero(finished):
-            return None
+            return
         # a lane keeps its total at the first row where it stopped
         lanes = finished.nonzero()[0]
         first = checked[done[:, lanes].argmax(axis=0)]
         self.out[self.active[lanes]] = totals[first, lanes]
-        return self._retire(finished)
+        self._retire(finished)
 
-    def _retire(self, done: np.ndarray) -> np.ndarray:
+    def _retire(self, done: np.ndarray) -> None:
         keep = ~done
         self.active, self.total, self.small1, self.small2 = (
             self.active[keep], self.total[keep], self.small1[keep],
             self.small2[keep])
         self.lane.update({key: values[keep] for key, values in self.lane.items()})
-        return keep
 
 
 def _not_finite(state: str, omega_p: float) -> ConvergenceError:
@@ -470,6 +465,8 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     w = params.omega_c_star + 2.0*chi - omega - 0.5j*gc
     beta2 = abs(beta)**2
     big_w = 4.0*chi*chi*beta2/(w*w)
+    if not cmath.isfinite(big_w):
+        raise ConvergenceError(f"coherent response: W = {big_w} is not finite")
     lanes = _Lanes(omega_p)
     lanes.lane["base"] = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
                           + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)

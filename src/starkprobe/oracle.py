@@ -36,12 +36,11 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
 
     The domain is one qubit, vacuum or coherent light, nbar <= 3 (beyond
     it the truncation stops being economical) and n_fock >= 4.  Raises
-    TypeError for a signal state the oracle does not model and ValueError
-    for any other limit crossed.
+    ValueError naming the limit crossed.
     """
     # Vacuum derives from Coherent; incoherent and thermal light have no beta
     if not isinstance(sig, Coherent):
-        raise TypeError("oracle supports vacuum and coherent signals only")
+        raise ValueError("oracle supports vacuum and coherent signals only")
     nbar, beta = cavity_photon_number(sig, params)
     if len(params.qubits) != 1:
         raise ValueError("the Lindblad oracle handles exactly one qubit")

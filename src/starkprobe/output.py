@@ -127,20 +127,18 @@ def spectrum_to_json(spec: Spectrum, path: Path) -> None:
                     + "\n")
 
 
-def spectrum_to_svg(spec: Spectrum, path: Path,
-                    channels: tuple[str, ...] = ("re", "im", "abs"),
-                    width: int = 900, height: int = 480) -> None:
-    """One polyline per channel over the probe grid."""
+def spectrum_to_svg(spec: Spectrum, path: Path) -> None:
+    """One polyline per channel of S21 (re, im, abs) over the probe grid."""
     series = {"re": spec.s21.real, "im": spec.s21.imag,
               "abs": np.abs(spec.s21)}
     colors = {"re": "#1f77b4", "im": "#d62728", "abs": "#2ca02c"}
     xs = spec.omega_p
     x0, x1 = float(xs[0]), float(xs[-1])
-    ys = np.concatenate([series[ch] for ch in channels])
+    ys = np.concatenate(list(series.values()))
     y0, y1 = float(ys.min()), float(ys.max())
     if y1 == y0:
         y1 = y0 + 1.0
-    pad = 40.0
+    width, height, pad = 900, 480, 40.0
 
     def sx(x):
         return pad + (x - x0)/(x1 - x0)*(width - 2*pad)
@@ -151,12 +149,11 @@ def spectrum_to_svg(spec: Spectrum, path: Path,
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    for ch in channels:
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
-                       for x, y in zip(xs, series[ch]))
+    for row, (ch, values) in enumerate(series.items(), start=1):
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, values))
         parts.append(f'<polyline fill="none" stroke="{colors[ch]}" '
                      f'stroke-width="1.2" points="{pts}"/>')
-        parts.append(f'<text x="{pad + 12}" y="{pad + 16*(channels.index(ch)+1)}" '
+        parts.append(f'<text x="{pad + 12}" y="{pad + 16*row}" '
                      f'fill="{colors[ch]}" font-size="12">{ch}(S21)</text>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")

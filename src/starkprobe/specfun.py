@@ -21,6 +21,7 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_RTOL = 1e-15      # relative term cutoff for all power series
+_LAMBERT_RTOL = 1e-14     # relative step that ends a Lambert W iteration
 
 
 class ConvergenceError(ArithmeticError):
@@ -59,7 +60,7 @@ def _branch_index(w: complex, z: complex) -> int:
     return round((w + cmath.log(w) - cmath.log(z)).imag/(2.0*math.pi))
 
 
-def lambert_w(branch: int, z: complex, tol: float = 1e-14) -> complex:
+def lambert_w(branch: int, z: complex) -> complex:
     """Lambert W on the given branch, Halley iteration.
 
     Residual |w e^w - z| <= 1e-12 max(1, |z|) is guaranteed or a
@@ -80,7 +81,7 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-14) -> complex:
             df = ew*(w + 1.0)
             step = f/(df - f*(w + 2.0)/(2.0*(w + 1.0)))
             w -= step
-            if abs(step) <= tol*max(1.0, abs(w)):
+            if abs(step) <= _LAMBERT_RTOL*max(1.0, abs(w)):
                 break
         if branch in (0, -1) and abs(w + 1.0) < 1e-6:
             break  # branch point w = -1 shared by branches 0 and -1
@@ -95,7 +96,7 @@ def lambert_w(branch: int, z: complex, tol: float = 1e-14) -> complex:
     return _check_finite(w, "lambert_w")
 
 
-def lambert_w_log(branch: int, log_z: complex, tol: float = 1e-14) -> complex:
+def lambert_w_log(branch: int, log_z: complex) -> complex:
     """Lambert W of exp(log_z); safe when exp(log_z) would overflow."""
     ln1 = log_z + 2j*math.pi*branch
     w = ln1 - cmath.log(ln1)
@@ -103,7 +104,7 @@ def lambert_w_log(branch: int, log_z: complex, tol: float = 1e-14) -> complex:
         # solve w + log w = ln1
         step = (w + cmath.log(w) - ln1)/(1.0 + 1.0/w)
         w -= step
-        if abs(step) <= tol*max(1.0, abs(w)):
+        if abs(step) <= _LAMBERT_RTOL*max(1.0, abs(w)):
             return _check_finite(w, "lambert_w_log")
     raise ConvergenceError(f"lambert_w_log(branch={branch}) no convergence")
 

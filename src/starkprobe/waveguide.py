@@ -68,12 +68,13 @@ class WaveguideParams:
     z_static: float     # Ohm, sqrt(L'/C')
 
     def __post_init__(self):
+        # from a checked geometry, a value out of range is a numerical failure
         vals = (self.c_line, self.l_line, self.v, self.eps_eff, self.c_eff,
                 self.z, self.z_static)
         if any(not (x > 0) for x in vals):
-            raise ValueError(f"non-positive waveguide parameter in {self}")
+            raise ArithmeticError(f"non-positive waveguide parameter in {self}")
         if self.v > C_LIGHT*(1 + 1e-12):
-            raise ValueError("phase velocity exceeds c")
+            raise ArithmeticError("phase velocity exceeds c")
 
     def as_dict(self) -> dict:
         return {"c_line_f_per_m": self.c_line, "l_line_h_per_m": self.l_line,
@@ -102,9 +103,10 @@ def parallel_plate_params(geom: ParallelPlateGeometry) -> WaveguideParams:
 
 def _shape_factor(k: float) -> float:
     """Dimensionless half-plane capacitance 2K(k)/K(k')."""
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"degenerate conformal modulus k={k}")
     kp2 = (1.0 - k)*(1.0 + k)
+    if not (0.0 < k < 1.0 and kp2 < 1.0):
+        # a checked geometry whose modulus rounds to 0 or 1 (or is not finite)
+        raise ArithmeticError(f"degenerate conformal modulus k={k}")
     if kp2 < 1e-12:
         # K(k) ~ ln(4/k') footnote asymptotic; K(k') -> pi/2
         return 2.0*math.log(4.0/math.sqrt(kp2))/(math.pi/2.0)
@@ -174,6 +176,8 @@ def half_plane_params(w: float, s: float, eps_rel: float) -> WaveguideParams:
     which reproduces the published two-half-plane line constants; feeding
     the filled capacitance instead would give mu0/(2 C_0).
     """
+    if min(w, s) <= 0 or eps_rel < 1.0:
+        raise ValueError("half-plane CPW needs w, s > 0 and eps_rel >= 1")
     c0 = _shape_factor(w/(w + 2.0*s))
     c_line = EPS0*c0*(1.0 + eps_rel)
     l_line = MU0/(c0*(1.0 + 1.0/eps_rel))

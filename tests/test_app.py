@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +325,7 @@ def test_cli_figure_detuning_error_and_fom(tmp_path):
     assert len(fom.splitlines()) == 16
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # missing config -> 2
     assert run_cli(["detect", "--out", str(tmp_path)]) == 2
     # a series that cannot converge inside its term cap -> 3
@@ -342,6 +347,28 @@ def test_cli_exit_codes(tmp_path):
     no_qubit = tmp_path/"no_qubit.cfg"
     no_qubit.write_text("omega_c = 10 GHz\ngamma_c = 1 MHz\nn_qubits = 0\n"
                         "probe_center = 10 GHz\nprobe_span = 10 MHz\n")
+    one_qubit = ("omega_c = 9 GHz\ngamma_c = 100 kHz\nomega_q = 10 GHz\n"
+                 "chi = 10 MHz\nprobe_center = 10 GHz\nprobe_span = 500 MHz\n")
+
+    def config(name, text):
+        (tmp_path/name).write_text(text)
+        return ["--config", str(tmp_path/name)]
+
+    detect = ["detect", "--points", "5"]
+    rejected = [
+        ["atom", *config("atom.cfg", "gamma1 = -1 MHz\n")],
+        [*detect, *config("gc.cfg", one_qubit.replace("100 kHz", "0 kHz"))],
+        [*detect, *config("chi.cfg", one_qubit.replace("10 MHz", "0 MHz"))],
+        [*detect, *config("gamma.cfg", one_qubit + "gamma = -1 kHz\n")],
+        ["waveguide", *config("w.cfg", "w = -1 um\n")],
+        ["waveguide", "--model", "two-half-planes",
+         *config("eps.cfg", "eps1_rel = 0.5\n")],
+        [*detect, *config("span.cfg", one_qubit.replace("500 MHz", "0 MHz"))],
+        ["cavity", "--modes", "0"],
+    ]
+    for n_qubits in ("2.5", "-3", "inf", "nan"):
+        rejected.append([*detect, *config(f"n{n_qubits}.cfg",
+                                          one_qubit + f"n_qubits = {n_qubits}\n")])
     for argv in ([*fig1, "--nbar", "-1"], [*fig1, "--nbar", "nan"],
                  [*fig1, "--state", "thermal", "--tau-c", "inf"],
                  ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
@@ -357,9 +384,40 @@ def test_cli_exit_codes(tmp_path):
                  ["detect", "--preset", "fig1", "--detuning", "nan"],
                  ["detect", "--preset", "fig1", "--points", "5", "--format", ","],
                  ["detect", "--preset", "fig1", "--state", "vacuum",
-                  "--detuning", "inf"]):
+                  "--detuning", "inf"], *rejected):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
+    err = capsys.readouterr().err
+    assert err.count("n_qubits must be a non-negative integer") == 4
+    # computations that fail past the checked inputs -> 3: a W that
+    # overflows, a conformal modulus rounded to 0, plates so thin that the
+    # line constants underflow
+    for argv in ([*detect, "--preset", "fig1", "--detuning", "1e300"],
+                 ["waveguide", *config("thin_w.cfg", "w = 1e-20 m\n")],
+                 ["waveguide", "--model", "parallel-plate",
+                  *config("plates.cfg", "d1 = 1e-300 m\nd2 = 1e-300 m\n")]):
+        assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 3, argv
+        assert not (tmp_path/"no").exists(), argv
+
+
+def test_cli_warning_is_one_plain_line(tmp_path):
+    # the command line prints a validity warning as one plain line
+    path = [str(Path(__file__).resolve().parents[1]/"src"),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-m", "starkprobe", "comb", "--preset", "fig4",
+         "--points", "51", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: comb approximation needs gamma_c << chi "
+                           "(ratio 5000.00)\n")
+    # and leaves the caller's warning format as it found it
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="comb approximation"):
+        assert run_cli(["comb", "--preset", "fig4", "--points", "5",
+                        "--out", str(tmp_path)]) == 0
+    assert warnings.formatwarning is before
 
 
 def test_cli_format_only_for_spectra(tmp_path):

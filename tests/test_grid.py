@@ -153,18 +153,13 @@ def _run_lanes(terms, stop, heights):
     lanes = det._Lanes(np.zeros(terms.shape[1]))
     states, row = [], 0
     for height in heights:
-        before = lanes.active
         if height:
             block = terms[row:row + height][:, lanes.active]
-            keep = lanes.add_block(block, stop[row:row + height])
+            lanes.add_block(block, stop[row:row + height])
             row += height
         else:
-            keep = lanes.add(terms[row, lanes.active], stop[row])
+            lanes.add(terms[row, lanes.active], stop[row])
             row += 1
-        if lanes.active.size == before.size:
-            assert keep is None
-        else:
-            assert np.array_equal(keep, np.isin(before, lanes.active))
         states.append((row, lanes.active.copy(), lanes.total.copy(),
                        lanes.small1.copy(), lanes.small2.copy(),
                        lanes.out[np.setdiff1d(np.arange(terms.shape[1]), lanes.active)]))

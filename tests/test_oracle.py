@@ -148,11 +148,11 @@ def test_lindblad_truncation_doubling():
 
 def test_lindblad_guards():
     for sig in (Thermal(tau_c=1e-12, nbar=1.0), Incoherent(nbar=1.0)):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="vacuum and coherent"):
             lindblad_steady_response(FIG1, sig, Q1.omega_q, 16)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="vacuum and coherent"):
             liouvillian(FIG1, sig, 8)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="vacuum and coherent"):
             steady_state(FIG1, sig, 8)
     with pytest.raises(ValueError):
         lindblad_steady_response(FIG1, Coherent(nbar=4.0), Q1.omega_q, 16)
