@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import FINITE, NON_NEGATIVE, POSITIVE, check_values
+
 HBAR = 1.054571817e-34
 
 
@@ -20,10 +22,8 @@ class AtomParams:
     rabi: complex         # rad/s, drive Rabi frequency
 
     def __post_init__(self):
-        if self.gamma1 <= 0:
-            raise ValueError("gamma1 must be positive")
-        if self.gamma_phi < 0:
-            raise ValueError("gamma_phi must be non-negative")
+        check_values(vars(self), delta_omega=FINITE, gamma1=POSITIVE,
+                     gamma_phi=NON_NEGATIVE, rabi=FINITE)
 
     @property
     def gamma_coh(self) -> float:

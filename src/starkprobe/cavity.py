@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .config import POSITIVE, check_values
 from .specfun import lambert_w, lambert_w_log
 
 
@@ -24,9 +25,8 @@ class ResonatorGeometry:
     velocity: float           # m/s
 
     def __post_init__(self):
-        if min(self.length, self.gap_capacitance,
-               self.line_capacitance, self.velocity) <= 0:
-            raise ValueError("resonator geometry must be positive")
+        check_values(vars(self), length=POSITIVE, gap_capacitance=POSITIVE,
+                     line_capacitance=POSITIVE, velocity=POSITIVE)
 
     @property
     def capacitance_ratio(self) -> float:
@@ -63,11 +63,19 @@ def _pole(n: int, x: float) -> complex:
     return u
 
 
+# above this C/(C'L), x = C'L/(2C) < W0(1/e) and the mode-1 pole is real
+# (omega_1 = 0): the mode is overdamped
+_MAX_GAP_RATIO = 0.5/lambert_w(0, 1.0/math.e).real
+
+
 def resonances(geom: ResonatorGeometry, n_max: int) -> list[CavityMode]:
     """Modes n = 1..n_max with exact Lambert-W frequencies and widths."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ratio = geom.capacitance_ratio
+    if ratio >= _MAX_GAP_RATIO:
+        raise ValueError(f"gap ratio C/(C'L) = {ratio:g} is not below "
+                         f"{_MAX_GAP_RATIO:.6g}, where mode 1 is overdamped")
     x = 1.0/(2.0*ratio)
     scale = geom.velocity/geom.length
     modes = []

@@ -30,18 +30,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "waveguide cavity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, help="key/value or JSON config")
+    def add_out(p):
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
 
-    def add_spectrum(p, preset_required=False):
-        add_common(p)
+    def add_config(p):
+        p.add_argument("--config", type=Path, help="key/value or JSON config")
+
+    def add_spectrum(p):
+        add_out(p)
         # only the spectrum commands choose their output formats
         p.add_argument("--format", default="csv,json",
                        help="comma list of csv,json,svg or 'all'")
-        p.add_argument("--preset", required=preset_required,
-                       choices=sorted(presets.FIGURES))
         p.add_argument("--state", default="coherent",
                        choices=["vacuum", "coherent", "incoherent", "thermal"])
         p.add_argument("--nbar", type=float)
@@ -54,38 +54,43 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print analytic-vs-oracle deviations")
 
     p = sub.add_parser("waveguide", help="transmission line parameters")
-    add_common(p)
-    p.add_argument("--model", default="full",
-                   choices=["full", "eps2-eq-eps1", "two-half-planes",
-                            "parallel-plate"])
+    add_out(p)
+    add_config(p)
+    p.add_argument("--model", default="full", choices=list(_WAVEGUIDE_KEYS))
 
     p = sub.add_parser("cavity", help="bare resonator spectrum and S-params")
-    add_common(p)
+    add_out(p)
+    add_config(p)
     p.add_argument("--ratio", type=float, default=0.005,
                    help="gap capacitance ratio C/(C'L)")
     p.add_argument("--modes", type=int, default=3)
     p.add_argument("--points", type=int, default=1001)
 
     p = sub.add_parser("atom", help="artificial atom S11/S21 detuning sweep")
-    add_common(p)
+    add_out(p)
+    add_config(p)
     p.add_argument("--points", type=int, default=801)
 
     for name in ("detect", "comb"):
         p = sub.add_parser(name, help="probe transmission spectrum "
                            + ("(comb approximation)" if name == "comb" else ""))
         add_spectrum(p)
+        system = p.add_mutually_exclusive_group()
+        system.add_argument("--preset", choices=sorted(presets.FIGURES))
+        add_config(system)
         p.add_argument("--components", action="store_true",
                        help="emit per-term columns")
 
     p = sub.add_parser("oracle", help="analytic vs truncated-Fock deviations")
-    add_common(p)
+    add_out(p)
     p.add_argument("--preset", default="fig1", choices=sorted(presets.FIGURES))
     p.add_argument("--nbar", type=float, default=1.0)
     p.add_argument("--n-fock", type=int, default=40)
     p.add_argument("--points", type=int, default=9)
 
     p = sub.add_parser("figure", help="published-figure parameter presets")
-    add_spectrum(p, preset_required=True)
+    add_spectrum(p)
+    p.add_argument("--preset", required=True, choices=sorted(presets.FIGURES))
     p.add_argument("--fom", action="store_true",
                    help="also emit |S21|/|S21_vacuum| (panel-4 ratio)")
     return parser
@@ -103,29 +108,33 @@ def _formats(arg: str) -> tuple[str, ...]:
     return fmts
 
 
+# the config keys each command reads, each of which changes its output; a
+# config holding any other key is rejected
+_WAVEGUIDE_KEYS = {
+    "full": ("w", "s", "h1", "h2", "eps1_rel", "eps2_rel"),
+    "eps2-eq-eps1": ("w", "s", "h1", "h2", "eps1_rel"),
+    "two-half-planes": ("w", "s", "eps1_rel"),
+    "parallel-plate": ("w_plate", "d1", "d2", "eps1_rel", "eps2_rel"),
+}
+_CAVITY_KEYS = ("length", "gap_capacitance", "line_capacitance", "velocity")
+_ATOM_KEYS = ("gamma1", "gamma_phi", "rabi", "span")
+_SPECTRUM_KEYS = ("omega_c", "gamma_c", "omega_q", "chi", "gamma",
+                  "gamma_phi", "n_qubits", "probe_center", "probe_span")
+
+
 def _cmd_waveguide(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = (load_config(args.config, _WAVEGUIDE_KEYS[args.model])
+           if args.config else {})
     if args.model == "parallel-plate":
-        geom = waveguide.ParallelPlateGeometry(
-            w_plate=cfg.get("w_plate", 10e-6),
-            d1=cfg.get("d1", 500e-6), d2=cfg.get("d2", 550e-9),
-            eps1_rel=cfg.get("eps1_rel", 11.6),
-            eps2_rel=cfg.get("eps2_rel", 3.78))
-        params = waveguide.parallel_plate_params(geom)
+        params = waveguide.parallel_plate_params(
+            dataclasses.replace(presets.PLATE_GEOMETRY, **cfg))
     else:
-        base = presets.TABLE_GEOMETRY
-        w = cfg.get("w", base.w)
-        s = cfg.get("s", base.s)
-        eps1 = cfg.get("eps1_rel", base.eps1_rel)
-        eps2 = cfg.get("eps2_rel", base.eps2_rel)
+        geom = dataclasses.replace(presets.TABLE_GEOMETRY, **cfg)
         if args.model == "two-half-planes":
-            params = waveguide.half_plane_params(w, s, eps1)
+            params = waveguide.half_plane_params(geom.w, geom.s, geom.eps1_rel)
         else:
             if args.model == "eps2-eq-eps1":
-                eps2 = eps1
-            geom = waveguide.CpwGeometry(
-                w=w, s=s, h1=cfg.get("h1", base.h1), h2=cfg.get("h2", base.h2),
-                eps1_rel=eps1, eps2_rel=eps2)
+                geom = dataclasses.replace(geom, eps2_rel=geom.eps1_rel)
             params = waveguide.cpw_params(geom)
     stem = f"waveguide_{args.model}"
     texts = output.report_texts({"model": args.model, **params.as_dict()},
@@ -136,13 +145,8 @@ def _cmd_waveguide(args) -> int:
 
 
 def _cmd_cavity(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    if {"length", "gap_capacitance", "line_capacitance", "velocity"} <= set(cfg):
-        geom = cavity_mod.ResonatorGeometry(
-            length=cfg["length"], gap_capacitance=cfg["gap_capacitance"],
-            line_capacitance=cfg["line_capacitance"], velocity=cfg["velocity"])
-    else:
-        geom = presets.resonator_preset(args.ratio)
+    cfg = load_config(args.config, _CAVITY_KEYS) if args.config else {}
+    geom = dataclasses.replace(presets.resonator_preset(args.ratio), **cfg)
     modes = cavity_mod.resonances(geom, args.modes)
     mode_table = output.csv_text(
         "n,f_n_hz,gamma_n_hz,q_factor", [m.n for m in modes],
@@ -163,15 +167,12 @@ def _cmd_cavity(args) -> int:
 
 
 def _cmd_atom(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    gamma1 = cfg.get("gamma1", math.tau*1e6)
-    gamma_phi = cfg.get("gamma_phi", 0.0)
-    rabi = cfg.get("rabi", 0.0)
-    span = cfg.get("span", 10.0*(0.5*gamma1 + gamma_phi))
-    grid = np.linspace(-span, span, args.points)
-    s11, s21 = zip(*(atom_mod.atom_s_params(atom_mod.AtomParams(
-        delta_omega=d, gamma1=gamma1, gamma_phi=gamma_phi, rabi=rabi))
-        for d in grid))
+    cfg = load_config(args.config, _ATOM_KEYS) if args.config else {}
+    span = cfg.pop("span", None)
+    atom = dataclasses.replace(presets.ATOM, **cfg)
+    grid = presets.atom_grid(atom, args.points, span)
+    s11, s21 = zip(*(atom_mod.atom_s_params(
+        dataclasses.replace(atom, delta_omega=d)) for d in grid))
     table = output.csv_text("delta_hz,re_s11,im_s11,re_s21,im_s21",
                             grid/math.tau, np.real(s11), np.imag(s11),
                             np.real(s21), np.imag(s21))
@@ -180,41 +181,28 @@ def _cmd_atom(args) -> int:
     return 0
 
 
-def _system_from(args) -> tuple[detector.SystemParams, dict]:
+def _preset_from(args) -> presets.FigurePreset:
+    """The named figure preset, or the config's system over CONFIG_DEFAULT."""
     if args.preset:
-        fp = presets.FIGURES[args.preset]
-        return fp.system(), {"preset": fp, "config": {}}
-    cfg = load_config(args.config) if args.config else {}
-    if not {"omega_c", "gamma_c"} <= set(cfg):
-        raise ConfigError("need --preset or a config defining at least "
-                          "omega_c and gamma_c")
-    n_qubits = cfg.get("n_qubits", 1.0)
-    if not (n_qubits >= 0 and n_qubits.is_integer()):
-        raise ConfigError(f"n_qubits must be a non-negative integer, "
-                          f"got {n_qubits:g}")
-    if n_qubits > 0:
-        if not {"omega_q", "chi"} <= set(cfg):
-            raise ConfigError("config must define omega_q and chi "
-                              "(or set n_qubits = 0)")
-        qubit = detector.QubitParams(
-            omega_q=cfg["omega_q"], chi=cfg["chi"],
-            gamma=cfg.get("gamma", math.tau*250e3),
-            gamma_phi=cfg.get("gamma_phi", 0.0))
-        qubits = (qubit,)*int(n_qubits)
-    else:
-        qubits = ()
-    system = detector.SystemParams(
-        cavity=detector.CavityParams(cfg["omega_c"], cfg["gamma_c"]),
-        qubits=qubits)
-    return system, {"preset": None, "config": cfg}
+        return presets.FIGURES[args.preset]
+    if not args.config:
+        raise ConfigError("need --preset or --config")
+    cfg = load_config(args.config, _SPECTRUM_KEYS)
+    fp = dataclasses.replace(presets.CONFIG_DEFAULT, **cfg)
+    required = ("omega_c", "gamma_c") + (("omega_q", "chi") if fp.n_qubits
+                                         else ())
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ConfigError(f"config must define {', '.join(missing)}")
+    return fp
 
 
-def _signal_from(args, system, preset) -> detector.SignalState:
+def _signal_from(args, system, fp) -> detector.SignalState:
     omega = system.omega_c_star + math.tau*args.detuning
     nbar = args.nbar
     flux = args.flux
     if nbar is None and flux is None:
-        nbar = preset.nbar if preset is not None else 1.0
+        nbar = fp.nbar
     fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
     if args.state == "vacuum":
         return detector.Vacuum(signal_omega=omega)
@@ -222,27 +210,10 @@ def _signal_from(args, system, preset) -> detector.SignalState:
         return detector.Coherent(**fields)
     if args.state == "incoherent":
         return detector.Incoherent(**fields)
-    tau = args.tau_c
-    if tau is None and preset is not None:
-        tau = preset.tau_c
+    tau = fp.tau_c if args.tau_c is None else args.tau_c
     if tau is None:
         raise ConfigError("thermal state needs --tau-c")
     return detector.Thermal(tau_c=tau, **fields)
-
-
-def _probe_grid(args, system, preset, cfg) -> np.ndarray:
-    if "probe_center" in cfg and "probe_span" in cfg:
-        center, span = cfg["probe_center"], cfg["probe_span"]
-    elif preset is not None:
-        return preset.probe_grid_default(args.points)
-    elif system.qubits:
-        q = system.qubits[0]
-        center = q.omega_q
-        span = 50.0*max(abs(q.chi), q.gamma_coh)
-    else:
-        raise ConfigError("no qubits: config must set probe_center and "
-                          "probe_span")
-    return np.linspace(center - span, center + span, args.points)
 
 
 # truncation of the oracle table that `--oracle-check` prints
@@ -264,23 +235,22 @@ def _oracle_table(system, sig, grid, n_fock: int) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
-    system, info = _system_from(args)
-    preset = info.get("preset")
-    sig = _signal_from(args, system, preset)
+    fp = _preset_from(args)
+    system = fp.system()
+    sig = _signal_from(args, system, fp)
     if args.oracle_check:
         oracle.check_supported(system, sig, _ORACLE_CHECK_FOCK)
-    grid = _probe_grid(args, system, preset, info.get("config", {}))
+    grid = fp.probe_grid_default(args.points)
     fmts = _formats(args.format)
-    stem = (f"{model}_{args.preset}_{args.state}" if preset is not None
+    stem = (f"{model}_{args.preset}_{args.state}" if args.preset
             else f"{model}_{args.state}")
 
     runs = [(stem, sig)]
-    if (preset is not None and args.state == "thermal"
-            and args.tau_c is None and preset.tau_c_choices):
+    if args.state == "thermal" and args.tau_c is None and fp.tau_c_choices:
         # figure presets that sweep the coherence time emit one spectrum
         # per listed tau_c
         runs = [(f"{stem}_tau{i + 1}", dataclasses.replace(sig, tau_c=tau))
-                for i, tau in enumerate(preset.tau_c_choices)]
+                for i, tau in enumerate(fp.tau_c_choices)]
 
     # every output is computed before the first is written, so a run that
     # fails leaves nothing behind
@@ -295,13 +265,12 @@ def _cmd_spectrum(args, model: str) -> int:
             tables[f"{run_stem}_fom.csv"] = output.csv_text(
                 "omega_p_hz,ratio", grid/math.tau,
                 detector.figure_of_merit(spec, vac))
-    if (preset is not None and preset.detunings_frac
-            and args.state != "vacuum"):
+    if fp.detunings_frac and args.state != "vacuum":
         gc = system.cavity.gamma_c
-        detunings = [f*gc for f in preset.detunings_frac]
+        detunings = [f*gc for f in fp.detunings_frac]
         errs = detector.detuning_error(system, sig, detunings, grid)
         header = "omega_p_hz," + ",".join(
-            f"err_detuning_{f:+.4g}_gc" for f in preset.detunings_frac)
+            f"err_detuning_{f:+.4g}_gc" for f in fp.detunings_frac)
         tables[f"{stem}_detuning_error.csv"] = output.csv_text(
             header, grid/math.tau, *(errs[d] for d in detunings))
     check = (_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7),

@@ -1,26 +1,53 @@
-"""Run configuration: unit-suffixed key/value files or JSON.
+"""Run configuration, and the rule every parameter value obeys.
 
 Text format, one `key = value [unit]` per line, `#` comments:
 
     omega_c   = 9 GHz
     gamma_c   = 100 kHz
-    tau_c     = 1 ns
+    s         = 6.6 um
 
 Frequencies convert to angular (times 2 pi); lengths, times and
 capacitances convert to SI.  JSON files hold the same keys with values
 either numbers (already SI-angular) or strings parsed like text values.
+Each command names the keys it accepts; any other key is rejected.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
-from typing import Union
+from typing import Collection, Mapping, Union
 
 
 class ConfigError(ValueError):
     """Malformed configuration input."""
+
+
+# Every parameter value is finite (only CpwGeometry.h1 may be infinite) and
+# carries one sign rule: (what the message says, test).
+FINITE = ("finite", cmath.isfinite)
+POSITIVE = ("positive and finite", lambda x: 0 < x < math.inf)
+NON_NEGATIVE = ("non-negative and finite", lambda x: 0 <= x < math.inf)
+NON_ZERO = ("non-zero and finite", lambda x: x != 0 and math.isfinite(x))
+AT_LEAST_ONE = ("at least 1 and finite", lambda x: 1 <= x < math.inf)
+POSITIVE_OR_INF = ("positive", lambda x: x > 0)
+COUNT = ("a non-negative integer",
+         lambda x: 0 <= x < math.inf and float(x).is_integer())
+
+
+def check_values(values: Mapping[str, object], **rules) -> None:
+    """Raise ValueError naming the first value that breaks its rule.
+
+    `rules` gives each name its rule; a value that is None or absent (an
+    optional input left unset, or a class default) is not checked.
+    Parameter classes pass `vars(self)` from `__post_init__`.
+    """
+    for name, (what, holds) in rules.items():
+        value = values.get(name)
+        if value is not None and not holds(value):
+            raise ValueError(f"{name} must be {what}, got {value:g}")
 
 
 # unit -> (scale, is_frequency); frequencies additionally pick up 2 pi
@@ -65,13 +92,19 @@ def parse_quantity(text: str) -> float:
     return value
 
 
-def load_config(path: Union[str, Path]) -> dict[str, float]:
-    """Read a text or JSON config into {key: SI-angular float}."""
+def load_config(path: Union[str, Path],
+                keys: Collection[str]) -> dict[str, float]:
+    """Read a text or JSON config into {key: SI-angular float}.
+
+    Raises ConfigError naming any key outside `keys`, those the command
+    reads.
+    """
     path = Path(path)
     try:
         raw = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    out = {}
     if path.suffix.lower() == ".json":
         try:
             data = json.loads(raw)
@@ -79,7 +112,6 @@ def load_config(path: Union[str, Path]) -> dict[str, float]:
             raise ConfigError(f"bad JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be an object")
-        out = {}
         for key, val in data.items():
             if isinstance(val, (int, float)):
                 out[str(key)] = float(val)
@@ -87,17 +119,20 @@ def load_config(path: Union[str, Path]) -> dict[str, float]:
                 out[str(key)] = parse_quantity(val)
             else:
                 raise ConfigError(f"config key {key!r}: unsupported value {val!r}")
-        return out
-    out = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = body.partition("=")
-        try:
-            out[key.strip()] = parse_quantity(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    else:
+        for lineno, line in enumerate(raw.splitlines(), start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = body.partition("=")
+            try:
+                out[key.strip()] = parse_quantity(value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    unknown = sorted(set(out) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {', '.join(unknown)} "
+                          f"(accepted: {', '.join(sorted(keys))})")
     return out

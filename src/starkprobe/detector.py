@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .cavity import ResonatorGeometry, resonances
+from .config import FINITE, NON_NEGATIVE, NON_ZERO, POSITIVE, check_values
 from .specfun import ConvergenceError, expint_scaled
 from .waveguide import WaveguideParams
 
@@ -66,10 +67,8 @@ class QubitParams:
     gamma_phi: float      # rad/s, pure dephasing
 
     def __post_init__(self):
-        if self.chi == 0:
-            raise ValueError("chi must be non-zero")
-        if self.gamma < 0 or self.gamma_phi < 0:
-            raise ValueError("decay rates must be non-negative")
+        check_values(vars(self), omega_q=FINITE, chi=NON_ZERO,
+                     gamma=NON_NEGATIVE, gamma_phi=NON_NEGATIVE)
 
     @property
     def gamma_coh(self) -> float:
@@ -83,8 +82,7 @@ class CavityParams:
     gamma_c: float        # rad/s
 
     def __post_init__(self):
-        if self.gamma_c <= 0:
-            raise ValueError("gamma_c must be positive")
+        check_values(vars(self), omega_c=FINITE, gamma_c=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,7 @@ class Thermal:
     signal_omega: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 < self.tau_c < math.inf:
-            raise ValueError("tau_c must be positive and finite")
-        _check_signal(self)
+        _check_signal(self, tau_c=POSITIVE)
 
     def _flux(self, params: SystemParams) -> tuple[float, float]:
         """(flux, lor) with lor = (omega - omega_c*)^2 + 1/tau_c^2."""
@@ -225,14 +221,11 @@ class Thermal:
 SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
 
 
-def _check_signal(sig):
+def _check_signal(sig, **rules):
     if (sig.flux is None) == (sig.nbar is None):
         raise ValueError("give exactly one of flux or nbar")
-    for name, value in (("flux", sig.flux), ("nbar", sig.nbar)):
-        if value is not None and not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and non-negative")
-    if sig.signal_omega is not None and not math.isfinite(sig.signal_omega):
-        raise ValueError("signal_omega must be finite")
+    check_values(vars(sig), flux=NON_NEGATIVE, nbar=NON_NEGATIVE,
+                 signal_omega=FINITE, **rules)
 
 
 @dataclass(frozen=True)

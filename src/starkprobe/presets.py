@@ -12,74 +12,83 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .atom import AtomParams
 from .cavity import ResonatorGeometry
+from .config import COUNT, FINITE, POSITIVE, ConfigError, check_values
 from .detector import CavityParams, QubitParams, SystemParams
-from .waveguide import CpwGeometry
+from .waveguide import CpwGeometry, ParallelPlateGeometry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FigurePreset:
-    n_qubits: int
-    omega_q: float
-    omega_c: float
+    """A spectrum run: system, signal defaults and probe grid; the defaults
+    are the values every caption shares."""
     chi: float
     gamma_c: float
-    gamma: float          # split: full quoted gamma + 2 gamma_phi
-    gamma_phi: float
-    nbar: float
+    n_qubits: int = 1
+    omega_q: float = math.tau*10e9
+    omega_c: float = math.tau*9e9
+    gamma: float = math.tau*250e3          # split: full quoted gamma + 2 gamma_phi
+    gamma_phi: float = 0.0
+    nbar: float = 1.0
     tau_c: Optional[float] = None          # thermal coherence time, s
     tau_c_choices: tuple = ()              # alternatives swept by the figure
     detunings_frac: tuple = ()             # signal detunings in units of gamma_c
+    probe_center: Optional[float] = None   # rad/s, else omega_q
+    probe_span: Optional[float] = None     # rad/s, else 50 max(|chi|, linewidth)
+
+    def __post_init__(self):
+        check_values(vars(self), n_qubits=COUNT, probe_center=FINITE,
+                     probe_span=POSITIVE)
 
     def system(self) -> SystemParams:
         qubit = QubitParams(omega_q=self.omega_q, chi=self.chi,
                             gamma=self.gamma, gamma_phi=self.gamma_phi)
         return SystemParams(cavity=CavityParams(self.omega_c, self.gamma_c),
-                            qubits=(qubit,)*self.n_qubits)
+                            qubits=(qubit,)*int(self.n_qubits))
 
-    def probe_grid_default(self, n_points: int = 2001):
-        import numpy as np
-        span = 50.0*max(self.chi, 0.5*self.gamma + self.gamma_phi)
-        return np.linspace(self.omega_q - span, self.omega_q + span, n_points)
-
-
-def _preset(*, n_qubits=1, chi, gamma_c, nbar=1.0, tau_c=None,
-            tau_c_choices=(), detunings_frac=()):
-    return FigurePreset(
-        n_qubits=n_qubits,
-        omega_q=math.tau*10e9, omega_c=math.tau*9e9,
-        chi=chi, gamma_c=gamma_c,
-        gamma=math.tau*250e3, gamma_phi=0.0,
-        nbar=nbar, tau_c=tau_c, tau_c_choices=tau_c_choices,
-        detunings_frac=detunings_frac)
+    def probe_grid_default(self, n_points: int = 2001) -> np.ndarray:
+        if not self.n_qubits and None in (self.probe_center, self.probe_span):
+            raise ConfigError("no qubits: config must set probe_center and "
+                              "probe_span")
+        center = self.omega_q if self.probe_center is None else self.probe_center
+        span = (50.0*max(abs(self.chi), 0.5*self.gamma + self.gamma_phi)
+                if self.probe_span is None else self.probe_span)
+        return np.linspace(center - span, center + span, n_points)
 
 
 # The thermal coherence times keep both gamma_c tau_c and the probe-signal
 # beat tau_c |omega_p - omega| deep in the short-coherence regime the
 # closed-form widths assume.
 FIGURES: dict[str, FigurePreset] = {
-    "fig1": _preset(chi=math.tau*10e6, gamma_c=math.tau*100e3,
-                    tau_c=1e-12),
-    "fig2": _preset(chi=math.tau*10e6, gamma_c=math.tau*1e6,
-                    tau_c=1e-12),
-    "fig2bis": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
-                       tau_c=1e-12),
-    "fig3": _preset(chi=math.tau*1e6, gamma_c=math.tau*1e6,
-                    tau_c=1e-12),
-    "fig4": _preset(chi=math.tau*100e3, gamma_c=math.tau*500e6,
-                    tau_c=1e-14),
-    "fig5": _preset(chi=math.tau*1e6, gamma_c=math.tau*1e6, nbar=2.0,
-                    tau_c=1e-12),
-    "fig5q": _preset(n_qubits=5, chi=math.tau*1e6, gamma_c=math.tau*1e6,
-                     tau_c=1e-12),
-    "fig6": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3, nbar=2.0,
-                    tau_c=1e-12),
-    "fig7": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
-                    tau_c=1e-9/math.tau,
-                    tau_c_choices=(1e-12/math.tau, 1e-9/math.tau, 1e-8/math.tau)),
-    "fig10": _preset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
-                     detunings_frac=(-1.0/3.0, 1.0/3.0)),
+    "fig1": FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3,
+                         tau_c=1e-12),
+    "fig2": FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*1e6,
+                         tau_c=1e-12),
+    "fig2bis": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
+                            tau_c=1e-12),
+    "fig3": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*1e6,
+                         tau_c=1e-12),
+    "fig4": FigurePreset(chi=math.tau*100e3, gamma_c=math.tau*500e6,
+                         tau_c=1e-14),
+    "fig5": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*1e6, nbar=2.0,
+                         tau_c=1e-12),
+    "fig5q": FigurePreset(n_qubits=5, chi=math.tau*1e6, gamma_c=math.tau*1e6,
+                          tau_c=1e-12),
+    "fig6": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*100e3, nbar=2.0,
+                         tau_c=1e-12),
+    "fig7": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
+                         tau_c=1e-9/math.tau,
+                         tau_c_choices=(1e-12/math.tau, 1e-9/math.tau,
+                                        1e-8/math.tau)),
+    "fig10": FigurePreset(chi=math.tau*1e6, gamma_c=math.tau*100e3,
+                          detunings_frac=(-1.0/3.0, 1.0/3.0)),
 }
+
+# what a `--config` spectrum run starts from; a thermal run takes --tau-c
+CONFIG_DEFAULT = FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3)
 
 
 # Reference CPW line geometries.  The published line-constant table is
@@ -91,6 +100,8 @@ TABLE_GEOMETRY = CpwGeometry(w=10e-6, s=7.5e-6, h1=500e-6, h2=550e-9,
                              eps1_rel=11.6, eps2_rel=3.78)
 NOMINAL_GEOMETRY = CpwGeometry(w=10e-6, s=6.6e-6, h1=500e-6, h2=550e-9,
                                eps1_rel=11.6, eps2_rel=3.78)
+PLATE_GEOMETRY = ParallelPlateGeometry(w_plate=10e-6, d1=500e-6, d2=550e-9,
+                                       eps1_rel=11.6, eps2_rel=3.78)
 
 TABLE_ROWS = {
     # columns: C' [F/m], v/c, eps_eff, L' [H/m], C_eff [F/m], Z, Z_static
@@ -109,3 +120,16 @@ def resonator_preset(capacitance_ratio: float, length: float = 0.02,
         gap_capacitance=capacitance_ratio*line_capacitance*length,
         line_capacitance=line_capacitance,
         velocity=velocity)
+
+
+# the artificial atom of the `atom` sweep
+ATOM = AtomParams(delta_omega=0.0, gamma1=math.tau*1e6, gamma_phi=0.0,
+                  rabi=0.0)
+
+
+def atom_grid(atom: AtomParams, n_points: int,
+              span: Optional[float] = None) -> np.ndarray:
+    """Drive detunings over +-span, by default 10 (gamma1/2 + gamma_phi)."""
+    span = 10.0*atom.gamma_coh if span is None else span
+    check_values({"span": span}, span=POSITIVE)
+    return np.linspace(-span, span, n_points)

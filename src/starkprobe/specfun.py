@@ -116,11 +116,16 @@ def elliptic_k(k: float) -> float:
     """K(k) by the arithmetic-geometric mean; k is the modulus, not m=k^2."""
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_k requires 0 <= k < 1, got {k}")
-    kp2 = (1.0 - k)*(1.0 + k)
-    if kp2 < 1e-12:
+    return elliptic_k_from_complement(math.sqrt((1.0 - k)*(1.0 + k)))
+
+
+def elliptic_k_from_complement(kp: float) -> float:
+    """K(k) from the complementary modulus kp = sqrt(1 - k^2), 0 < kp <= 1,
+    full precision where k is too close to 1 to carry kp."""
+    if kp < 1e-6:
         # K(k) ~ ln(4/k') as k -> 1
-        return math.log(4.0/math.sqrt(kp2))
-    a, b = 1.0, math.sqrt(kp2)
+        return math.log(4.0/kp)
+    a, b = 1.0, kp
     for _ in range(60):
         if abs(a - b) <= 2e-16*a:
             break

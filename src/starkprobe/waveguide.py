@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import elliptic_k
+from .config import AT_LEAST_ONE, POSITIVE, POSITIVE_OR_INF, check_values
+from .specfun import elliptic_k, elliptic_k_from_complement
 
 MU0 = 4e-7*math.pi        # H/m
 C_LIGHT = 2.99792458e8    # m/s
@@ -34,10 +35,8 @@ class ParallelPlateGeometry:
     eps2_rel: float
 
     def __post_init__(self):
-        if min(self.w_plate, self.d1, self.d2) <= 0:
-            raise ValueError("plate geometry lengths must be positive")
-        if min(self.eps1_rel, self.eps2_rel) < 1.0:
-            raise ValueError("relative permittivities must be >= 1")
+        check_values(vars(self), w_plate=POSITIVE, d1=POSITIVE, d2=POSITIVE,
+                     eps1_rel=AT_LEAST_ONE, eps2_rel=AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,9 @@ class CpwGeometry:
     eps2_rel: float
 
     def __post_init__(self):
-        if min(self.w, self.s, self.h1, self.h2) <= 0:
-            raise ValueError("CPW lengths must be positive")
-        if min(self.eps1_rel, self.eps2_rel) < 1.0:
-            raise ValueError("relative permittivities must be >= 1")
+        check_values(vars(self), w=POSITIVE, s=POSITIVE, h1=POSITIVE_OR_INF,
+                     h2=POSITIVE, eps1_rel=AT_LEAST_ONE,
+                     eps2_rel=AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -101,35 +99,32 @@ def parallel_plate_params(geom: ParallelPlateGeometry) -> WaveguideParams:
     return _derived(c_line, l_line, (C_LIGHT/v)**2)
 
 
-def _shape_factor(k: float) -> float:
-    """Dimensionless half-plane capacitance 2K(k)/K(k')."""
-    kp2 = (1.0 - k)*(1.0 + k)
-    if not (0.0 < k < 1.0 and kp2 < 1.0):
-        # a checked geometry whose modulus rounds to 0 or 1 (or is not finite)
-        raise ArithmeticError(f"degenerate conformal modulus k={k}")
-    if kp2 < 1e-12:
-        # K(k) ~ ln(4/k') footnote asymptotic; K(k') -> pi/2
-        return 2.0*math.log(4.0/math.sqrt(kp2))/(math.pi/2.0)
-    return 2.0*elliptic_k(k)/elliptic_k(math.sqrt(kp2))
+def _shape_factor(w: float, s: float, depth: float) -> float:
+    """Dimensionless capacitance 2K(k)/K(k') of a slab of the given depth
+    under the strip, or of a half-plane (depth inf, k = w/(w+2s)).
 
-
-def _modulus(w: float, s: float, depth: float) -> float:
-    """tanh(pi w/2h)/tanh(pi (w+2s)/2h); w/(w+2s) for a half-plane."""
+    The slab has k = tanh(a)/tanh(b) with a = pi w/2h, b = pi (w+2s)/2h,
+    and k'^2 = sinh(b-a) sinh(b+a)/(cosh^2 a sinh^2 b) = 4 e^(-2a) r, a
+    form in which nothing cancels where k -> 1 (a slab thinner than the
+    strip) and nothing overflows.
+    """
     if math.isinf(depth):
-        return w/(w + 2.0*s)
-    a = math.pi*w/(2.0*depth)
-    b = math.pi*(w + 2.0*s)/(2.0*depth)
-    if a > 20.0:
-        return 1.0 - 2.0*math.exp(-2.0*a)  # tanh saturated; k' = 2 e^-a
-    return math.tanh(a)/math.tanh(b)
-
-
-def _shape_factor_thin(w: float, s: float, depth: float) -> float:
-    """Shape factor for a layer so thin that k -> 1 (oxide case)."""
-    a = math.pi*w/(2.0*depth)
-    if a > 20.0:
-        return 2.0*(math.log(2.0) + a)/(math.pi/2.0)
-    return _shape_factor(_modulus(w, s, depth))
+        k = w/(w + 2.0*s)
+        kp = math.sqrt((1.0 - k)*(1.0 + k))
+    else:
+        a = math.pi*w/(2.0*depth)
+        b = math.pi*(w + 2.0*s)/(2.0*depth)
+        r = (math.expm1(-2.0*(b - a))*math.expm1(-2.0*(b + a))
+             / ((1.0 + math.exp(-2.0*a))*math.expm1(-2.0*b))**2)
+        if a > 20.0:
+            # k' < 5e-9, and it underflows past a = 745: K(k) ~ ln(4/k')
+            # taken as ln 2 + a - ln(r)/2, K(k') -> pi/2
+            return 2.0*(math.log(2.0) + a - 0.5*math.log(r))/(math.pi/2.0)
+        kp = 2.0*math.exp(-a)*math.sqrt(r)
+    if not 0.0 < kp < 1.0:
+        # a checked geometry whose modulus rounds to 0 or 1
+        raise ArithmeticError(f"degenerate conformal modulus k'={kp}")
+    return 2.0*elliptic_k_from_complement(kp)/elliptic_k(kp)
 
 
 def cpw_params(geom: CpwGeometry) -> WaveguideParams:
@@ -148,9 +143,9 @@ def cpw_params(geom: CpwGeometry) -> WaveguideParams:
     """
     w, s = geom.w, geom.s
     e1, e2 = geom.eps1_rel, geom.eps2_rel
-    c0 = _shape_factor(_modulus(w, s, math.inf))
-    c1 = _shape_factor(_modulus(w, s, geom.h1 + geom.h2))
-    c2 = _shape_factor_thin(w, s, geom.h2)
+    c0 = _shape_factor(w, s, math.inf)
+    c1 = _shape_factor(w, s, geom.h1 + geom.h2)
+    c2 = _shape_factor(w, s, geom.h2)
 
     r1, r2 = 1.0/e1, 1.0/e2
     inv_cd = 1.0/c0 + (r1 - 1.0)/c1 + (r2 - r1)/c2
@@ -176,9 +171,9 @@ def half_plane_params(w: float, s: float, eps_rel: float) -> WaveguideParams:
     which reproduces the published two-half-plane line constants; feeding
     the filled capacitance instead would give mu0/(2 C_0).
     """
-    if min(w, s) <= 0 or eps_rel < 1.0:
-        raise ValueError("half-plane CPW needs w, s > 0 and eps_rel >= 1")
-    c0 = _shape_factor(w/(w + 2.0*s))
+    check_values(dict(w=w, s=s, eps_rel=eps_rel), w=POSITIVE, s=POSITIVE,
+                 eps_rel=AT_LEAST_ONE)
+    c0 = _shape_factor(w, s, math.inf)
     c_line = EPS0*c0*(1.0 + eps_rel)
     l_line = MU0/(c0*(1.0 + 1.0/eps_rel))
     return _derived(c_line, l_line, (1.0 + eps_rel)/2.0)

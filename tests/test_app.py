@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from starkprobe.atom import AtomParams
+from starkprobe.cavity import ResonatorGeometry
 from starkprobe.cli import run_cli
 from starkprobe.config import ConfigError, load_config, parse_quantity
-from starkprobe.detector import (Coherent, Spectrum, Thermal, Vacuum,
-                                 figure_of_merit, sweep)
+from starkprobe.detector import (CavityParams, Coherent, QubitParams, Spectrum,
+                                 Thermal, Vacuum, figure_of_merit, sweep)
 from starkprobe.output import (csv_to_spectrum, emit_spectrum, sidecar_dict,
                                spectrum_to_csv, validate_sidecar)
 from starkprobe.presets import FIGURES
+from starkprobe.waveguide import CpwGeometry, ParallelPlateGeometry
 
 TWO_PI = 2.0*math.pi
 
@@ -47,7 +50,7 @@ omega_c = 9 GHz
 chi     = 10 MHz   # Stark shift
 gamma_c = 100 kHz
 """)
-    out = load_config(cfg)
+    out = load_config(cfg, ("omega_q", "omega_c", "chi", "gamma_c"))
     assert out["omega_q"] == TWO_PI*10e9
     assert out["chi"] == TWO_PI*10e6
 
@@ -55,7 +58,7 @@ gamma_c = 100 kHz
 def test_load_json_config(tmp_path):
     cfg = tmp_path/"run.json"
     cfg.write_text(json.dumps({"omega_q": "10 GHz", "gamma_c": TWO_PI*1e5}))
-    out = load_config(cfg)
+    out = load_config(cfg, ("omega_q", "gamma_c"))
     assert out["omega_q"] == TWO_PI*10e9
     assert out["gamma_c"] == TWO_PI*1e5
 
@@ -64,7 +67,42 @@ def test_load_config_bad_line(tmp_path):
     cfg = tmp_path/"run.cfg"
     cfg.write_text("omega_q 10 GHz\n")
     with pytest.raises(ConfigError):
-        load_config(cfg)
+        load_config(cfg, ("omega_q",))
+    # a key the command does not read is named, in either format
+    cfg.write_text("omega_q = 10 GHz\ngama = 1 MHz\n")
+    with pytest.raises(ConfigError, match="unknown key gama "):
+        load_config(cfg, ("omega_q", "gamma"))
+    cfg = tmp_path/"run.json"
+    cfg.write_text(json.dumps({"tau_c": "1 ps"}))
+    with pytest.raises(ConfigError, match="unknown key tau_c "):
+        load_config(cfg, ("omega_q",))
+
+
+# every float field of every parameter class, with a valid value
+_PARAMETER_CLASSES = [
+    (QubitParams, dict(omega_q=1.0, chi=1.0, gamma=0.0, gamma_phi=0.0)),
+    (CavityParams, dict(omega_c=1.0, gamma_c=1.0)),
+    (AtomParams, dict(delta_omega=0.0, gamma1=1.0, gamma_phi=0.0, rabi=0.0)),
+    (ResonatorGeometry, dict(length=1.0, gap_capacitance=1.0,
+                             line_capacitance=1.0, velocity=1.0)),
+    (ParallelPlateGeometry, dict(w_plate=1.0, d1=1.0, d2=1.0, eps1_rel=1.0,
+                                 eps2_rel=1.0)),
+    (CpwGeometry, dict(w=1.0, s=1.0, h1=1.0, h2=1.0, eps1_rel=1.0,
+                       eps2_rel=1.0)),
+]
+
+
+@pytest.mark.parametrize("cls,good", _PARAMETER_CLASSES,
+                         ids=[cls.__name__ for cls, _ in _PARAMETER_CLASSES])
+def test_constructors_reject_non_finite(cls, good):
+    cls(**good)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            if (cls, name, bad) == (CpwGeometry, "h1", math.inf):
+                assert cls(**{**good, name: bad}).h1 == math.inf
+                continue
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                cls(**{**good, name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +435,110 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["waveguide", "--model", "parallel-plate",
                   *config("plates.cfg", "d1 = 1e-300 m\nd2 = 1e-300 m\n")]):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 3, argv
+        assert not (tmp_path/"no").exists(), argv
+    capsys.readouterr()
+    # non-finite values, keys no command reads and the cavity's mode-1
+    # limit -> 2, each named in the message
+    for argv, needle in (
+            (["atom", *config("g1.cfg", "gamma1 = nan Hz\n")], "gamma1 must be"),
+            (["atom", *config("rabi.cfg", "rabi = inf MHz\n")], "rabi must be"),
+            ([*detect, *config("gc_inf.cfg",
+                               one_qubit.replace("100 kHz", "inf Hz"))],
+             "gamma_c must be"),
+            ([*detect, *config("g_nan.cfg", one_qubit + "gamma = nan Hz\n")],
+             "gamma must be"),
+            ([*detect, *config("pc_nan.cfg", one_qubit.replace(
+                "center = 10 GHz", "center = nan Hz"))],
+             "probe_center must be"),
+            ([*detect, *config("chi_nan.cfg",
+                               one_qubit.replace("10 MHz", "nan MHz"))],
+             "chi must be"),
+            ([*detect, *config("wc_nan.cfg",
+                               one_qubit.replace("9 GHz", "nan GHz"))],
+             "omega_c must be"),
+            (["waveguide", *config("w_inf.cfg", "w = inf m\n")], "w must be"),
+            (["cavity", "--ratio", "inf"], "gap_capacitance must be"),
+            (["cavity", "--ratio", "nan"], "gap_capacitance must be"),
+            ([*detect, *config("gama.cfg", one_qubit + "gama = 1 MHz\n")],
+             "unknown key gama ("),
+            ([*detect, *config("tau.cfg", one_qubit + "tau_c = 1 ps\n")],
+             "unknown key tau_c ("),
+            (["cavity", "--ratio", "5"],
+             "gap ratio C/(C'L) = 5 is not below 1.79556")):
+        assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
+        assert not (tmp_path/"no").exists(), argv
+        err = capsys.readouterr().err
+        assert f": {needle}" in err, (argv, err)
+
+
+# a valid value, away from the command's default, for every config key
+_KEY_VALUES = {
+    "w": "12 um", "s": "5 um", "h1": "300 um", "h2": "1 um",
+    "eps1_rel": "9", "eps2_rel": "4.5", "w_plate": "12 um", "d1": "400 um",
+    "d2": "1 um", "length": "0.03 m", "gap_capacitance": "2 fF",
+    "line_capacitance": "150 pF/m", "velocity": "1.1e8 m/s",
+    "gamma1": "2 MHz", "gamma_phi": "100 kHz", "rabi": "1 MHz",
+    "span": "5 MHz", "omega_c": "8.9 GHz", "gamma_c": "200 kHz",
+    "omega_q": "10.1 GHz", "chi": "5 MHz", "gamma": "100 kHz",
+    "n_qubits": "2", "probe_center": "10.01 GHz", "probe_span": "100 MHz",
+}
+_ONE_QUBIT = {"omega_c": "9 GHz", "gamma_c": "100 kHz", "omega_q": "10 GHz",
+              "chi": "10 MHz"}
+_KEYED_COMMANDS = {
+    ("waveguide", "--model", "full"): ("w", "s", "h1", "h2", "eps1_rel",
+                                       "eps2_rel"),
+    ("waveguide", "--model", "eps2-eq-eps1"): ("w", "s", "h1", "h2",
+                                               "eps1_rel"),
+    ("waveguide", "--model", "two-half-planes"): ("w", "s", "eps1_rel"),
+    ("waveguide", "--model", "parallel-plate"): ("w_plate", "d1", "d2",
+                                                 "eps1_rel", "eps2_rel"),
+    ("cavity", "--points", "21"): ("length", "gap_capacitance",
+                                   "line_capacitance", "velocity"),
+    ("atom", "--points", "21"): ("gamma1", "gamma_phi", "rabi", "span"),
+    **{(command, "--points", "21"): ("omega_c", "gamma_c", "omega_q", "chi",
+                                     "gamma", "gamma_phi", "n_qubits",
+                                     "probe_center", "probe_span")
+       for command in ("detect", "comb")},
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in _KEYED_COMMANDS.items()
+    for key in keys], ids=lambda v: v if isinstance(v, str)
+    else v[2] if v[0] == "waveguide" else v[0])
+def test_cli_every_accepted_key_is_read(tmp_path, capsys, command, key):
+    # a config key that a command accepts changes what it writes
+    base = _ONE_QUBIT if command[0] in ("detect", "comb") else {}
+
+    def run(name, cfg):
+        path = tmp_path/f"{name}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        assert run_cli([*command, "--config", str(path),
+                        "--out", str(tmp_path/name)]) == 0
+        capsys.readouterr()
+        return {p.name: p.read_bytes() for p in (tmp_path/name).iterdir()}
+
+    assert run("with", {**base, key: _KEY_VALUES[key]}) != run("base", base)
+    # and any key it does not accept is rejected, by name
+    other = next(k for k in _KEY_VALUES if k not in _KEYED_COMMANDS[command])
+    (tmp_path/"other.cfg").write_text(f"{other} = {_KEY_VALUES[other]}\n")
+    assert run_cli([*command, "--config", str(tmp_path/"other.cfg"),
+                    "--out", str(tmp_path/"no")]) == 2
+    assert f"unknown key {other} (" in capsys.readouterr().err
+
+
+def test_cli_config_or_preset(tmp_path):
+    # a spectrum takes its system from --preset or --config, not both; oracle
+    # and figure run presets only and take no --config
+    cfg = tmp_path/"run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _ONE_QUBIT.items()))
+    for argv in (["detect", "--preset", "fig1", "--config", str(cfg)],
+                 ["comb", "--config", str(cfg), "--preset", "fig1"],
+                 ["figure", "--preset", "fig1", "--config", str(cfg)],
+                 ["oracle", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exited:
+            run_cli([*argv, "--out", str(tmp_path/"no")])
+        assert exited.value.code == 2, argv
         assert not (tmp_path/"no").exists(), argv
 
 

@@ -103,3 +103,7 @@ def test_geometry_validation():
         resonances(resonator_preset(0.01), 0)
     with pytest.raises(ValueError):
         bare_s_params(resonator_preset(0.01), 0.0)
+    # above C/(C'L) = 1/(2 W0(1/e)) mode 1 is overdamped, and named so
+    assert resonances(resonator_preset(1.79), 1)[0].omega_n > 0
+    with pytest.raises(ValueError, match="= 1.8 is not below 1.79556"):
+        resonances(resonator_preset(1.80), 1)

@@ -74,12 +74,16 @@ def test_nbar_flux_exclusivity():
         Coherent(flux=1.0, nbar=1.0)
     with pytest.raises(ValueError):
         Incoherent()
-    for bad in (math.nan, math.inf):
-        for make in (lambda: Incoherent(flux=bad), lambda: Thermal(bad, nbar=1.0),
-                     lambda: Coherent(nbar=1.0, signal_omega=bad),
-                     lambda: Vacuum(signal_omega=bad),
-                     lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad)):
-            with pytest.raises(ValueError):
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, make in (
+                ("flux", lambda: Incoherent(flux=bad)),
+                ("nbar", lambda: Coherent(nbar=bad)),
+                ("tau_c", lambda: Thermal(bad, nbar=1.0)),
+                ("signal_omega", lambda: Coherent(nbar=1.0, signal_omega=bad)),
+                ("signal_omega", lambda: Vacuum(signal_omega=bad)),
+                ("signal_omega",
+                 lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
                 make()
 
 

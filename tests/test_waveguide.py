@@ -3,8 +3,9 @@ import math
 import pytest
 
 from starkprobe.waveguide import (C_LIGHT, EPS0, MU0, CpwGeometry,
-                                  ParallelPlateGeometry, cpw_params,
-                                  half_plane_params, parallel_plate_params)
+                                  ParallelPlateGeometry, _shape_factor,
+                                  cpw_params, half_plane_params,
+                                  parallel_plate_params)
 from starkprobe.presets import TABLE_GEOMETRY, TABLE_ROWS
 
 
@@ -89,3 +90,25 @@ def test_invalid_geometry_rejected():
                     eps1_rel=11.6, eps2_rel=3.78)
     with pytest.raises(ValueError):
         ParallelPlateGeometry(10e-6, 1e-6, 1e-6, 0.5, 1.0)
+
+
+def test_thin_layers_against_mpmath():
+    # a substrate thinner than the strip (k -> 1) returns finite constants
+    thin = cpw_params(CpwGeometry(w=10e-6, s=7.5e-6, h1=100e-9, h2=100e-9,
+                                  eps1_rel=11.6, eps2_rel=3.78))
+    assert all(math.isfinite(v) and v > 0 for v in thin.as_dict().values())
+    mpmath = pytest.importorskip("mpmath")
+    g = TABLE_GEOMETRY
+    with mpmath.workdps(60):
+        for a in [10.0 + 0.5*i for i in range(41)]:    # a = pi w/2h
+            depth = math.pi*g.w/(2.0*a)
+            k = (mpmath.tanh(mpmath.pi*g.w/(2*mpmath.mpf(depth)))
+                 / mpmath.tanh(mpmath.pi*(g.w + 2*g.s)/(2*mpmath.mpf(depth))))
+            ref = 2*mpmath.ellipk(k*k)/mpmath.ellipk(1 - k*k)
+            got = _shape_factor(g.w, g.s, depth)
+            assert abs(got/ref - 1) < 1e-12, a
+            # the substrate slab, then the oxide, at that depth
+            for h1, h2 in ((0.5*depth, 0.5*depth), (g.h1, depth)):
+                p = cpw_params(CpwGeometry(g.w, g.s, h1, h2, g.eps1_rel,
+                                           g.eps2_rel))
+                assert all(math.isfinite(v) for v in p.as_dict().values())
