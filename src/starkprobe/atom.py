@@ -61,6 +61,5 @@ def radiative_rate_from_power(rabi_abs: float, omega_atom: float,
     Order-of-magnitude bookkeeping for comparing against a measured total
     decay rate; no accuracy is implied beyond that.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    check_values(dict(power=power), power=POSITIVE)
     return rabi_abs**2*HBAR*omega_atom/(2.0*power)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import POSITIVE, check_values
@@ -88,6 +89,12 @@ def resonances(geom: ResonatorGeometry, n_max: int) -> list[CavityMode]:
             # the leading expansion falls like 1/x; past the crossover the
             # expansion is the more accurate width
             gamma_n = 4.0*scale*(n*math.pi*ratio)**2
+        if not gamma_n > omega_n/sys.float_info.max:
+            # Q_n = 1/(4 n pi ratio^2) overflows below this ratio
+            limit = 0.5/math.sqrt(n*math.pi)/math.sqrt(sys.float_info.max)
+            raise ValueError(f"gap ratio C/(C'L) = {ratio:g} is so small that "
+                             f"the width of mode {n} underflows (Q_n must stay "
+                             f"finite, which needs a ratio above {limit:.3g})")
         modes.append(CavityMode(n=n, omega_n=omega_n, gamma_n=gamma_n,
                                 q_factor=omega_n/gamma_n))
     return modes

@@ -1,41 +1,57 @@
 """Truncated-Fock numerical validator for the analytic responses.
 
 The probe sideband response of one qubit under vacuum or coherent light,
-from a direct linear solve against the displaced-frame master equation on
-n_fock Fock levels per qubit sector; it knows nothing about the series
-expansions it is meant to check.  The qubit-excited block is dense and the
-ground block diagonal, which is divided out.  The probe-independent Stark
-block of the excited sector, its diagonal and the level index are cached
-per (n_fock, beta, chi); a probe point then copies the block, sets its
-diagonal and solves.  `check_supported` states the oracle's domain.
+from the displaced-frame master equation on n_fock Fock levels per qubit
+sector; it knows nothing about the series expansions it is meant to check.
+The ground block is diagonal and is divided out.  The qubit-excited block,
+2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
+response chi [block^-1]_00 is a finite continued fraction: one backward
+recurrence in real arithmetic, which gives the same bits for one probe
+point (floats) as for a whole grid (arrays).  `check_supported` states the
+oracle's domain.  `dense_sigma_minus` solves the same block densely for
+the `oracle` command's explicit-truncation table.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .detector import (Coherent, QubitParams, SystemParams, Vacuum,
                        cavity_photon_number, signal_frequency)
+from .specfun import ConvergenceError
+
+# the most Fock levels a truncation may hold
+MAX_FOCK = 20000
 
 
 @dataclass(frozen=True)
 class SteadyResponse:
-    omega_p: float
-    sigma_minus: complex
-    a_expect: complex
+    """Scalars for one probe point, arrays for a grid; residual is the worst
+    relative change of sigma_minus against ceil(1.5 n_fock) levels."""
+    omega_p: Union[float, np.ndarray]
+    sigma_minus: Union[complex, np.ndarray]
+    a_expect: Union[complex, np.ndarray]
     residual: float
+    n_fock: int
+
+
+def _start_truncation(nbar: float) -> int:
+    """Levels a sized truncation starts from: nbar, twelve Poisson standard
+    deviations and a margin."""
+    return math.ceil(nbar + 12.0*math.sqrt(nbar) + 40.0)
 
 
 def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
-                    n_fock: int) -> tuple[QubitParams, complex]:
-    """(qubit, beta) of a system, signal and truncation the solve can take.
+                    n_fock: Optional[int] = None) -> tuple[QubitParams, complex]:
+    """(qubit, beta) of a system, signal and truncation the oracle can take.
 
-    The domain is one qubit, vacuum or coherent light, nbar <= 3 (beyond
-    it the truncation stops being economical) and n_fock >= 4.  Raises
+    The domain is one qubit, vacuum or coherent light, and 4 <= n_fock <=
+    MAX_FOCK, where n_fock None means the sized truncation's start.  Raises
     ValueError naming the limit crossed.
     """
     # Vacuum derives from Coherent; incoherent and thermal light have no beta
@@ -44,80 +60,113 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
     nbar, beta = cavity_photon_number(sig, params)
     if len(params.qubits) != 1:
         raise ValueError("the Lindblad oracle handles exactly one qubit")
-    if nbar > 3.0 + 1e-12:
-        raise ValueError("keep nbar <= 3 for an economical truncation")
-    if n_fock < 4:
-        raise ValueError("n_fock must be at least 4")
+    if n_fock is None:
+        start = _start_truncation(abs(beta)**2)
+        if start > MAX_FOCK:
+            raise ValueError(f"nbar = {nbar:g} needs {start} Fock levels, "
+                             f"above the oracle's cap MAX_FOCK = {MAX_FOCK}")
+    elif not 4 <= n_fock <= MAX_FOCK:
+        raise ValueError(f"n_fock must be at least 4 and at most "
+                         f"MAX_FOCK = {MAX_FOCK}, got {n_fock}")
     return params.qubits[0], beta
 
 
-@lru_cache(maxsize=16)
-def _field_block(n_fock: int, beta: complex, chi: float) -> tuple:
-    """Read-only field 2 chi (a+ + beta*)(a + beta), its diagonal and levels.
-
-    The Stark pull of the displaced field on the n_fock levels 0, 1, ... of
-    the qubit-excited sector; none of the three depends on the probe
-    frequency, so a sweep builds them once.
-    """
-    levels = np.arange(n_fock)
-    lowering = np.diag(np.sqrt(levels[1:]), 1).astype(complex)
-    eye = np.eye(n_fock, dtype=complex)
-    disp = lowering + beta*eye
-    disp_dag = lowering.conj().T + np.conj(beta)*eye
-    field = 2.0*chi*(disp_dag @ disp)
-    field.flags.writeable = levels.flags.writeable = False
-    return field, field.diagonal(), levels
+def _fraction(n_fock: int, num: float, x, u: float, v: float, y: float,
+              h: float, q: float):
+    """num/g_0, from g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1) with
+    the excited block's diagonal d_k = x - (u + k v) + i (y + k h).  The
+    complex division is spelt out, so that floats and arrays round alike."""
+    k = float(n_fock - 1)
+    gr, gi = x - (u + k*v), y + k*h
+    while k:
+        s = q*k/(gr*gr + gi*gi)
+        k -= 1.0
+        gr = x - (u + k*v) - s*gr
+        gi = y + k*h + s*gi
+    s = num/(gr*gr + gi*gi)
+    return complex(s*gr, -s*gi) if isinstance(s, float) else s*gr - 1j*(s*gi)
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
-                             omega_p: float, n_fock: int) -> SteadyResponse:
+                             omega_p, n_fock: Optional[int] = None
+                             ) -> SteadyResponse:
     """First-order probe response from the displaced-frame master equation.
 
-    The zeroth-order steady state in the displaced frame is the pure state
-    |g, 0>; the probe sideband perturbation keeps the <g,0| bra, so the
-    sideband linear system closes on kets of dimension n_fock per qubit
-    sector.  The qubit-excited block is dense (the displaced field couples
-    neighbouring Fock levels) and goes through a dense solve; the ground
-    block is diagonal and is divided out.  The returned sigma_minus is the
-    probe-normalised response (directly comparable to
+    The zeroth-order steady state in the displaced frame is |g, 0>; the
+    probe sideband keeps the <g,0| bra, so the sideband system closes on
+    kets of n_fock levels per qubit sector.  omega_p is a float or a 1-D
+    array.  sigma_minus is the probe-normalised response (comparable to
     qubit_response_coherent); a_expect keeps its Omega_p/2 drive factor.
+    None for n_fock starts at nbar + 12 sqrt(nbar) + 40 levels and grows
+    them 1.5-fold until the residual is at most 1e-13, raising
+    ConvergenceError once the next truncation would pass MAX_FOCK.
+    """
+    qubit, beta = check_supported(params, sig, n_fock)
+    scalar = isinstance(omega_p, float) or np.ndim(omega_p) == 0
+    wp = float(omega_p) if scalar else np.asarray(omega_p, dtype=float)
+    omega = signal_frequency(sig, params)
+    chi, gc = qubit.chi, params.cavity.gamma_c
+    pull = params.omega_c_star - omega - 0.5j*gc
+    b2 = abs(beta)**2
+    # ground-block diagonal (omega_p - omega) - pull n
+    if (wp == omega) if scalar else (wp == omega).any():
+        raise ArithmeticError("probing at the signal frequency leaves the "
+                              "ground block singular")
+    # excited-block diagonal (omega_p - omega_q + i gamma_coh)
+    # - 2 chi (n + |beta|^2) - pull n
+    terms = (chi, wp - qubit.omega_q, 2.0*chi*b2, 2.0*chi + pull.real,
+             qubit.gamma_coh, -pull.imag, 4.0*chi*chi*b2)
+    explicit = n_fock is not None
+    n_fock = n_fock if explicit else _start_truncation(b2)
+    with contextlib.nullcontext() if scalar else np.errstate(all="ignore"):
+        sigma = _fraction(n_fock, *terms)
+        while True:
+            bigger = math.ceil(1.5*n_fock)
+            check = _fraction(bigger, *terms)
+            change = abs(sigma - check)/abs(check)
+            change = change if scalar else float(change.max())
+            # nan or inf once either pass leaves the floats
+            if not math.isfinite(change):
+                raise ArithmeticError("continued fraction is not finite")
+            if explicit or change <= 1e-13:
+                break
+            if bigger > MAX_FOCK:
+                raise ConvergenceError(
+                    f"oracle truncation reached the cap MAX_FOCK = {MAX_FOCK}:"
+                    f" {n_fock} -> {bigger} levels still changed sigma_minus"
+                    f" by {change:.3e}")
+            n_fock, sigma = bigger, check
+    # (Omega_p/2) a+ |0> over the ground block
+    return SteadyResponse(omega_p=wp, sigma_minus=sigma,
+                          a_expect=0.5/((wp - omega) - pull),
+                          residual=change, n_fock=n_fock)
+
+
+def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],
+                      omega_p: float, n_fock: int) -> complex:
+    """sigma_minus at one probe point by a dense LAPACK solve of the block.
+
+    The `oracle` command prints it for an explicit --n-fock: the rel_dev
+    column sits at rounding level, the table that perfbench/refs records for
+    `oracle --n-fock 40` holds this solve's last bits, and the continued
+    fraction moves them.  It can go once those references are recorded
+    again.
     """
     qubit, beta = check_supported(params, sig, n_fock)
     omega = signal_frequency(sig, params)
-    chi, gc = qubit.chi, params.cavity.gamma_c
-    drive = 0.5                           # Omega_p/2 at unit probe amplitude
-
-    # qubit-excited block of H(2) minus the ground-state reference energy,
-    # with the damping folded in: the cached field block off the diagonal,
-    # the probe detuning and the cavity term on it
-    field, field_diag, levels = _field_block(n_fock, beta, chi)
-    cavity = (params.omega_c_star - omega - 0.5j*gc)*levels
-    block_e = -field
-    block_e.ravel()[::n_fock + 1] = (
-        (omega_p - qubit.omega_q + 1j*qubit.gamma_coh) - field_diag) - cavity
-    diag_g = (omega_p - omega) - cavity
-
-    rhs_e = np.zeros(n_fock, dtype=complex)
-    rhs_e[0] = drive                      # (Omega_p/2)(g/(wq-wc)) |0>, g-scale divided out
-    rhs_g = np.zeros(n_fock, dtype=complex)
-    rhs_g[1] = drive                      # (Omega_p/2) a+ |0>
-
-    if not diag_g.all():
-        raise ArithmeticError("sideband linear solve failed")
+    if omega_p == omega:
+        raise ArithmeticError("probing at the signal frequency leaves the "
+                              "ground block singular")
+    levels = np.arange(n_fock)
+    lowering = np.diag(np.sqrt(levels[1:]), 1).astype(complex)
+    eye = np.eye(n_fock, dtype=complex)
+    field = 2.0*qubit.chi*((lowering.conj().T + np.conj(beta)*eye)
+                           @ (lowering + beta*eye))
+    block = -field
+    block.ravel()[::n_fock + 1] = (
+        (omega_p - qubit.omega_q + 1j*qubit.gamma_coh) - field.diagonal()
+    ) - (params.omega_c_star - omega - 0.5j*params.cavity.gamma_c)*levels
     try:
-        psi_e = np.linalg.solve(block_e, rhs_e)
+        return complex(qubit.chi*np.linalg.solve(block, eye[0])[0])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("sideband linear solve failed") from exc
-    psi_g = rhs_g/diag_g
-
-    res = max(np.linalg.norm(block_e @ psi_e - rhs_e),
-              np.linalg.norm(diag_g*psi_g - rhs_g))
-    # <g,0|sigma^-|Psi> is the vacuum component of the excited block;
-    # dividing by the drive gives the probe-normalised response that
-    # qubit_response_coherent computes.  <a> keeps its Omega_p/2 factor.
-    sigma_minus = chi*psi_e[0]/drive
-    a_expect = psi_g[1]
-    return SteadyResponse(omega_p=omega_p,
-                          sigma_minus=complex(sigma_minus),
-                          a_expect=complex(a_expect),
-                          residual=float(res))

@@ -93,9 +93,9 @@ CONFIG_DEFAULT = FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3)
 
 # Reference CPW line geometries.  The published line-constant table is
 # reproduced by an effective gap of 7.5 um (conformal modulus k0 = 0.40);
-# the nominal fabrication gap of 6.6 um (k0 = 0.431) shifts every column
-# by about 4%.  TABLE_GEOMETRY pins the effective value so the table rows
-# come out as published.
+# the nominal fabrication gap of 6.6 um (k0 = 0.431) shifts C', L', C_eff,
+# Z and Z_static by 3.5-3.8%, v and eps_eff by under 0.1%.  TABLE_GEOMETRY
+# pins the effective value so the table rows come out as published.
 TABLE_GEOMETRY = CpwGeometry(w=10e-6, s=7.5e-6, h1=500e-6, h2=550e-9,
                              eps1_rel=11.6, eps2_rel=3.78)
 NOMINAL_GEOMETRY = CpwGeometry(w=10e-6, s=6.6e-6, h1=500e-6, h2=550e-9,

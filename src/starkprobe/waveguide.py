@@ -108,6 +108,7 @@ def _shape_factor(w: float, s: float, depth: float) -> float:
     form in which nothing cancels where k -> 1 (a slab thinner than the
     strip) and nothing overflows.
     """
+    k = None
     if math.isinf(depth):
         k = w/(w + 2.0*s)
         kp = math.sqrt((1.0 - k)*(1.0 + k))
@@ -124,7 +125,10 @@ def _shape_factor(w: float, s: float, depth: float) -> float:
     if not 0.0 < kp < 1.0:
         # a checked geometry whose modulus rounds to 0 or 1
         raise ArithmeticError(f"degenerate conformal modulus k'={kp}")
-    return 2.0*elliptic_k_from_complement(kp)/elliptic_k(kp)
+    # K(k') from k where it is at hand: rebuilt from k', a small k (a gap
+    # much wider than the strip) loses its digits
+    k_of_kp = elliptic_k(kp) if k is None else elliptic_k_from_complement(k)
+    return 2.0*elliptic_k_from_complement(kp)/k_of_kp
 
 
 def cpw_params(geom: CpwGeometry) -> WaveguideParams:

@@ -257,6 +257,19 @@ def test_cli_oracle(tmp_path):
     assert max(devs) < 1e-6
 
 
+def test_cli_oracle_beyond_nbar_3(tmp_path, capsys):
+    # the sized truncation takes any nbar up to its cap
+    for argv in (["oracle", "--preset", "fig1", "--nbar", "9"],
+                 ["figure", "--preset", "fig1", "--nbar", "4", "--oracle-check"]):
+        assert run_cli([*argv, "--points", "5", "--out", str(tmp_path)]) == 0, argv
+    capsys.readouterr()
+    assert run_cli(["oracle", "--preset", "fig1", "--nbar", "1000",
+                    "--points", "9", "--out", str(tmp_path)]) == 0
+    text = (tmp_path/"oracle_check.txt").read_text()
+    devs = [float(line.split()[-1]) for line in text.splitlines()[1:]]
+    assert len(devs) == 9 and max(devs) <= 1e-10
+
+
 def test_preset_caption_fidelity():
     # parameters equal the caption values exactly, unit-converted
     fig1 = FIGURES["fig1"]
@@ -412,11 +425,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["cavity", "--ratio", "0"], ["oracle", "--nbar", "-1"],
                  ["oracle", "--nbar", "nan"], ["oracle", "--n-fock", "3"],
                  ["oracle", "--n-fock", "0"],
-                 ["oracle", "--preset", "fig1", "--nbar", "9"],
                  ["oracle", "--preset", "fig5q"], ["detect", "--points", "0"],
                  [*fig1, "--points", "1"],
                  [*fig1, "--state", "thermal", "--oracle-check"],
-                 [*fig1, "--nbar", "4", "--oracle-check"],
                  ["figure", "--preset", "fig5q", "--oracle-check"],
                  ["detect", "--config", str(no_qubit), "--oracle-check"],
                  ["detect", "--preset", "fig1", "--detuning", "nan"],
@@ -464,7 +475,16 @@ def test_cli_exit_codes(tmp_path, capsys):
             ([*detect, *config("tau.cfg", one_qubit + "tau_c = 1 ps\n")],
              "unknown key tau_c ("),
             (["cavity", "--ratio", "5"],
-             "gap ratio C/(C'L) = 5 is not below 1.79556")):
+             "gap ratio C/(C'L) = 5 is not below 1.79556"),
+            (["cavity", "--ratio", "1e-165"],
+             "gap ratio C/(C'L) = 1e-165 is so small that the width of mode 1 "
+             "underflows (Q_n must stay finite, which needs a ratio above "
+             "2.1e-155)"),
+            (["oracle", "--nbar", "1e5"],
+             "nbar = 100000 needs 103835 Fock levels, above the oracle's cap "
+             "MAX_FOCK = 20000"),
+            (["oracle", "--n-fock", "20001"],
+             "n_fock must be at least 4 and at most MAX_FOCK = 20000, got 20001")):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
         err = capsys.readouterr().err

@@ -84,8 +84,9 @@ def test_radiative_rate_from_power():
     got = radiative_rate_from_power(rabi, omega, power)
     hbar = 1.054571817e-34
     assert abs(got - rabi**2*hbar*omega/(2.0*power)) < 1e-12*got
-    with pytest.raises(ValueError):
-        radiative_rate_from_power(rabi, omega, 0.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            radiative_rate_from_power(rabi, omega, bad)
 
 
 def test_param_validation():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, SystemParams, Thermal, Vacuum,
                                  cavity_photon_number,
                                  qubit_response_coherent,
-                                 qubit_response_incoherent)
+                                 qubit_response_incoherent,
+                                 signal_frequency)
 from starkprobe import oracle
 from starkprobe.oracle import check_supported, lindblad_steady_response
 from starkprobe.presets import FIGURES
+from starkprobe.specfun import ConvergenceError
 
 from closedform import coherent_response_closed
 from fockref import (FockOperatorSpace, liouvillian, propagator_vacuum_element,
@@ -154,18 +157,39 @@ def test_lindblad_guards():
             liouvillian(FIG1, sig, 8)
         with pytest.raises(ValueError, match="vacuum and coherent"):
             steady_state(FIG1, sig, 8)
-    with pytest.raises(ValueError):
-        lindblad_steady_response(FIG1, Coherent(nbar=4.0), Q1.omega_q, 16)
     two = SystemParams(FIG1.cavity, (Q1, Q1))
     with pytest.raises(ValueError):
         lindblad_steady_response(two, Vacuum(), Q1.omega_q, 16)
-    # probing at the signal frequency leaves the ground block singular
-    with pytest.raises(ArithmeticError):
+    # probing at the signal frequency leaves the ground block singular, at
+    # one point or anywhere on a grid
+    with pytest.raises(ArithmeticError, match="ground block"):
         lindblad_steady_response(FIG1, Vacuum(), FIG1.omega_c_star, 16)
+    grid = np.array([Q1.omega_q, FIG1.omega_c_star])
+    with pytest.raises(ArithmeticError, match="ground block"):
+        lindblad_steady_response(FIG1, Vacuum(), grid, n_fock=16)
+    # nbar above 3 returns too
+    for nbar in (4.0, 9.0):
+        got = lindblad_steady_response(FIG1, Coherent(nbar=nbar), Q1.omega_q)
+        assert cmath.isfinite(got.sigma_minus) and got.residual <= 1e-13
+
+
+def test_lindblad_zero_denominator():
+    # no qubit decay and no photons: the last denominator is d_0 = 0
+    # at omega_p = omega_q, a ZeroDivisionError for a point and an
+    # ArithmeticError, with no RuntimeWarning, for a grid
+    still = QubitParams(omega_q=Q1.omega_q, chi=Q1.chi, gamma=0.0,
+                        gamma_phi=0.0)
+    params = SystemParams(FIG1.cavity, (still,))
+    with pytest.raises(ZeroDivisionError):
+        lindblad_steady_response(params, Vacuum(), Q1.omega_q, n_fock=16)
+    grid = np.array([Q1.omega_q - Q1.chi, Q1.omega_q])
+    with pytest.raises(ArithmeticError, match="not finite"):
+        lindblad_steady_response(params, Vacuum(), grid, n_fock=16)
 
 
 # sigma^- recorded with the dense solve of both sector blocks, at
-# omega_p = omega_q + x 2 chi for x = -1, 0.5, 2 (the same at n_fock 40 and 80)
+# omega_p = omega_q + x 2 chi for x = -1, 0.5, 2 (the same at n_fock 40 and
+# 80); the continued fraction rounds differently, by up to 3e-14
 PINNED_SIGMA = {
     0.0: (-0.49998046951290526-0.0031248779344556304j,
           0.9998437744103004-0.012498047180129401j,
@@ -185,31 +209,121 @@ def test_lindblad_sigma_pinned(n_fock, nbar):
     sig = Coherent(nbar=nbar)
     for x, ref in zip((-1.0, 0.5, 2.0), PINNED_SIGMA[nbar]):
         wp = Q1.omega_q + x*2.0*Q1.chi
-        assert lindblad_steady_response(FIG1, sig, wp, n_fock).sigma_minus == ref
+        got = lindblad_steady_response(FIG1, sig, wp, n_fock).sigma_minus
+        assert abs(got - ref) <= 1e-13*abs(ref)
 
 
-def test_lindblad_field_block_cache():
-    # interleaved truncations, displacements and pulls give what a cold
-    # cache gives, and the shared block cannot be written through
-    slow = QubitParams(omega_q=Q1.omega_q, chi=0.5*Q1.chi, gamma=Q1.gamma,
-                       gamma_phi=Q1.gamma_phi)
-    cases = [(params, Coherent(nbar=nbar), n_fock)
-             for n_fock in (16, 40) for nbar in (0.5, 2.0)
-             for params in (FIG1, SystemParams(FIG1.cavity, (slow,)))]
-    wps = [Q1.omega_q + x*2.0*Q1.chi for x in (-0.5, 1.5)]
-    warm = [lindblad_steady_response(p, s, wp, n).sigma_minus
-            for wp in wps for p, s, n in cases]
-    cold = []
-    for wp in wps:
-        for p, s, n in cases:
-            oracle._field_block.cache_clear()
-            cold.append(lindblad_steady_response(p, s, wp, n).sigma_minus)
-    assert warm == cold
-    _, beta = cavity_photon_number(Coherent(nbar=1.0), FIG1)
-    block, _, _ = oracle._field_block(16, beta, Q1.chi)
-    assert not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0, 0] = 0.0
+def _dense_sigma(params, sig, grid, n_fock):
+    """chi <0|block^-1|0> of the excited block by the dense solve of
+    tests/fockref.py."""
+    qubit = params.qubits[0]
+    _, beta = cavity_photon_number(sig, params)
+    chi, gc = qubit.chi, params.cavity.gamma_c
+    space = FockOperatorSpace(n_fock)
+    pull = 2.0*chi + (params.omega_c_star - signal_frequency(sig, params)
+                      - 0.5j*gc)
+    return np.array([chi*propagator_vacuum_element(
+        space, (wp - qubit.omega_q + 1j*qubit.gamma_coh) - 2.0*chi*abs(beta)**2,
+        pull, 2.0*chi*beta) for wp in grid])
+
+
+@pytest.mark.parametrize("n_fock", [40, 80])
+def test_fraction_matches_dense_solve(n_fock):
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    for nbar in (0.0, 0.5, 1.0, 2.0, 3.0):
+        sig = Coherent(nbar=nbar)
+        got = lindblad_steady_response(FIG1, sig, grid, n_fock=n_fock)
+        ref = _dense_sigma(FIG1, sig, grid, n_fock)
+        assert np.max(np.abs(got.sigma_minus - ref)/np.abs(ref)) <= 1e-13, nbar
+
+
+def test_fraction_matches_dense_solve_at_nbar_1000():
+    # the sized truncation (1420 levels) at three points of the fig1 grid
+    sig = Coherent(nbar=1000.0)
+    grid = FIGURES["fig1"].probe_grid_default(41)[[3, 20, 37]]
+    got = lindblad_steady_response(FIG1, sig, grid)
+    assert got.n_fock == 1420
+    ref = _dense_sigma(FIG1, sig, grid, got.n_fock)
+    assert np.max(np.abs(got.sigma_minus - ref)/np.abs(ref)) <= 1e-13
+
+
+def test_point_equals_grid_bit_for_bit():
+    # at one truncation; a sized grid takes the truncation its worst point
+    # needs, which a point alone may not
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    for nbar, n_fock in ((0.0, 40), (2.0, 80), (30.0, None)):
+        sig = Coherent(nbar=nbar)
+        whole = lindblad_steady_response(FIG1, sig, grid, n_fock=n_fock)
+        for i, wp in enumerate(grid):
+            alone = lindblad_steady_response(FIG1, sig, wp, n_fock=n_fock)
+            assert alone.n_fock <= whole.n_fock
+            one = lindblad_steady_response(FIG1, sig, wp, n_fock=whole.n_fock)
+            assert isinstance(one.sigma_minus, complex)
+            assert one.sigma_minus == whole.sigma_minus[i]
+            assert abs(one.a_expect - whole.a_expect[i]) <= 1e-15*abs(one.a_expect)
+            assert one.residual <= whole.residual
+
+
+def test_explicit_residual_is_the_change_to_1_5_n_fock():
+    sig = Coherent(nbar=3.0)
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    at_40 = lindblad_steady_response(FIG1, sig, grid, n_fock=40)
+    at_60 = lindblad_steady_response(FIG1, sig, grid, n_fock=60)
+    assert at_40.n_fock == 40
+    change = np.abs(at_40.sigma_minus - at_60.sigma_minus)/np.abs(at_60.sigma_minus)
+    assert at_40.residual == change.max()
+    assert 1e-8 < at_40.residual < 1e-6
+
+
+def test_dense_table_solve_matches_fraction():
+    # the `oracle` command's explicit-truncation table keeps the dense solve
+    grid = FIGURES["fig1"].probe_grid_default(9)
+    for nbar in (0.0, 1.0, 3.0):
+        sig = Coherent(nbar=nbar)
+        frac = lindblad_steady_response(FIG1, sig, grid, n_fock=40).sigma_minus
+        dense = [oracle.dense_sigma_minus(FIG1, sig, wp, 40) for wp in grid]
+        assert np.max(np.abs(frac - dense)/np.abs(dense)) <= 1e-13, nbar
+    with pytest.raises(ArithmeticError, match="ground block"):
+        oracle.dense_sigma_minus(FIG1, Vacuum(), FIG1.omega_c_star, 40)
+    with pytest.raises(ValueError, match="n_fock"):
+        oracle.dense_sigma_minus(FIG1, Vacuum(), Q1.omega_q, 3)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4", "fig7"])
+def test_sized_truncation_converges_to_nbar_3000(preset):
+    fp = FIGURES[preset]
+    system = fp.system()
+    grid = fp.probe_grid_default(41)
+    for nbar in (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0):
+        got = lindblad_steady_response(system, Coherent(nbar=nbar), grid)
+        assert np.isfinite(got.sigma_minus).all(), nbar
+        assert got.residual <= 1e-13, nbar
+        assert got.n_fock >= oracle._start_truncation(nbar), nbar
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig7"])
+def test_sized_truncation_grows_at_nbar_30(preset):
+    # the levels near resonance at the grid edge need more than the start
+    fp = FIGURES[preset]
+    got = lindblad_steady_response(fp.system(), Coherent(nbar=30.0),
+                                   fp.probe_grid_default(401))
+    assert oracle._start_truncation(30.0) == 136
+    assert got.n_fock == 204 and got.residual <= 1e-13
+
+
+def test_truncation_cap(monkeypatch):
+    with pytest.raises(ValueError, match="MAX_FOCK = 20000"):
+        check_supported(FIG1, Coherent(nbar=1e5))
+    with pytest.raises(ValueError, match="MAX_FOCK = 20000"):
+        check_supported(FIG1, Coherent(nbar=1.0), 20001)
+    monkeypatch.setattr(oracle, "MAX_FOCK", 100)
+    grid = FIGURES["fig1"].probe_grid_default(401)
+    # nbar 30 starts at 136 levels, above the cap
+    with pytest.raises(ValueError, match="MAX_FOCK = 100"):
+        lindblad_steady_response(FIG1, Coherent(nbar=30.0), grid)
+    # nbar 10 starts at 88 and needs 132
+    with pytest.raises(ConvergenceError, match="MAX_FOCK = 100: 88 -> 132"):
+        lindblad_steady_response(FIG1, Coherent(nbar=10.0), grid)
 
 
 def test_lindblad_cavity_amplitude_closed_form():

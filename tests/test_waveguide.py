@@ -6,7 +6,7 @@ from starkprobe.waveguide import (C_LIGHT, EPS0, MU0, CpwGeometry,
                                   ParallelPlateGeometry, _shape_factor,
                                   cpw_params, half_plane_params,
                                   parallel_plate_params)
-from starkprobe.presets import TABLE_GEOMETRY, TABLE_ROWS
+from starkprobe.presets import NOMINAL_GEOMETRY, TABLE_GEOMETRY, TABLE_ROWS
 
 
 def columns(p):
@@ -112,3 +112,27 @@ def test_thin_layers_against_mpmath():
                 p = cpw_params(CpwGeometry(g.w, g.s, h1, h2, g.eps1_rel,
                                            g.eps2_rel))
                 assert all(math.isfinite(v) for v in p.as_dict().values())
+
+
+def test_wide_gap_half_plane_against_mpmath():
+    # a gap much wider than the strip (k -> 0): K(k') comes from k itself
+    mpmath = pytest.importorskip("mpmath")
+    w = TABLE_GEOMETRY.w
+    with mpmath.workdps(60):
+        for ratio in (100.0, 1e3, 1e4):
+            k = mpmath.mpf(w)/(w + 2*mpmath.mpf(ratio*w))
+            ref = 2*mpmath.ellipk(k*k)/mpmath.ellipk(1 - k*k)
+            got = _shape_factor(w, ratio*w, math.inf)
+            assert abs(got/ref - 1) <= 1e-13, ratio
+
+
+def test_nominal_gap_moves_impedance_columns_not_velocity():
+    # the 6.6 um fabrication gap against the table's effective 7.5 um
+    table = cpw_params(TABLE_GEOMETRY).as_dict()
+    nominal = cpw_params(NOMINAL_GEOMETRY).as_dict()
+    shift = {key: abs(nominal[key]/table[key] - 1) for key in table}
+    for key in ("c_line_f_per_m", "l_line_h_per_m", "c_eff_f_per_m", "z_ohm",
+                "z_static_ohm"):
+        assert 0.034 < shift[key] < 0.038, key
+    assert shift["v_m_per_s"] < 5e-4
+    assert shift["eps_eff"] < 1e-3
