@@ -90,13 +90,13 @@ class SystemParams:
     cavity: CavityParams
     qubits: tuple[QubitParams, ...]
 
+    # dressed cavity frequency omega_c - sum_j chi_j, set from the above
+    omega_c_star: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-
-    @property
-    def omega_c_star(self) -> float:
-        """Dressed cavity frequency omega_c - sum_j chi_j."""
-        return self.cavity.omega_c - sum(q.chi for q in self.qubits)
+        object.__setattr__(self, "omega_c_star",
+                           self.cavity.omega_c - sum(q.chi for q in self.qubits))
 
 
 # Signal states.  Each owns its in-cavity (nbar, beta), its bound per-qubit
@@ -370,7 +370,8 @@ class _Lanes:
         done = small & self.small1 & self.small2
         self.small1, self.small2 = small, self.small1
         if np.count_nonzero(done):
-            self.out[self.active[done]] = self.total[done]
+            hit = done.nonzero()[0]
+            self.out[self.active[hit]] = self.total[hit]
             self._retire(done)
 
     def add_block(self, terms: np.ndarray, stop: np.ndarray) -> None:
@@ -400,7 +401,7 @@ class _Lanes:
         self._retire(finished)
 
     def _retire(self, done: np.ndarray) -> None:
-        keep = ~done
+        keep = (~done).nonzero()[0]     # one index gathers every array
         self.active, self.total, self.small1, self.small2 = (
             self.active[keep], self.total[keep], self.small1[keep],
             self.small2[keep])

@@ -143,10 +143,13 @@ def expint_scaled(n, z):
     shape comes back).  n is an integer or an integer array broadcast
     against z, each element taking its own order.  Arguments in the
     continued-fraction region run together through one vectorised Lentz
-    recurrence.  Those that need the series, a lone argument and those where
-    the fraction stalls go through the scalar helpers one at a time, with
-    the values of a scalar call.  A non-finite result raises
-    ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
+    recurrence, each leaving it as it converges, so that its value is the
+    same whichever others share the recurrence.  Those that need the
+    series, a lone argument and each lane of the recurrence that goes
+    non-finite or reaches the iteration cap go through the scalar helpers
+    one at a time, with the values of a scalar call.  A non-finite result
+    raises ConvergenceError; an order below 1, or n = 1 at z = 0,
+    ValueError.
     """
     zs = np.asarray(z, dtype=complex)
     each_n = np.ndim(n) > 0
@@ -178,7 +181,8 @@ def expint_scaled(n, z):
             n[lanes] if each_n else n, flat[lanes])
         lanes = lanes[stalled]
     # a lone argument runs the scalar recurrence, at a tenth of the cost of
-    # the array one, and so do the lanes where the array one stalled
+    # the array one, and so do the lanes where the array one stalled or went
+    # non-finite
     for i in lanes:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         try:
@@ -251,7 +255,12 @@ def _expint_scaled_cf_lanes(n, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _expint_scaled_cf with one lane per element of z; a lane leaves the
     # recurrence once it has converged.  n is one order for every lane or an
     # array of one per lane.  The second result masks the lanes that stalled
-    # or went non-finite, which the caller replaces.
+    # or went non-finite, which the caller recomputes through the scalar
+    # path.  Nothing floors c or d at tiny here: a c of 0, or a d of inf from
+    # a zero denominator, turns the lane's h NaN for good, so it never
+    # converges and leaves through that mask too, to the scalar recurrence,
+    # which floors.  (A d of 0 would need a*d + b to overflow, after a
+    # denominator below about 1e-300.)
     tiny = 1e-300
     out = np.full(z.shape, np.nan, dtype=complex)
     lane = np.arange(z.size)
@@ -266,19 +275,20 @@ def _expint_scaled_cf_lanes(n, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             d = 1.0/(a*d + b)
             c = b + a/c
             delta = c*d
-            if np.count_nonzero(delta) < delta.size:
-                # floor a vanishing c or d at tiny
-                c[c == 0] = tiny
-                d[d == 0] = tiny
-                delta = c*d
             # not in place: numpy's in-place complex product on a one-element
             # array rounds unfused, unlike its other array products, which
             # would make a lane's value depend on how many lanes are left
             h = h*delta
-            done = np.abs(delta - 1.0) < 1e-16
+            # the scalar test |delta - 1| < 1e-16, exactly: the doubles next
+            # to 1 lie 2^-53 and 2^-52 away, both above 1e-16, so it holds
+            # only where Re delta is 1, and there hypot(0, y) = |y|; a NaN
+            # fails both
+            done = (delta.real == 1.0) & (np.abs(delta.imag) < 1e-16)
             if np.count_nonzero(done):
-                out[lane[done]] = h[done]
-                keep = ~done
+                # integer indices: a boolean mask would be scanned per array
+                hit = done.nonzero()[0]
+                out[lane[hit]] = h[hit]
+                keep = (~done).nonzero()[0]
                 lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
                 if np.ndim(n):
                     n = n[keep]

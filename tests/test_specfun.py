@@ -309,6 +309,24 @@ def test_expint_scaled_array_order_matches_scalar_order():
         assert np.array_equal(block[j], expint_scaled(int(orders[j, 0]), z[j])), j
 
 
+def test_expint_scaled_lanes_are_independent():
+    # the array fraction retires each lane as it converges: an argument's
+    # value must not depend on which others share the call, bit for bit,
+    # for any two or more arguments (a lone one takes the scalar recurrence)
+    rng = np.random.default_rng(23)
+    # |z| from 13 to 1e6 at |arg z| < 3: the fraction converges after 2
+    # (large |z|) to several hundred (near the cut) iterations
+    z = (np.geomspace(13.0, 1e6, 120)
+         * np.exp(1j*rng.uniform(-3.0, 3.0, 120)))
+    z = np.append(z, -40.0 - 1e-6j)          # stalls: the scalar fallback
+    for n in (3, rng.integers(1, 40, z.size)):
+        full = expint_scaled(n, z)
+        for size in rng.integers(2, z.size, 25):
+            pick = np.sort(rng.choice(z.size, size, replace=False))
+            got = expint_scaled(n[pick] if np.ndim(n) else n, z[pick])
+            assert np.array_equal(got.view(float), full[pick].view(float)), size
+
+
 @pytest.mark.xfail(strict=True, reason="expint_scaled's series branch (Re z > 0, "
                    "|z| <= 6) loses up to 1.2e-10 relative accuracy (n = 8, "
                    "z = 6 e^(-i pi/12)); the continued fraction is good to "
