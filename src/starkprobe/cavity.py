@@ -100,26 +100,6 @@ def resonances(geom: ResonatorGeometry, n_max: int) -> list[CavityMode]:
     return modes
 
 
-def small_gap_mode(geom: ResonatorGeometry, n: int) -> CavityMode:
-    """Leading small-C expansion: shift -2C/(C'L) omega_n0 and width
-    (4c/L)(n pi C/(L C'))^2; valid for C <~ 0.04 C'L."""
-    ratio = geom.capacitance_ratio
-    omega_0 = n*math.pi*geom.velocity/geom.length
-    omega_n = omega_0*(1.0 - 2.0*ratio)
-    gamma_n = 4.0*(geom.velocity/geom.length)*(n*math.pi*ratio)**2
-    return CavityMode(n=n, omega_n=omega_n, gamma_n=gamma_n,
-                      q_factor=omega_n/gamma_n)
-
-
-def quality_factor_estimate(geom: ResonatorGeometry, n: int) -> float:
-    """Closed form C'^2 L^2/(2 n pi C^2) = C'L/(2 omega_n0 Z C^2).
-
-    This quotes the resonance over the half-width gamma_n/2, i.e. twice
-    CavityMode.q_factor (which divides by the full width).
-    """
-    return 1.0/(2.0*n*math.pi*geom.capacitance_ratio**2)
-
-
 def bare_s_params(geom: ResonatorGeometry, omega: float) -> tuple[complex, complex]:
     """(S21, S11) of the empty resonator at angular frequency omega.
 

@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
         system = p.add_mutually_exclusive_group()
         system.add_argument("--preset", choices=sorted(presets.FIGURES))
         add_config(system)
-        p.add_argument("--components", action="store_true",
-                       help="emit per-term columns")
+        if name == "detect":
+            p.add_argument("--components", action="store_true",
+                           help="emit per-term columns")
 
     p = sub.add_parser("oracle", help="analytic vs truncated-Fock deviations")
     add_out(p)
@@ -199,13 +200,22 @@ def _preset_from(args) -> presets.FigurePreset:
 
 
 def _signal_from(args, system, fp) -> detector.SignalState:
+    vacuum = args.state == "vacuum"
+    # a flag that cannot change what the state writes is refused
+    for flag, unread in (("--nbar", vacuum and args.nbar is not None),
+                         ("--flux", vacuum and args.flux is not None),
+                         ("--tau-c", args.state != "thermal"
+                          and args.tau_c is not None),
+                         ("--fom", vacuum and getattr(args, "fom", False))):
+        if unread:
+            raise ConfigError(f"{flag} does not apply to --state {args.state}")
     omega = system.omega_c_star + math.tau*args.detuning
     nbar = args.nbar
     flux = args.flux
     if nbar is None and flux is None:
         nbar = fp.nbar
     fields = {"flux": flux, "nbar": nbar, "signal_omega": omega}
-    if args.state == "vacuum":
+    if vacuum:
         return detector.Vacuum(signal_omega=omega)
     if args.state == "coherent":
         return detector.Coherent(**fields)
@@ -259,7 +269,7 @@ def _cmd_spectrum(args, model: str) -> int:
         with_components=getattr(args, "components", False))
         for run_stem, run_sig in runs}
     tables = {}
-    if getattr(args, "fom", False) and args.state != "vacuum":
+    if getattr(args, "fom", False):
         vac = detector.sweep(system, detector.Vacuum(), grid, model=model)
         for run_stem, spec in spectra.items():
             tables[f"{run_stem}_fom.csv"] = output.csv_text(

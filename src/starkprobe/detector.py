@@ -678,14 +678,15 @@ def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
     """
     if model not in ("full", "comb"):
         raise ValueError(f"unknown model {model!r}")
+    if model == "comb" and with_components:
+        raise ValueError("the comb model has no per-term components")
     grid = np.asarray(omega_p_grid, dtype=float)
     # the one photon-number lookup of a sweep, and so its one validity warning
     nbar, _ = cavity_photon_number(sig, params)
-    components: Optional[dict] = None
+    components = {} if with_components else None
     if model == "comb":
         values = comb_spectrum(grid, params, sig, nbar)
     else:
-        components = {} if with_components else None
         values = s21_probe(grid, params, sig, parts=components)
     meta = {
         "model": model,

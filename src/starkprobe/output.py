@@ -66,63 +66,11 @@ def spectrum_to_csv(spec: Spectrum, path: Path) -> None:
     path.write_text(csv_text(",".join(_column_names(spec)), *columns))
 
 
-def csv_to_spectrum(path: Path) -> Spectrum:
-    """Inverse of spectrum_to_csv (base columns only)."""
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    idx = {name: i for i, name in enumerate(header)}
-    omega, s21 = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        omega.append(float(cells[idx["omega_p_hz"]])*math.tau)
-        s21.append(complex(float(cells[idx["re_s21"]]),
-                           float(cells[idx["im_s21"]])))
-    return Spectrum(omega_p=np.array(omega), s21=np.array(s21))
-
-
-SIDECAR_SCHEMA = {
-    "type": "object",
-    "required": ["format", "columns", "points", "parameters"],
-    "properties": {
-        "format": {"type": "string"},
-        "columns": {"type": "array", "items": {"type": "string"}},
-        "points": {"type": "integer"},
-        "parameters": {"type": "object"},
-    },
-}
-
-
-def sidecar_dict(spec: Spectrum) -> dict:
-    return {
-        "format": "starkprobe-spectrum-v1",
-        "columns": _column_names(spec),
-        "points": int(spec.omega_p.size),
-        "parameters": spec.meta,
-    }
-
-
-def validate_sidecar(doc: dict) -> None:
-    """Minimal structural validation against SIDECAR_SCHEMA."""
-    def check(node, schema, where):
-        expected = schema.get("type")
-        kinds = {"object": dict, "array": list, "string": str, "integer": int}
-        if expected in kinds and not isinstance(node, kinds[expected]):
-            raise ValueError(f"{where}: expected {expected}")
-        for req in schema.get("required", ()):
-            if req not in node:
-                raise ValueError(f"{where}: missing key {req!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if isinstance(node, dict) and key in node:
-                check(node[key], sub, f"{where}.{key}")
-        if expected == "array" and "items" in schema:
-            for i, item in enumerate(node):
-                check(item, schema["items"], f"{where}[{i}]")
-    check(doc, SIDECAR_SCHEMA, "$")
-
-
 def spectrum_to_json(spec: Spectrum, path: Path) -> None:
-    doc = sidecar_dict(spec)
-    validate_sidecar(doc)
+    """The sidecar: the format tag, the CSV's column names, its number of
+    points and the resolved parameters."""
+    doc = {"format": "starkprobe-spectrum-v1", "columns": _column_names(spec),
+           "points": int(spec.omega_p.size), "parameters": spec.meta}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=float)
                     + "\n")
 

@@ -91,35 +91,20 @@ FIGURES: dict[str, FigurePreset] = {
 CONFIG_DEFAULT = FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3)
 
 
-# Reference CPW line geometries.  The published line-constant table is
-# reproduced by an effective gap of 7.5 um (conformal modulus k0 = 0.40);
-# the nominal fabrication gap of 6.6 um (k0 = 0.431) shifts C', L', C_eff,
-# Z and Z_static by 3.5-3.8%, v and eps_eff by under 0.1%.  TABLE_GEOMETRY
-# pins the effective value so the table rows come out as published.
+# The published line-constant table is reproduced by an effective gap of
+# 7.5 um (conformal modulus k0 = 0.40); TABLE_GEOMETRY pins it, so the
+# table rows come out as published.
 TABLE_GEOMETRY = CpwGeometry(w=10e-6, s=7.5e-6, h1=500e-6, h2=550e-9,
                              eps1_rel=11.6, eps2_rel=3.78)
-NOMINAL_GEOMETRY = CpwGeometry(w=10e-6, s=6.6e-6, h1=500e-6, h2=550e-9,
-                               eps1_rel=11.6, eps2_rel=3.78)
 PLATE_GEOMETRY = ParallelPlateGeometry(w_plate=10e-6, d1=500e-6, d2=550e-9,
                                        eps1_rel=11.6, eps2_rel=3.78)
 
-TABLE_ROWS = {
-    # columns: C' [F/m], v/c, eps_eff, L' [H/m], C_eff [F/m], Z, Z_static
-    "two_half_planes": (1.55e-10, 0.398, 6.30, 8.32e-7, 0.84e-10, 99.4, 73.0),
-    "eps2_eq_eps1":    (1.54e-10, 0.409, 5.99, 4.54e-7, 1.47e-10, 55.6, 54.3),
-    "full":            (1.44e-10, 0.434, 5.30, 2.36e-7, 2.49e-10, 30.8, 40.5),
-}
 
-
-def resonator_preset(capacitance_ratio: float, length: float = 0.02,
-                     line_capacitance: float = 1.6e-10,
-                     velocity: float = 1.2e8) -> ResonatorGeometry:
-    """Resonator with a chosen C/(C'L); defaults give a cm-scale device."""
-    return ResonatorGeometry(
-        length=length,
-        gap_capacitance=capacitance_ratio*line_capacitance*length,
-        line_capacitance=line_capacitance,
-        velocity=velocity)
+def resonator_preset(capacitance_ratio: float) -> ResonatorGeometry:
+    """A cm-scale resonator with the gap ratio C/(C'L) given."""
+    return ResonatorGeometry(length=0.02,
+                             gap_capacitance=capacitance_ratio*1.6e-10*0.02,
+                             line_capacitance=1.6e-10, velocity=1.2e8)
 
 
 # the artificial atom of the `atom` sweep

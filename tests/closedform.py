@@ -1,11 +1,15 @@
-"""Closed forms the tests check the package against: the 1F1 form of the
-coherent response (the dual path of its series), 1F1 itself, Tricomi U
-(e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and gamma."""
+"""Closed forms and published data the tests check the package against:
+the 1F1 form of the coherent response (the dual path of its series), 1F1
+itself, Tricomi U (e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and gamma; the
+small-gap expansions of the resonator modes; and the published
+line-constant table with the nominal CPW geometry."""
 
 import cmath
 import math
 
+from starkprobe.cavity import CavityMode, ResonatorGeometry
 from starkprobe.specfun import _SERIES_RTOL, ConvergenceError, _check_finite
+from starkprobe.waveguide import CpwGeometry
 
 _SERIES_MAX_TERMS = 10000
 
@@ -161,3 +165,43 @@ def _kummer_u_logseries(a: complex, b: int, z: complex) -> complex:
                 zk *= z
             total += math.factorial(n - 1)*rg_a*z**(-n)*s
     return _check_finite(total, "kummer_u")
+
+
+# ---------------------------------------------------------------------------
+# Resonator modes at small gap capacitance
+
+def small_gap_mode(geom: ResonatorGeometry, n: int) -> CavityMode:
+    """Leading small-C expansion: shift -2C/(C'L) omega_n0 and width
+    (4c/L)(n pi C/(L C'))^2; valid for C <~ 0.04 C'L."""
+    ratio = geom.capacitance_ratio
+    omega_0 = n*math.pi*geom.velocity/geom.length
+    omega_n = omega_0*(1.0 - 2.0*ratio)
+    gamma_n = 4.0*(geom.velocity/geom.length)*(n*math.pi*ratio)**2
+    return CavityMode(n=n, omega_n=omega_n, gamma_n=gamma_n,
+                      q_factor=omega_n/gamma_n)
+
+
+def quality_factor_estimate(geom: ResonatorGeometry, n: int) -> float:
+    """Closed form C'^2 L^2/(2 n pi C^2) = C'L/(2 omega_n0 Z C^2).
+
+    This quotes the resonance over the half-width gamma_n/2, i.e. twice
+    CavityMode.q_factor (which divides by the full width).
+    """
+    return 1.0/(2.0*n*math.pi*geom.capacitance_ratio**2)
+
+
+# ---------------------------------------------------------------------------
+# The published line-constant table of the reference CPW
+
+TABLE_ROWS = {
+    # columns: C' [F/m], v/c, eps_eff, L' [H/m], C_eff [F/m], Z, Z_static
+    "two_half_planes": (1.55e-10, 0.398, 6.30, 8.32e-7, 0.84e-10, 99.4, 73.0),
+    "eps2_eq_eps1":    (1.54e-10, 0.409, 5.99, 4.54e-7, 1.47e-10, 55.6, 54.3),
+    "full":            (1.44e-10, 0.434, 5.30, 2.36e-7, 2.49e-10, 30.8, 40.5),
+}
+
+# the nominal fabrication gap of 6.6 um (k0 = 0.431), against the effective
+# 7.5 um of presets.TABLE_GEOMETRY, shifts C', L', C_eff, Z and Z_static by
+# 3.5-3.8%, v and eps_eff by under 0.1%
+NOMINAL_GEOMETRY = CpwGeometry(w=10e-6, s=6.6e-6, h1=500e-6, h2=550e-9,
+                               eps1_rel=11.6, eps2_rel=3.78)

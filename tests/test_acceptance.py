@@ -11,20 +11,20 @@ import time
 import numpy as np
 
 from starkprobe.atom import AtomParams, atom_s_params
-from starkprobe.cavity import bare_s_params, resonances, small_gap_mode
+from starkprobe.cavity import bare_s_params, resonances
 from starkprobe.detector import (Coherent, Incoherent, Thermal, Vacuum,
                                  cavity_photon_number,
                                  qubit_response_coherent,
                                  qubit_response_incoherent,
                                  qubit_response_thermal, s21_probe, sweep)
 from starkprobe.oracle import lindblad_steady_response
-from starkprobe.presets import (FIGURES, TABLE_GEOMETRY, TABLE_ROWS,
-                                resonator_preset)
+from starkprobe.presets import FIGURES, TABLE_GEOMETRY, resonator_preset
 from starkprobe.specfun import elliptic_k, expint_scaled, lambert_w
 from starkprobe.waveguide import (C_LIGHT, CpwGeometry, cpw_params,
                                   half_plane_params)
 
-from closedform import coherent_response_closed, hyp1f1, kummer_u
+from closedform import (TABLE_ROWS, coherent_response_closed, hyp1f1,
+                        kummer_u, small_gap_mode)
 from peakfit import analyze_comb
 
 TWO_PI = 2.0*math.pi

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from starkprobe.cavity import (ResonatorGeometry, bare_s_params, resonances,
-                               small_gap_mode, quality_factor_estimate)
+from starkprobe.cavity import ResonatorGeometry, bare_s_params, resonances
 from starkprobe.presets import resonator_preset
+
+from closedform import quality_factor_estimate, small_gap_mode
 
 
 def test_high_q_limit_recovers_harmonics():

@@ -6,7 +6,9 @@ from starkprobe.waveguide import (C_LIGHT, EPS0, MU0, CpwGeometry,
                                   ParallelPlateGeometry, _shape_factor,
                                   cpw_params, half_plane_params,
                                   parallel_plate_params)
-from starkprobe.presets import NOMINAL_GEOMETRY, TABLE_GEOMETRY, TABLE_ROWS
+from starkprobe.presets import TABLE_GEOMETRY
+
+from closedform import NOMINAL_GEOMETRY, TABLE_ROWS
 
 
 def columns(p):
