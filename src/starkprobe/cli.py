@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nbar", type=float)
         p.add_argument("--flux", type=float, help="photon flux [1/s]")
         p.add_argument("--tau-c", type=float, help="coherence time [s]")
-        p.add_argument("--detuning", type=float, default=0.0,
-                       help="signal detuning from omega_c* [Hz]")
+        p.add_argument("--detuning", type=float,
+                       help="signal detuning from omega_c* [Hz] (default 0)")
         p.add_argument("--points", type=int, default=2001)
         p.add_argument("--oracle-check", action="store_true",
                        help="print analytic-vs-oracle deviations")
@@ -204,12 +204,16 @@ def _signal_from(args, system, fp) -> detector.SignalState:
     # a flag that cannot change what the state writes is refused
     for flag, unread in (("--nbar", vacuum and args.nbar is not None),
                          ("--flux", vacuum and args.flux is not None),
+                         ("--detuning", vacuum and args.detuning is not None),
                          ("--tau-c", args.state != "thermal"
                           and args.tau_c is not None),
                          ("--fom", vacuum and getattr(args, "fom", False))):
         if unread:
             raise ConfigError(f"{flag} does not apply to --state {args.state}")
-    omega = system.omega_c_star + math.tau*args.detuning
+    if vacuum and args.command == "figure" and fp.detunings_frac:
+        raise ConfigError(f"figure --preset {args.preset} is a detuning-error "
+                          "table, which --state vacuum has no signal for")
+    omega = system.omega_c_star + math.tau*(args.detuning or 0.0)
     nbar = args.nbar
     flux = args.flux
     if nbar is None and flux is None:

@@ -5,7 +5,11 @@ constants) and the exponential integrals E_n (incoherent response).
 Everything here is pure and thread-safe, and scalar except the scaled
 exponential integral `expint_scaled`, which also takes an array of
 arguments, with one order for all or an array of orders broadcast against
-them, and evaluates it elementwise in one pass.  Branch conventions:
+them.  An array of two or more arguments runs in three branches: the power
+series one argument at a time (small |z|), one vectorised Lentz continued
+fraction, and an 8-term asymptotic series in one pass (|z| >= 128(n + 8));
+each argument's value is the same whichever others share the call.  A lone
+argument takes the scalar series or continued fraction.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
 z >= -1/e); the exponential integrals use the principal branch with the
 cut along the negative real axis.
@@ -141,15 +145,18 @@ def expint_scaled(n, z):
 
     z is a scalar (a complex comes back) or an array (an array of the same
     shape comes back).  n is an integer or an integer array broadcast
-    against z, each element taking its own order.  Arguments in the
-    continued-fraction region run together through one vectorised Lentz
-    recurrence, each leaving it as it converges, so that its value is the
-    same whichever others share the recurrence.  Those that need the
-    series, a lone argument and each lane of the recurrence that goes
-    non-finite or reaches the iteration cap go through the scalar helpers
-    one at a time, with the values of a scalar call.  A non-finite result
-    raises ConvergenceError; an order below 1, or n = 1 at z = 0,
-    ValueError.
+    against z, each element taking its own order.  An array of two or more
+    arguments splits three ways, by |z| and the order: |z| <= 12 or so
+    takes the power series (DLMF 8.19.8), one argument at a time;
+    |z| >= 128(n + 8) takes the first 8 terms of the asymptotic series
+    (DLMF 8.20), whose first omitted term is below 128^-8 = 1.4e-17
+    relative, all together in one pass; every other argument runs through
+    one vectorised Lentz continued fraction, each leaving it as it
+    converges.  So an argument's value is the same, to the bit, whichever
+    others share the call.  A lone argument takes the series or the scalar
+    continued fraction, and so does each lane of the array one that goes
+    non-finite or reaches the iteration cap.  A non-finite result raises
+    ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
     """
     zs = np.asarray(z, dtype=complex)
     each_n = np.ndim(n) > 0
@@ -162,7 +169,8 @@ def expint_scaled(n, z):
     out = np.empty(flat.shape, dtype=complex)
     # np.abs may differ from abs() in the last bit: take the candidates for
     # the series generously and decide each one with the scalar rule
-    fraction = np.abs(flat) > 12.5
+    absz = np.abs(flat)
+    fraction = absz > 12.5
     for i in (~fraction).nonzero()[0]:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         if zi == 0:
@@ -176,13 +184,20 @@ def expint_scaled(n, z):
         else:
             fraction[i] = True
     lanes = fraction.nonzero()[0]
-    if lanes.size > 1:
-        out[lanes], stalled = _expint_scaled_cf_lanes(
-            n[lanes] if each_n else n, flat[lanes])
-        lanes = lanes[stalled]
+    if flat.size > 1:
+        far = absz[lanes] >= 128.0*((n[lanes] if each_n else n) + 8)
+        far, lanes = lanes[far], lanes[~far]
+        if far.size:
+            out[far] = _expint_scaled_asymptotic_lanes(
+                n[far] if each_n else n, flat[far])
+        if lanes.size:
+            out[lanes], stalled = _expint_scaled_cf_lanes(
+                n[lanes] if each_n else n, flat[lanes])
+            lanes = lanes[stalled]
     # a lone argument runs the scalar recurrence, at a tenth of the cost of
     # the array one, and so do the lanes where the array one stalled or went
-    # non-finite
+    # non-finite; in a call of two or more every other fraction lane keeps
+    # the array one, even alone, or its value would depend on its company
     for i in lanes:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         try:
@@ -227,6 +242,23 @@ def _expint_scaled_asymptotic(n: int, z: complex) -> complex:
         if abs(term) < _SERIES_RTOL*abs(total):
             break
     return _check_finite(out/z, "expint_scaled")
+
+
+def _expint_scaled_asymptotic_lanes(n, z: np.ndarray) -> np.ndarray:
+    # (1/z) sum_{k<8} (-1)^k (n)_k / z^k by Horner, elementwise, for
+    # |z| >= 128(n + 8): the first omitted term is below 128^-8 relative, so
+    # no lane needs a convergence test.  n is one order or one per lane.
+    # Out-of-place products only, which round alike at every array length.
+    with np.errstate(all="ignore"):     # a non-finite z raises below
+        w = 1.0/z
+        total = 1.0 - (n + 6.0)*w
+        for k in range(6, 0, -1):
+            total = 1.0 - ((n + (k - 1.0))*w)*total
+        out = total*w
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ConvergenceError(f"expint_scaled: non-finite result at z = {z[bad][0]!r}")
+    return out
 
 
 def _expint_scaled_cf(n: int, z: complex) -> complex:

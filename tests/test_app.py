@@ -402,6 +402,24 @@ def test_cli_figure_detuning_error_and_fom(tmp_path):
     assert len(fom.splitlines()) == 16
 
 
+def test_cli_figure_fig10_needs_a_signal(tmp_path, capsys):
+    # fig10 is the detuning-error table, which the vacuum has no signal for:
+    # refused before anything is computed, where it used to be left out
+    out = tmp_path/"no"
+    assert run_cli(["figure", "--preset", "fig10", "--state", "vacuum",
+                    "--points", "5", "--out", str(out)]) == 2
+    assert ("config error: figure --preset fig10 is a detuning-error table"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # detect and comb write the spectrum alone, as for any preset
+    for command in ("detect", "comb"):
+        assert run_cli([command, "--preset", "fig10", "--state", "vacuum",
+                        "--points", "5", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comb_fig10_vacuum.csv", "comb_fig10_vacuum.json",
+        "full_fig10_vacuum.csv", "full_fig10_vacuum.json"]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # missing config -> 2
     assert run_cli(["detect", "--out", str(tmp_path)]) == 2
@@ -458,7 +476,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["detect", "--config", str(no_qubit), "--oracle-check"],
                  ["detect", "--preset", "fig1", "--detuning", "nan"],
                  ["detect", "--preset", "fig1", "--points", "5", "--format", ","],
-                 ["detect", "--preset", "fig1", "--state", "vacuum",
+                 ["detect", "--preset", "fig1", "--state", "incoherent",
                   "--detuning", "inf"], *rejected):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
@@ -521,7 +539,12 @@ def test_cli_exit_codes(tmp_path, capsys):
             ([*fig1, "--state", "incoherent", "--tau-c", "1e-12"],
              "--tau-c does not apply to --state incoherent"),
             ([*fig1, "--state", "vacuum", "--fom"],
-             "--fom does not apply to --state vacuum")):
+             "--fom does not apply to --state vacuum"),
+            *(([command, "--preset", "fig1", "--points", "5", "--state",
+                "vacuum", "--detuning", detuning],
+               "--detuning does not apply to --state vacuum")
+              for command in ("detect", "comb", "figure")
+              for detuning in ("1e6", "0"))):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
         err = capsys.readouterr().err

@@ -119,8 +119,12 @@ def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
     system = fp.system()
     for npts in (2, 7, 101, 401):
         grid = fp.probe_grid_default(npts)
-        for sig in (Coherent(nbar=3.0), Incoherent(nbar=3.0),
-                    Thermal(tau_c=fp.tau_c, nbar=3.0)):
+        sigs = [Coherent(nbar=3.0), Incoherent(nbar=3.0),
+                Thermal(tau_c=fp.tau_c, nbar=3.0)]
+        if preset == "fig1":
+            # a long series, most of whose terms are asymptotic lanes
+            sigs.append(Incoherent(nbar=30.0))
+        for sig in sigs:
             blocks = sweep(system, sig, grid).s21
             with monkeypatch.context() as m:
                 m.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)

@@ -232,6 +232,9 @@ def test_expint_scaled_domain():
     with pytest.raises(ValueError, match="diverges at z = 0"):
         expint_scaled(np.array([2, 1]), np.zeros(2))
     assert expint_scaled(2, 0.0) == 1.0
+    # a non-finite argument far out, in the asymptotic branch
+    with pytest.raises(ConvergenceError, match="non-finite result"):
+        expint_scaled(1, np.array([complex(np.nan, np.inf), 2000.0]))
     assert np.array_equal(expint_scaled(np.array([2, 3, 5]), 0.0),
                           [1.0, 0.5, 0.25])
 
@@ -310,21 +313,50 @@ def test_expint_scaled_array_order_matches_scalar_order():
 
 
 def test_expint_scaled_lanes_are_independent():
-    # the array fraction retires each lane as it converges: an argument's
-    # value must not depend on which others share the call, bit for bit,
-    # for any two or more arguments (a lone one takes the scalar recurrence)
+    # an argument's value must not depend on which others share the call,
+    # bit for bit, for any two or more arguments (a lone one takes the scalar
+    # recurrence): the subsets mix series lanes, fraction lanes, which leave
+    # the recurrence as they converge, and asymptotic lanes, down to one lane
+    # of a kind in a call
     rng = np.random.default_rng(23)
-    # |z| from 13 to 1e6 at |arg z| < 3: the fraction converges after 2
-    # (large |z|) to several hundred (near the cut) iterations
-    z = (np.geomspace(13.0, 1e6, 120)
-         * np.exp(1j*rng.uniform(-3.0, 3.0, 120)))
+    # |z| from 1 to 1e6 at |arg z| < 3: the series below |z| = 12, then the
+    # fraction, converging after 2 (large |z|) to several hundred (near the
+    # cut) iterations, and the asymptotic series from |z| = 128(n + 8) on
+    z = (np.geomspace(1.0, 1e6, 160)
+         * np.exp(1j*rng.uniform(-3.0, 3.0, 160)))
     z = np.append(z, -40.0 - 1e-6j)          # stalls: the scalar fallback
-    for n in (3, rng.integers(1, 40, z.size)):
+    for n in (3, 700, rng.integers(1, 40, z.size),
+              rng.integers(1, 701, z.size)):
         full = expint_scaled(n, z)
-        for size in rng.integers(2, z.size, 25):
+        # a pair puts each lane into a call with only one of its kind
+        sizes = [*rng.integers(2, z.size, 25), *[2]*10]
+        for size in sizes:
             pick = np.sort(rng.choice(z.size, size, replace=False))
             got = expint_scaled(n[pick] if np.ndim(n) else n, z[pick])
             assert np.array_equal(got.view(float), full[pick].view(float)), size
+
+
+def test_expint_scaled_asymptotic_branch_against_mpmath():
+    # from |z| = 128(n + 8) on, an array call sums 8 terms of the asymptotic
+    # series: good to 1e-15 just inside that boundary, in both half-planes
+    # and up to the branch cut, and within 1e-15 of the continued fraction
+    # just outside it (compared as z e^z E_n(z), which moves by about
+    # 1/128th of the 2e-15 step across the boundary)
+    mpmath = pytest.importorskip("mpmath")
+    edge = math.pi - 1e-8
+    theta = np.concatenate([np.linspace(-edge, edge, 17), [-3.0, 3.0]])
+    with mpmath.workdps(30):
+        for n in (1, 2, 7, 40, 700):
+            bound = 128.0*(n + 8)
+            inside = bound*(1.0 + 1e-15)*np.exp(1j*theta)
+            outside = bound*(1.0 - 1e-15)*np.exp(1j*theta)
+            assert np.all(np.abs(inside) >= bound) and np.all(np.abs(outside) < bound)
+            got = expint_scaled(n, np.concatenate([inside, outside]))
+            ref = np.array([complex(mpmath.exp(z)*mpmath.expint(n, z))
+                            for z in map(complex, inside)])
+            far, near = inside*got[:theta.size], outside*got[theta.size:]
+            assert np.all(np.abs(got[:theta.size] - ref) <= 1e-15*np.abs(ref)), n
+            assert np.all(np.abs(far - near) <= 1e-15*np.abs(near)), n
 
 
 @pytest.mark.xfail(strict=True, reason="expint_scaled's series branch (Re z > 0, "
