@@ -7,9 +7,11 @@ The ground block is diagonal and is divided out.  The qubit-excited block,
 2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
 response chi [block^-1]_00 is a finite continued fraction: one backward
 recurrence in real arithmetic, which gives the same bits for one probe
-point (floats) as for a whole grid (arrays).  `check_supported` states the
-oracle's domain.  `dense_sigma_minus` solves the same block densely for
-the `oracle` command's explicit-truncation table.
+point (floats) as for a whole grid (arrays).  The truncation and its check
+at 1.5 times the levels share one pass from the check's top level down.
+`check_supported` states the oracle's domain.  `dense_sigma_minus` solves
+the same block densely for the `oracle` command's explicit-truncation
+table.
 """
 
 from __future__ import annotations
@@ -71,20 +73,36 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
     return params.qubits[0], beta
 
 
-def _fraction(n_fock: int, num: float, x, u: float, v: float, y: float,
-              h: float, q: float):
-    """num/g_0, from g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1) with
-    the excited block's diagonal d_k = x - (u + k v) + i (y + k h).  The
-    complex division is spelt out, so that floats and arrays round alike."""
-    k = float(n_fock - 1)
+def _fraction_pair(n_fock: int, bigger: int, num: float, x, u: float,
+                   v: float, y: float, h: float, q: float):
+    """(num/g_0 at n_fock levels, num/g_0 at bigger > n_fock levels), from
+    g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1) with the excited
+    block's diagonal d_k = x - (u + k v) + i (y + k h).  One backward pass:
+    the bigger recurrence runs alone down to level n_fock - 1, where the
+    smaller one starts, and from there both share each level's d_k and
+    q (k+1).  The complex division is spelt out, so that floats and arrays
+    round alike."""
+    k = float(bigger - 1)
     gr, gi = x - (u + k*v), y + k*h
-    while k:
+    while k >= n_fock:
         s = q*k/(gr*gr + gi*gi)
         k -= 1.0
-        gr = x - (u + k*v) - s*gr
-        gi = y + k*h + s*gi
-    s = num/(gr*gr + gi*gi)
-    return complex(s*gr, -s*gi) if isinstance(s, float) else s*gr - 1j*(s*gi)
+        dr, di = x - (u + k*v), y + k*h
+        gr, gi = dr - s*gr, di + s*gi
+    fr, fi = dr, di
+    while k:
+        qk = q*k
+        s, t = qk/(gr*gr + gi*gi), qk/(fr*fr + fi*fi)
+        k -= 1.0
+        dr, di = x - (u + k*v), y + k*h
+        gr, gi = dr - s*gr, di + s*gi
+        fr, fi = dr - t*fr, di + t*fi
+    pair = []
+    for gr, gi in ((fr, fi), (gr, gi)):
+        s = num/(gr*gr + gi*gi)
+        pair.append(complex(s*gr, -s*gi) if isinstance(s, float)
+                    else s*gr - 1j*(s*gi))
+    return pair
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
@@ -119,10 +137,9 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     explicit = n_fock is not None
     n_fock = n_fock if explicit else _start_truncation(b2)
     with contextlib.nullcontext() if scalar else np.errstate(all="ignore"):
-        sigma = _fraction(n_fock, *terms)
+        bigger = math.ceil(1.5*n_fock)
         while True:
-            bigger = math.ceil(1.5*n_fock)
-            check = _fraction(bigger, *terms)
+            sigma, check = _fraction_pair(n_fock, bigger, *terms)
             change = abs(sigma - check)/abs(check)
             change = change if scalar else float(change.max())
             # nan or inf once either pass leaves the floats
@@ -135,7 +152,7 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
                     f"oracle truncation reached the cap MAX_FOCK = {MAX_FOCK}:"
                     f" {n_fock} -> {bigger} levels still changed sigma_minus"
                     f" by {change:.3e}")
-            n_fock, sigma = bigger, check
+            n_fock, bigger = bigger, math.ceil(1.5*bigger)
     # (Omega_p/2) a+ |0> over the ground block
     return SteadyResponse(omega_p=wp, sigma_minus=sigma,
                           a_expect=0.5/((wp - omega) - pull),

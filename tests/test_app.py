@@ -389,6 +389,14 @@ def test_cli_failed_run_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_cli_comb_sideband_cap_writes_nothing(tmp_path, capsys):
+    out = tmp_path/"out"
+    assert run_cli(["comb", "--preset", "fig1", "--state", "incoherent",
+                    "--nbar", "20000", "--points", "5", "--out", str(out)]) == 3
+    assert "comb sideband table cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_figure_detuning_error_and_fom(tmp_path):
     rc = run_cli(["figure", "--preset", "fig10", "--state", "coherent",
                   "--nbar", "1", "--points", "15", "--format", "csv",

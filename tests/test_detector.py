@@ -17,7 +17,7 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  qubit_response_thermal, s21_probe,
                                  s21_signal, sweep)
 from starkprobe.presets import FIGURES
-from starkprobe.specfun import expint_scaled
+from starkprobe.specfun import ConvergenceError, expint_scaled
 from starkprobe.waveguide import WaveguideParams
 
 from closedform import coherent_response_closed, kummer_u
@@ -412,6 +412,19 @@ def test_comb_weight_normalisation():
             assert total > 1.0 - 1e-10
             assert abs(sum(sig.sideband(k, nbar, 1.0)[0] for k in range(n + 200))
                        - 1.0) < 1e-10
+
+
+def test_comb_sideband_table_cap():
+    # a Bose table needs about 23 nbar sidebands for a weight of 1 - 1e-10,
+    # more than the cap of 100000 for incoherent light at nbar 2e4 (99.33%)
+    # and thermal light at 5e3; the Poisson table stays narrow
+    fp = FIGURES["fig1"]
+    grid = fp.probe_grid_default(5)
+    for sig in (Incoherent(nbar=2e4), Thermal(tau_c=fp.tau_c, nbar=5e3)):
+        with pytest.raises(ConvergenceError,
+                           match="comb sideband table cap: 100000 sidebands"):
+            comb_spectrum(grid, FIG1, sig)
+    assert np.all(np.isfinite(comb_spectrum(grid, FIG1, Coherent(nbar=1e4))))
 
 
 def test_multi_qubit_sum():

@@ -273,6 +273,18 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
     change = np.abs(at_40.sigma_minus - at_60.sigma_minus)/np.abs(at_60.sigma_minus)
     assert at_40.residual == change.max()
     assert 1e-8 < at_40.residual < 1e-6
+    # a lone point runs both truncations in one pass as well, in floats
+    for n_fock in (40, 80):
+        whole = lindblad_steady_response(FIG1, sig, grid, n_fock=n_fock)
+        for i in (3, 20):
+            wp = float(grid[i])
+            alone = lindblad_steady_response(FIG1, sig, wp, n_fock=n_fock)
+            check = lindblad_steady_response(FIG1, sig, wp,
+                                             n_fock=math.ceil(1.5*n_fock))
+            assert alone.n_fock == n_fock
+            assert alone.sigma_minus == whole.sigma_minus[i]
+            assert alone.residual == (abs(alone.sigma_minus - check.sigma_minus)
+                                      /abs(check.sigma_minus))
 
 
 def test_dense_table_solve_matches_fraction():
