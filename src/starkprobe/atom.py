@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .config import FINITE, NON_NEGATIVE, POSITIVE, check_values
 
-HBAR = 1.054571817e-34
-
 
 @dataclass(frozen=True)
 class AtomParams:
@@ -53,13 +51,3 @@ def atom_s_params(p: AtomParams) -> tuple[complex, complex]:
     s11 = -(g1/(2.0*gp))*(1.0 + 1j*d/gp)/denom
     return s11, 1.0 + s11
 
-
-def radiative_rate_from_power(rabi_abs: float, omega_atom: float,
-                              power: float) -> float:
-    """Line-coupled decay estimate Gamma_1 = |Omega|^2 hbar omega / (2 P).
-
-    Order-of-magnitude bookkeeping for comparing against a measured total
-    decay rate; no accuracy is implied beyond that.
-    """
-    check_values(dict(power=power), power=POSITIVE)
-    return rabi_abs**2*HBAR*omega_atom/(2.0*power)

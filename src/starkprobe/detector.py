@@ -104,7 +104,7 @@ class SystemParams:
 # Signal states.  Each owns its in-cavity (nbar, beta), its bound per-qubit
 # response and its comb sidebands (weight, cavity-induced width): Poisson
 # weights for coherent light, geometric (Bose) ones for incoherent and
-# thermal light.
+# thermal light, with a count of them that a comb table surely exceeds.
 
 def _lorentzian_fill(sig, params: SystemParams) -> tuple[float, float, float]:
     """(delta, flux, nbar) of a flux filling the cavity Lorentzian.
@@ -124,6 +124,14 @@ def _bose_weight(n: int, nbar: float) -> float:
     return math.exp(n*math.log(nbar) - (n + 1)*math.log(nbar + 1.0))
 
 
+def _bose_min_sidebands(nbar: float) -> float:
+    """Sidebands a Bose table surely exceeds: the N at which the tail
+    (nbar/(nbar + 1))^N is 2e-10.  Near the cap the table's running sum
+    overshoots the exact weight by a few 1e-12 (it reaches 1 - 1e-10 up to
+    nbar 4350, the exact tail up to 4342), far less than the margin."""
+    return math.log(2e-10)/-math.log1p(1.0/nbar)
+
+
 @dataclass(frozen=True)
 class Coherent:
     flux: Optional[float] = None     # photons/s
@@ -140,13 +148,21 @@ class Coherent:
         return nbar, 1j*math.sqrt(0.5*gc*flux)/(delta + 0.5j*gc)
 
     def response(self, params: SystemParams) -> Callable:
+        """R(omega_p, qubit) in this field; the binding keeps each qubit's
+        series constants from its first call on."""
         _, beta = self.photon_number(params)
         omega = signal_frequency(self, params)
-        return lambda wp, q: qubit_response_coherent(wp, q, params, beta, omega)
+        constants: dict = {}
+        return lambda wp, q: qubit_response_coherent(wp, q, params, beta, omega,
+                                                     constants)
 
     def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
         return (math.exp(-nbar + n*math.log(nbar) - math.lgamma(n + 1)),
                 0.5*(n + nbar)*gamma_c)
+
+    def min_sidebands(self, nbar: float) -> float:
+        """Sidebands the comb table surely exceeds: the Poisson mean."""
+        return nbar
 
 
 @dataclass(frozen=True)
@@ -177,6 +193,8 @@ class Incoherent:
 
     def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
         return _bose_weight(n, nbar), 0.5*n*gamma_c
+
+    min_sidebands = staticmethod(_bose_min_sidebands)
 
 
 @dataclass(frozen=True)
@@ -218,6 +236,8 @@ class Thermal:
 
     def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
         return _bose_weight(n, nbar), ((2.0*nbar + 1.0)*n + nbar)*gamma_c
+
+    min_sidebands = staticmethod(_bose_min_sidebands)
 
 
 SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
@@ -384,17 +404,10 @@ class _Lanes:
                   stop_from: float):
         """`run` for a grid of one point: numpy still forms each block of
         terms, but their sum and `add`'s stopping rule run on Python complex
-        numbers, which add to the same bits."""
-        total, quiet = 0j, 0       # quiet: the run of small terms, 3 stops
-        for n, term in enumerate(chain.from_iterable(
-                block.ravel().tolist() for _, block in blocks)):
-            total += term
-            if n >= stop_from:
-                small = abs(term) < _TERM_RTOL*max(abs(total), 1e-300)
-                quiet = quiet + 1 if small else 0
-                if quiet == 3:
-                    break
-        else:
+        numbers (`_sum_lone`), which add to the same bits."""
+        total, stopped = _sum_lone(chain.from_iterable(
+            block.ravel().tolist() for _, block in blocks), stop_from)
+        if not stopped:
             raise (ConvergenceError(cap) if cmath.isfinite(total)
                    else _not_finite(state, self.grid.flat[0]))
         value = total*scale
@@ -449,6 +462,21 @@ class _Lanes:
         self.lane.update({key: values[keep] for key, values in self.lane.items()})
 
 
+def _sum_lone(terms, stop_from: float) -> tuple[complex, bool]:
+    """(sum, stopped): the terms of one lane added one by one as Python
+    complex numbers under `add`'s stopping rule, until it stops the series
+    or the terms run out."""
+    total, quiet = 0j, 0       # quiet: the run of small terms, 3 stops
+    for n, term in enumerate(terms):
+        total += term
+        if n >= stop_from:
+            small = abs(term) < _TERM_RTOL*max(abs(total), 1e-300)
+            quiet = quiet + 1 if small else 0
+            if quiet == 3:
+                return total, True
+    return total, False
+
+
 def _not_finite(state: str, omega_p: float) -> ConvergenceError:
     return ConvergenceError(f"{state} response is not finite at "
                             f"omega_p = {float(omega_p):.17g} rad/s")
@@ -484,9 +512,58 @@ def _poisson_weights(big_w: complex):
             scale = cmath.exp(logscale)
 
 
+class _CoherentSeries:
+    """The coherent series of one qubit in one system and field, all but the
+    probe point: W, the n step, the length it should stop near and, for a
+    lone point, its first _BLOCK_ROWS Poisson weights and multiples of the
+    step.  A bound response keeps one per qubit."""
+
+    def __init__(self, qubit: QubitParams, params: SystemParams,
+                 beta: complex, signal_omega: Optional[float]):
+        chi, gc = qubit.chi, params.cavity.gamma_c
+        omega = params.omega_c_star if signal_omega is None else signal_omega
+        w = params.omega_c_star + 2.0*chi - omega - 0.5j*gc
+        beta2 = abs(beta)**2
+        big_w = 4.0*chi*chi*beta2/(w*w)
+        if not cmath.isfinite(big_w):
+            raise ConvergenceError(f"coherent response: W = {big_w} is not finite")
+        self.chi, self.big_w = chi, big_w
+        # D_0 - omega_p, in the order the terms are added
+        self.offsets = (qubit.omega_q, 2.0*chi*beta2, 1j*qubit.gamma_coh,
+                        4.0*chi*chi*beta2/w)
+        self.step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
+        # the weights fall off past term |W|; the series stops near the term
+        # where they drop below _TERM_RTOL of the largest, three terms on
+        end, drop = int(abs(big_w)), 1.0
+        while drop >= _TERM_RTOL and end < _TERM_CAP:
+            end += 1
+            drop *= abs(big_w)/end
+        self.end = end + 3
+        self.cap = ("coherent response series cap: "
+                    f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
+        self.weights = np.array(list(islice(_poisson_weights(big_w), _BLOCK_ROWS)))
+        self.steps = np.arange(_BLOCK_ROWS)*self.step
+
+    def base(self, omega_p):
+        """D_0 at omega_p, a float or an array."""
+        omega_q, shift, width, pull = self.offsets
+        return omega_p - omega_q - shift + width + pull
+
+    def lone(self, omega_p: float) -> Optional[complex]:
+        """The response at one probe point from the first _BLOCK_ROWS terms,
+        with `run`'s bits; None where they do not stop the series or the
+        sum is not finite."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = self.weights/(self.base(omega_p) - self.steps)
+        total, stopped = _sum_lone(terms.tolist(), abs(self.big_w))
+        value = total*self.chi
+        return value if stopped and cmath.isfinite(value) else None
+
+
 def qubit_response_coherent(omega_p, qubit: QubitParams,
                             params: SystemParams, beta: complex,
-                            signal_omega: Optional[float] = None):
+                            signal_omega: Optional[float] = None,
+                            constants: Optional[dict] = None):
     """Probe-normalised dipole response with a coherent field beta.
 
     Series form: chi e^-W sum_n W^n/n! / D_n with
@@ -494,30 +571,27 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     D_n = omega_p - omega_j - 2 chi(|beta|^2 + n)
           - n (omega_c* - omega - i gc/2) + i gamma_coh
           + 4 chi^2 |beta|^2 / w.
+    `constants` is a bound response's dict of the qubits' series constants,
+    which it fills on first use; a lone point sums a precomputed block of
+    terms and takes the general path only where that block falls short.
     """
-    chi, gc = qubit.chi, params.cavity.gamma_c
-    omega = params.omega_c_star if signal_omega is None else signal_omega
-    w = params.omega_c_star + 2.0*chi - omega - 0.5j*gc
-    beta2 = abs(beta)**2
-    big_w = 4.0*chi*chi*beta2/(w*w)
-    if not cmath.isfinite(big_w):
-        raise ConvergenceError(f"coherent response: W = {big_w} is not finite")
-    lanes = _Lanes(omega_p)
-    lanes.lane["base"] = (lanes.grid.ravel() - qubit.omega_q - 2.0*chi*beta2
-                          + 1j*qubit.gamma_coh + 4.0*chi*chi*beta2/w)
-    step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
-    # the weights fall off past term |W|; the series stops near the term
-    # where they drop below _TERM_RTOL of the largest, three terms on
-    end, drop = int(abs(big_w)), 1.0
-    while drop >= _TERM_RTOL and end < _TERM_CAP:
-        end += 1
-        drop *= abs(big_w)/end
+    constants = {} if constants is None else constants
+    series = constants.get(qubit)
+    if series is None:
+        series = constants[qubit] = _CoherentSeries(qubit, params, beta,
+                                                    signal_omega)
+    grid = np.asarray(omega_p, dtype=float)
+    if grid.size == 1:
+        value = series.lone(grid.item())
+        if value is not None:
+            return value if grid.ndim == 0 else np.full(grid.shape, value)
+    lanes = _Lanes(grid)
+    lanes.lane["base"] = series.base(lanes.grid.ravel())
+    step = series.step
     with np.errstate(divide="ignore", invalid="ignore"):
         return lanes.run(lambda n, weight: weight/(lanes.lane["base"] - n*step),
-                         _poisson_weights(big_w), end + 3, chi, "coherent",
-                         "coherent response series cap: "
-                         f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}",
-                         stop_from=abs(big_w))
+                         _poisson_weights(series.big_w), series.end, series.chi,
+                         "coherent", series.cap, stop_from=abs(series.big_w))
 
 
 def qubit_response_incoherent(omega_p, qubit: QubitParams,
@@ -620,6 +694,10 @@ def response_function(params: SystemParams, sig: SignalState
     """Bind a signal state into the per-qubit response R(omega_p, qubit).
 
     omega_p is a probe frequency or an array of them, as for the kernels.
+    Everything that depends on the state and the system only is formed
+    here; a coherent (or vacuum) binding also keeps each qubit's series
+    constants from the first call on, so that many lone probe points pay
+    for them once.  A state replaced by `dataclasses.replace` binds anew.
     """
     return sig.response(params)
 
@@ -678,13 +756,16 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
     -i gc/(2(omega_p - omega_c)) plus, per qubit and photon number n, a
     pole at omega_j + 2 chi n of weight P(n) gc chi/(2(omega_j - omega_c))
     and width Gamma_cav(n) + gamma_coh, as the signal state gives them,
-    up to a total weight of 1 - 1e-10, else ConvergenceError once the table
-    holds _SIDEBAND_CAP sidebands; valid for gc << chi.  omega_p is a
-    scalar or an array of probe points; the sideband table is built once.
-    nbar is the signal's in-cavity photon number when the caller already
-    has it from `cavity_photon_number`.
+    up to a total weight of 1 - 1e-10, else ConvergenceError: before the
+    first sideband where the state's `min_sidebands` passes _SIDEBAND_CAP,
+    or once the table holds _SIDEBAND_CAP sidebands; valid for gc << chi.
+    omega_p is a scalar or an array of probe points; the sideband table is
+    built once, and a lone point is summed as a one-point grid, with the
+    grid's bits.  nbar is the signal's in-cavity photon number when the
+    caller already has it from `cavity_photon_number`.
     """
-    wp = np.asarray(omega_p, dtype=float)
+    grid = np.asarray(omega_p, dtype=float)
+    wp = np.atleast_1d(grid)
     gc = params.cavity.gamma_c
     omega_c = params.cavity.omega_c
     if nbar is None:
@@ -694,6 +775,12 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
         _warn(f"comb approximation needs gamma_c << chi (ratio {gc/min_chi:.2f})")
     sidebands = [(1.0, 0.0)]     # without photons every state is the vacuum
     if nbar > 0:
+        needed = sig.min_sidebands(nbar)
+        if needed > _SIDEBAND_CAP:
+            raise ConvergenceError(
+                f"comb sideband table cap: {_SIDEBAND_CAP} sidebands fall "
+                f"short of a weight of 1 - 1e-10 at nbar={nbar:.3g}, which "
+                f"needs more than {needed:.4g}")
         sidebands, cumulative = [], 0.0
         while cumulative < 1.0 - 1e-10:
             if len(sidebands) == _SIDEBAND_CAP:
@@ -709,7 +796,7 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
         for n, (p_n, width) in enumerate(sidebands):
             total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n
                                     - 1j*(width + q.gamma_coh)))
-    return total if wp.ndim else complex(total)
+    return total if grid.ndim else complex(total[0])
 
 
 # ---------------------------------------------------------------------------

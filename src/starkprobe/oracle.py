@@ -9,14 +9,17 @@ response chi [block^-1]_00 is a finite continued fraction: one backward
 recurrence in real arithmetic, which gives the same bits for one probe
 point (floats) as for a whole grid (arrays).  The truncation and its check
 at 1.5 times the levels share one pass from the check's top level down.
-`check_supported` states the oracle's domain.  `dense_sigma_minus` solves
-the same block densely for the `oracle` command's explicit-truncation
-table.
+Only the probe point enters the pass; each level's other constants come
+from a small cache of per-level tables, so that a run of lone probe points
+forms them once.  `check_supported` states the oracle's domain.
+`dense_sigma_minus` solves the same block densely for the `oracle`
+command's explicit-truncation table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -29,6 +32,8 @@ from .specfun import ConvergenceError
 
 # the most Fock levels a truncation may hold
 MAX_FOCK = 20000
+# the most levels of a per-level table that `_levels` keeps
+_CACHED_LEVELS = 2048
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,22 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
     return params.qubits[0], beta
 
 
+@functools.lru_cache(maxsize=8)
+def _levels(bigger: int, u: float, v: float, y: float, h: float, q: float):
+    """The excited block's per-level constants, top level first: (u + k v,
+    y + k h) at k = bigger - 1, then one row (q (k+1), u + k v, y + k h)
+    for each level k below it, as Python floats (numpy's elementwise
+    products and sums round as the scalar ones do).  They do not depend on
+    the probe point, so a run of lone points forms them once; the cache
+    keeps tables of up to _CACHED_LEVELS levels, at 140 bytes a level."""
+    top = float(bigger - 1)
+    k = np.arange(top, 0.0, -1.0)
+    below = k - 1.0
+    return ((u + top*v, y + top*h),
+            tuple(zip((q*k).tolist(), (u + below*v).tolist(),
+                      (y + below*h).tolist())))
+
+
 def _fraction_pair(n_fock: int, bigger: int, num: float, x, u: float,
                    v: float, y: float, h: float, q: float):
     """(num/g_0 at n_fock levels, num/g_0 at bigger > n_fock levels), from
@@ -80,21 +101,20 @@ def _fraction_pair(n_fock: int, bigger: int, num: float, x, u: float,
     block's diagonal d_k = x - (u + k v) + i (y + k h).  One backward pass:
     the bigger recurrence runs alone down to level n_fock - 1, where the
     smaller one starts, and from there both share each level's d_k and
-    q (k+1).  The complex division is spelt out, so that floats and arrays
-    round alike."""
-    k = float(bigger - 1)
-    gr, gi = x - (u + k*v), y + k*h
-    while k >= n_fock:
-        s = q*k/(gr*gr + gi*gi)
-        k -= 1.0
-        dr, di = x - (u + k*v), y + k*h
+    q (k+1), read from `_levels`.  The complex division is spelt out, so
+    that floats and arrays round alike."""
+    levels = _levels if bigger <= _CACHED_LEVELS else _levels.__wrapped__
+    (a, b), rows = levels(bigger, u, v, y, h, q)
+    split = bigger - n_fock       # rows down to level n_fock - 1
+    gr, gi = x - a, b
+    for qk, a, b in rows[:split]:
+        s = qk/(gr*gr + gi*gi)
+        dr, di = x - a, b
         gr, gi = dr - s*gr, di + s*gi
     fr, fi = dr, di
-    while k:
-        qk = q*k
+    for qk, a, b in rows[split:]:
         s, t = qk/(gr*gr + gi*gi), qk/(fr*fr + fi*fi)
-        k -= 1.0
-        dr, di = x - (u + k*v), y + k*h
+        dr, di = x - a, b
         gr, gi = dr - s*gr, di + s*gi
         fr, fi = dr - t*fr, di + t*fi
     pair = []

@@ -414,17 +414,35 @@ def test_comb_weight_normalisation():
                        - 1.0) < 1e-10
 
 
-def test_comb_sideband_table_cap():
+def test_comb_sideband_table_cap(monkeypatch):
     # a Bose table needs about 23 nbar sidebands for a weight of 1 - 1e-10,
-    # more than the cap of 100000 for incoherent light at nbar 2e4 (99.33%)
-    # and thermal light at 5e3; the Poisson table stays narrow
+    # more than the cap of 100000 for incoherent light at nbar 2e4 and
+    # thermal light at 5e3, and so does a Poisson table past nbar 1e5: each
+    # raises before it forms a sideband.  The Poisson table stays narrow.
     fp = FIGURES["fig1"]
     grid = fp.probe_grid_default(5)
-    for sig in (Incoherent(nbar=2e4), Thermal(tau_c=fp.tau_c, nbar=5e3)):
-        with pytest.raises(ConvergenceError,
-                           match="comb sideband table cap: 100000 sidebands"):
-            comb_spectrum(grid, FIG1, sig)
+    with monkeypatch.context() as m:
+        for state in (Coherent, Incoherent, Thermal):
+            m.setattr(state, "sideband", None)
+        for sig in (Incoherent(nbar=2e4), Thermal(tau_c=fp.tau_c, nbar=5e3),
+                    Coherent(nbar=1.01e5)):
+            with pytest.raises(ConvergenceError,
+                               match="comb sideband table cap: 100000 sidebands"):
+                comb_spectrum(grid, FIG1, sig)
     assert np.all(np.isfinite(comb_spectrum(grid, FIG1, Coherent(nbar=1e4))))
+
+
+def test_comb_sideband_cap_edge():
+    # The up-front bound leaves room for the table's rounding.  At nbar 4345
+    # the exact Bose tail past 100000 sidebands is 1.02e-10, yet the table's
+    # running sum reaches 1 - 1e-10 within the cap, so the comb returns, as
+    # it did before the bound (about 0.8 s for one point on 2 cores); at
+    # nbar 4400 the table reaches the cap short of its weight and raises.
+    wp = float(FIGURES["fig1"].probe_grid_default(5)[2])
+    assert math.exp(-1e5*math.log1p(1/4345.0)) > 1e-10
+    assert cmath.isfinite(comb_spectrum(wp, FIG1, Incoherent(nbar=4345.0)))
+    with pytest.raises(ConvergenceError, match="cover a weight of 0.9999999999"):
+        comb_spectrum(wp, FIG1, Incoherent(nbar=4400.0))
 
 
 def test_multi_qubit_sum():

@@ -3,6 +3,7 @@ agree with the same probe points evaluated one at a time, identical qubits
 must add up, and a spectrum never comes back non-finite."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import starkprobe.detector as det
 from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, SystemParams, Thermal, Vacuum,
-                                 comb_spectrum, response_function, s21_probe,
-                                 sweep)
+                                 cavity_photon_number, comb_spectrum,
+                                 response_function, s21_probe, sweep)
 from starkprobe.presets import FIGURES
 from starkprobe.specfun import ConvergenceError
 
@@ -31,7 +32,8 @@ def test_grid_equals_pointwise(preset):
     # about 1 s to the suite.  A point alone gives the grid's bits, but for
     # fig4 incoherent light: its lone terms take the scalar e^x E_n(x),
     # whose last bit the 5-term series magnifies (9 of 51 points differ,
-    # by up to 2.5e-14 in R; see CHANGES.md, FOUND on fig4).
+    # by up to 2.5e-14 in R; see CHANGES.md, FOUND on fig4).  The comb sums
+    # a lone point as a one-point grid, with the grid's bits.
     fp = FIGURES[preset]
     system = fp.system()
     grid = fp.probe_grid_default(201)
@@ -47,7 +49,7 @@ def test_grid_equals_pointwise(preset):
         sig = Coherent(nbar=fp.nbar)
         comb = sweep(system, sig, grid, model="comb").s21
         one = np.array([comb_spectrum(float(wp), system, sig) for wp in grid])
-    assert np.all(np.abs(comb - one) <= 1e-13*np.abs(one))
+    assert np.array_equal(comb, one)
 
 
 # fig5q incoherent on its 2001-point default grid, as computed by the
@@ -124,9 +126,11 @@ def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
     fp = FIGURES[preset]
     system = fp.system()
     # A lone point sums its blocks in Python scalars, as a float and as a
-    # size-1 array.  Its incoherent terms agree only to rounding: one term at
-    # a time hands expint_scaled a lone argument, which takes the scalar
-    # continued fraction, where a block shares the array one.
+    # size-1 array; coherent light sums its precomputed first block, here
+    # against the general path one term at a time.  Its incoherent terms
+    # agree only to rounding: one term at a time hands expint_scaled a lone
+    # argument, which takes the scalar continued fraction, where a block
+    # shares the array one.
     lone = float(fp.probe_grid_default(7)[2])
     grids = [fp.probe_grid_default(npts) for npts in (2, 7, 101, 401)]
     for grid in (lone, np.array([lone]), *grids):
@@ -139,12 +143,80 @@ def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
             blocks = s21_probe(grid, system, sig)
             with monkeypatch.context() as m:
                 m.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)
+                m.setattr(det._CoherentSeries, "lone", lambda self, wp: None)
                 one = s21_probe(grid, system, sig)
             assert type(blocks) is type(one), (np.size(grid), sig)
             if np.size(grid) == 1 and isinstance(sig, Incoherent):
                 assert abs(blocks - one) <= 1e-14*abs(one), sig
             else:
                 assert np.array_equal(blocks, one), (np.size(grid), sig)
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class _CountedSeries(det._CoherentSeries):
+    made = 0
+
+    def __init__(self, *args):
+        type(self).made += 1
+        super().__init__(*args)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 3.0, 200.0])
+def test_bound_response_keeps_each_qubits_constants(nbar, monkeypatch):
+    # one binding serves two distinct qubits in turn, both rotating branches
+    # and every form of probe argument: it makes each qubit's constants once
+    # and gives the bits of a fresh evaluation, of the general path and of
+    # the grid; at nbar 200 a lone point's series runs past its first block
+    fp = FIGURES["fig1"]
+    first = fp.system().qubits[0]
+    second = QubitParams(omega_q=first.omega_q + 3.0*first.chi,
+                         chi=0.6*first.chi, gamma=2.0*first.gamma,
+                         gamma_phi=first.gamma)
+    system = SystemParams(fp.system().cavity, (first, second))
+    sig = Vacuum() if nbar == 0 else Coherent(nbar=nbar)
+    _, beta = cavity_photon_number(sig, system)
+    grid = fp.probe_grid_default(9)
+    cases = [(q, sign*arg) for q in (first, second, first, second)
+             for sign in (1.0, -1.0)
+             for arg in (float(grid[3]), np.array(grid[3]), grid[3:4], grid)]
+    monkeypatch.setattr(det, "_CoherentSeries", _CountedSeries)
+    monkeypatch.setattr(_CountedSeries, "made", 0)
+    respond = response_function(system, sig)
+    bound = [respond(arg, q) for q, arg in cases]
+    assert _CountedSeries.made == 2
+    for (q, arg), got in zip(cases, bound):
+        fresh = det.qubit_response_coherent(arg, q, system, beta)
+        with monkeypatch.context() as m:
+            m.setattr(det._CoherentSeries, "lone", lambda self, wp: None)
+            general = det.qubit_response_coherent(arg, q, system, beta)
+        assert _bits(got) == _bits(fresh) == _bits(general), (q, arg)
+        if np.size(arg) == 1:
+            on_grid = respond(np.copysign(grid, arg), q)
+            assert np.ravel(got)[0] == on_grid[3], (q, arg)
+
+
+def test_replaced_signal_gets_fresh_constants():
+    # a signal changed by dataclasses.replace binds anew, and an earlier
+    # binding keeps its own field
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    wp = float(fp.probe_grid_default(9)[3])
+    sig = Coherent(nbar=1.0)
+    respond = response_function(system, sig)
+    before = respond(wp, q)
+    for nbar in (3.0, 30.0, 1.0):
+        other = replace(sig, nbar=nbar)
+        _, beta = cavity_photon_number(other, system)
+        got = response_function(system, other)(wp, q)
+        assert got == det.qubit_response_coherent(wp, q, system, beta), nbar
+        assert (got == before) == (nbar == 1.0)
+        assert s21_probe(wp, system, other) == s21_probe(
+            np.array([wp]), system, other)[0]
+    assert respond(wp, q) == before
 
 
 def test_incoherent_cap_inside_a_block():

@@ -264,6 +264,53 @@ def test_point_equals_grid_bit_for_bit():
             assert one.residual <= whole.residual
 
 
+def _fraction_walk(levels, num, x, u, v, y, h, q):
+    """num/g_0 over `levels` levels, each level's d_k and q k formed as it
+    is reached, in the expressions of `oracle._levels`."""
+    k = float(levels - 1)
+    gr, gi = x - (u + k*v), y + k*h
+    while k:
+        s = q*k/(gr*gr + gi*gi)
+        k -= 1.0
+        gr, gi = x - (u + k*v) - s*gr, y + k*h + s*gi
+    s = num/(gr*gr + gi*gi)
+    return complex(s*gr, -s*gi)
+
+
+def test_fraction_tables_are_kept_per_block():
+    # a per-level table hangs on every constant of the block, not only on
+    # the level count: constant sets with the same 60 levels, called in
+    # turn, each keep a table of their own and give the bits of a walk of
+    # their own diagonal; a table past _CACHED_LEVELS levels is not kept
+    oracle._levels.cache_clear()
+    base = dict(u=4.0e8, v=6.3e7, y=8.0e5, h=3.1e5, q=2.5e15)
+    sets = [base] + [{**base, key: 1.25*base[key]} for key in base]
+    num, x = 6.3e7, 1.7e8
+    for _ in range(2):
+        for consts in sets:
+            pair = oracle._fraction_pair(40, 60, num, x, **consts)
+            assert pair == [_fraction_walk(40, num, x, **consts),
+                            _fraction_walk(60, num, x, **consts)], consts
+    assert oracle._levels.cache_info().currsize == len(sets)
+    tables = [oracle._levels(60, *consts.values()) for consts in sets]
+    assert len({id(rows) for _, rows in tables}) == len(sets)
+    assert all(a != b for i, a in enumerate(tables) for b in tables[i + 1:])
+    big = oracle._CACHED_LEVELS
+    pair = oracle._fraction_pair(big, math.ceil(1.5*big), num, x, **base)
+    assert pair[0] == _fraction_walk(big, num, x, **base)
+    assert oracle._levels.cache_info().currsize == len(sets)
+    # through the oracle: alternating signals read no stale table
+    wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
+    turns = [lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
+             for nbar in (1.0, 3.0, 1.0, 3.0)]
+    oracle._levels.cache_clear()
+    for nbar, got in zip((1.0, 3.0), turns):
+        fresh = lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
+        assert (got.sigma_minus, got.residual) == (fresh.sigma_minus,
+                                                   fresh.residual), nbar
+    assert turns[:2] == turns[2:]
+
+
 def test_explicit_residual_is_the_change_to_1_5_n_fock():
     sig = Coherent(nbar=3.0)
     grid = FIGURES["fig1"].probe_grid_default(41)
