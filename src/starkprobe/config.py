@@ -92,12 +92,23 @@ def parse_quantity(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs, path: Path) -> dict:
+    """A JSON object's (key, value) pairs as a dict, refusing a key given
+    twice, which `json.loads` would otherwise keep the last of."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{path}: key {key} given twice")
+        out[key] = value
+    return out
+
+
 def load_config(path: Union[str, Path],
                 keys: Collection[str]) -> dict[str, float]:
     """Read a text or JSON config into {key: SI-angular float}.
 
     Raises ConfigError naming any key outside `keys`, those the command
-    reads.
+    reads, and any key given twice (a text config names both lines).
     """
     path = Path(path)
     try:
@@ -107,7 +118,8 @@ def load_config(path: Union[str, Path],
     out = {}
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(raw)
+            data = json.loads(raw, object_pairs_hook=lambda pairs:
+                              _unique_keys(pairs, path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
@@ -120,6 +132,7 @@ def load_config(path: Union[str, Path],
             else:
                 raise ConfigError(f"config key {key!r}: unsupported value {val!r}")
     else:
+        first_line = {}
         for lineno, line in enumerate(raw.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -127,8 +140,13 @@ def load_config(path: Union[str, Path],
             if "=" not in body:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = body.partition("=")
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key} given twice, "
+                                  f"first on line {first_line[key]}")
+            first_line[key] = lineno
             try:
-                out[key.strip()] = parse_quantity(value)
+                out[key] = parse_quantity(value)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     unknown = sorted(set(out) - set(keys))

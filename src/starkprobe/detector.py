@@ -22,7 +22,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -337,9 +337,9 @@ class _Lanes:
     follows the points still summing; `active` holds their grid indices and
     `lane` the kernel's per-lane arrays.  `run` adds the terms one per array
     pass (`add`) or, while few lanes are left, a block of terms per pass
-    (`add_block`), with the same sums.  A grid of one point forms its blocks
-    on the same schedule but sums each one term by term in Python complex
-    numbers (`_run_lone`), which add to the same bits at scalar cost.
+    (`add_block`), with the same sums.  A grid of one point, 0-d or not, is
+    summed by the same code as any other, so a lone point gets the bits it
+    has on any grid.
     """
 
     def __init__(self, omega_p):
@@ -354,7 +354,8 @@ class _Lanes:
 
     def run(self, terms: Callable, factors, end: int, scale: float,
             state: str, cap: str, stop_from: float = 0.0):
-        """The finished sums times scale, in the grid's shape.
+        """The finished sums times scale, in the grid's shape (a complex for
+        a 0-d grid).
 
         terms(n, f) is term n of the active lanes with f the next item of
         `factors`; for a block, n is a column of indices and f has one row
@@ -362,58 +363,29 @@ class _Lanes:
         where the series should stop.  Lanes still summing after _TERM_CAP
         terms raise ConvergenceError(cap), or name a lane gone non-finite.
         """
-        if not self.grid.size:
-            return self.out.reshape(self.grid.shape)
-        blocks = self._blocks(terms, factors, min(end, _TERM_CAP))
-        if self.grid.size == 1:
-            return self._run_lone(blocks, scale, state, cap, stop_from)
-        for ns, block in blocks:
-            if isinstance(ns, int):
-                self.add(block, ns >= stop_from)
-            else:
-                self.add_block(block, ns >= stop_from)
-            if not self.active.size:
-                break
-        else:
-            bad = self.active[~np.isfinite(self.total)]
-            raise (_not_finite(state, self.grid.flat[bad[0]]) if bad.size
-                   else ConvergenceError(cap))
-        values = self.out*scale
-        bad = (~np.isfinite(values)).nonzero()[0]
-        if bad.size:
-            raise _not_finite(state, self.grid.flat[bad[0]])
-        return values.reshape(self.grid.shape)
-
-    def _blocks(self, terms: Callable, factors, end: int):
-        """(n, terms(n, f)) for one term of the active lanes, or a block of
-        rows n = [n0, n0 + 1, ...], up to _TERM_CAP terms."""
-        n = 0
-        while n < _TERM_CAP:
+        n, end = 0, min(end, _TERM_CAP)
+        while self.active.size:
+            if n == _TERM_CAP:
+                bad = self.active[~np.isfinite(self.total)]
+                raise (_not_finite(state, self.grid.flat[bad[0]]) if bad.size
+                       else ConvergenceError(cap))
             # a block reaches neither past term `end` nor past _TERM_CAP
             rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size, end - n)
             if rows < _BLOCK_MIN_ROWS:
-                yield n, terms(n, next(factors))
+                self.add(terms(n, next(factors)), n >= stop_from)
                 n += 1
             else:
                 ns = np.arange(n, n + rows)
                 f = np.array(list(islice(factors, rows))).reshape(rows, -1)
-                yield ns, terms(ns[:, None], f)
+                self.add_block(terms(ns[:, None], f), ns >= stop_from)
                 n += rows
-
-    def _run_lone(self, blocks, scale: float, state: str, cap: str,
-                  stop_from: float):
-        """`run` for a grid of one point: numpy still forms each block of
-        terms, but their sum and `add`'s stopping rule run on Python complex
-        numbers (`_sum_lone`), which add to the same bits."""
-        total, stopped = _sum_lone(chain.from_iterable(
-            block.ravel().tolist() for _, block in blocks), stop_from)
-        if not stopped:
-            raise (ConvergenceError(cap) if cmath.isfinite(total)
-                   else _not_finite(state, self.grid.flat[0]))
-        value = total*scale
-        if not cmath.isfinite(value):
-            raise _not_finite(state, self.grid.flat[0])
-        return value if self.grid.ndim == 0 else np.full(self.grid.shape, value)
+        values = self.out*scale
+        bad = (~np.isfinite(values)).nonzero()[0]
+        if bad.size:
+            raise _not_finite(state, self.grid.flat[bad[0]])
+        if self.grid.ndim == 0:
+            return complex(values[0])
+        return values.reshape(self.grid.shape)
 
     def add(self, term, stop: bool = True) -> None:
         """Add one term per active lane and retire the converged lanes."""
@@ -460,21 +432,6 @@ class _Lanes:
             self.active[keep], self.total[keep], self.small1[keep],
             self.small2[keep])
         self.lane.update({key: values[keep] for key, values in self.lane.items()})
-
-
-def _sum_lone(terms, stop_from: float) -> tuple[complex, bool]:
-    """(sum, stopped): the terms of one lane added one by one as Python
-    complex numbers under `add`'s stopping rule, until it stops the series
-    or the terms run out."""
-    total, quiet = 0j, 0       # quiet: the run of small terms, 3 stops
-    for n, term in enumerate(terms):
-        total += term
-        if n >= stop_from:
-            small = abs(term) < _TERM_RTOL*max(abs(total), 1e-300)
-            quiet = quiet + 1 if small else 0
-            if quiet == 3:
-                return total, True
-    return total, False
 
 
 def _not_finite(state: str, omega_p: float) -> ConvergenceError:
@@ -551,13 +508,22 @@ class _CoherentSeries:
 
     def lone(self, omega_p: float) -> Optional[complex]:
         """The response at one probe point from the first _BLOCK_ROWS terms,
-        with `run`'s bits; None where they do not stop the series or the
-        sum is not finite."""
+        added one by one as Python complex numbers under `_Lanes.add`'s
+        stopping rule, with `run`'s bits; None where they do not stop the
+        series or the sum is not finite."""
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = self.weights/(self.base(omega_p) - self.steps)
-        total, stopped = _sum_lone(terms.tolist(), abs(self.big_w))
-        value = total*self.chi
-        return value if stopped and cmath.isfinite(value) else None
+        total, quiet = 0j, 0       # quiet: the run of small terms, 3 stops
+        stop_from = abs(self.big_w)
+        for n, term in enumerate(terms.tolist()):
+            total += term
+            if n >= stop_from:
+                small = abs(term) < _TERM_RTOL*max(abs(total), 1e-300)
+                quiet = quiet + 1 if small else 0
+                if quiet == 3:
+                    value = total*self.chi
+                    return value if cmath.isfinite(value) else None
+        return None
 
 
 def qubit_response_coherent(omega_p, qubit: QubitParams,

@@ -5,11 +5,11 @@ constants) and the exponential integrals E_n (incoherent response).
 Everything here is pure and thread-safe, and scalar except the scaled
 exponential integral `expint_scaled`, which also takes an array of
 arguments, with one order for all or an array of orders broadcast against
-them.  An array of two or more arguments runs in three branches: the power
-series one argument at a time (small |z|), one vectorised Lentz continued
-fraction, and an 8-term asymptotic series in one pass (|z| >= 128(n + 8));
-each argument's value is the same whichever others share the call.  A lone
-argument takes the scalar series or continued fraction.  Branch conventions:
+them.  Its arguments run in three branches: the power series one argument
+at a time (small |z|), one vectorised Lentz continued fraction, and an
+8-term asymptotic series in one pass (|z| >= 128(n + 8)); each argument's
+value is the same whichever others share the call, and a lone argument (a
+scalar or an array of one) takes the same code.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
 z >= -1/e); the exponential integrals use the principal branch with the
 cut along the negative real axis.
@@ -145,17 +145,17 @@ def expint_scaled(n, z):
 
     z is a scalar (a complex comes back) or an array (an array of the same
     shape comes back).  n is an integer or an integer array broadcast
-    against z, each element taking its own order.  An array of two or more
-    arguments splits three ways, by |z| and the order: |z| <= 12 or so
-    takes the power series (DLMF 8.19.8), one argument at a time;
-    |z| >= 128(n + 8) takes the first 8 terms of the asymptotic series
-    (DLMF 8.20), whose first omitted term is below 128^-8 = 1.4e-17
-    relative, all together in one pass; every other argument runs through
-    one vectorised Lentz continued fraction, each leaving it as it
-    converges.  So an argument's value is the same, to the bit, whichever
-    others share the call.  A lone argument takes the series or the scalar
-    continued fraction, and so does each lane of the array one that goes
-    non-finite or reaches the iteration cap.  A non-finite result raises
+    against z, each element taking its own order.  The arguments split
+    three ways, by |z| and the order: |z| <= 12 or so takes the power
+    series (DLMF 8.19.8), one argument at a time; |z| >= 128(n + 8) takes
+    the first 8 terms of the asymptotic series (DLMF 8.20), whose first
+    omitted term is below 128^-8 = 1.4e-17 relative, all together in one
+    pass; every other argument runs through one vectorised Lentz continued
+    fraction, each leaving it as it converges.  So an argument's value is
+    the same, to the bit, whichever others share the call, none included.
+    A lane of the fraction that goes non-finite or reaches the iteration
+    cap is retaken by the scalar continued fraction, or by the series or
+    the asymptotic series where that stalls too.  A non-finite result raises
     ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
     """
     zs = np.asarray(z, dtype=complex)
@@ -184,20 +184,16 @@ def expint_scaled(n, z):
         else:
             fraction[i] = True
     lanes = fraction.nonzero()[0]
-    if flat.size > 1:
-        far = absz[lanes] >= 128.0*((n[lanes] if each_n else n) + 8)
-        far, lanes = lanes[far], lanes[~far]
-        if far.size:
-            out[far] = _expint_scaled_asymptotic_lanes(
-                n[far] if each_n else n, flat[far])
-        if lanes.size:
-            out[lanes], stalled = _expint_scaled_cf_lanes(
-                n[lanes] if each_n else n, flat[lanes])
-            lanes = lanes[stalled]
-    # a lone argument runs the scalar recurrence, at a tenth of the cost of
-    # the array one, and so do the lanes where the array one stalled or went
-    # non-finite; in a call of two or more every other fraction lane keeps
-    # the array one, even alone, or its value would depend on its company
+    far = absz[lanes] >= 128.0*((n[lanes] if each_n else n) + 8)
+    far, lanes = lanes[far], lanes[~far]
+    if far.size:
+        out[far] = _expint_scaled_asymptotic_lanes(n[far] if each_n else n, flat[far])
+    if lanes.size:
+        out[lanes], stalled = _expint_scaled_cf_lanes(
+            n[lanes] if each_n else n, flat[lanes])
+        lanes = lanes[stalled]
+    # the scalar recurrence, which floors c and d, retakes the lanes where the
+    # array one stalled or went non-finite
     for i in lanes:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         try:

@@ -77,6 +77,32 @@ def test_load_config_bad_line(tmp_path):
         load_config(cfg, ("omega_q",))
 
 
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+def test_config_key_given_twice(tmp_path, capsys, suffix):
+    # a key given twice is refused, not read as its later value: exit 2,
+    # nothing written
+    cfg = tmp_path/f"run{suffix}"
+    if suffix == ".json":
+        cfg.write_text(json.dumps(_ONE_QUBIT)[:-1] + ', "chi": "1 MHz"}')
+        where = f"{cfg}: "
+    else:
+        cfg.write_text("".join(f"{key} = {value}\n"
+                               for key, value in _ONE_QUBIT.items())
+                       + "\n# a second Stark shift\nchi = 1 MHz\n")
+        where = f"{cfg}:7: "
+    message = where + "key chi given twice"
+    with pytest.raises(ConfigError) as caught:
+        load_config(cfg, _ONE_QUBIT)
+    assert str(caught.value).startswith(message)
+    if suffix == ".cfg":
+        assert str(caught.value) == message + ", first on line 4"
+    out = tmp_path/"out"
+    assert run_cli(["detect", "--config", str(cfg), "--points", "5",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 # every float field of every parameter class, with a valid value
 _PARAMETER_CLASSES = [
     (QubitParams, dict(omega_q=1.0, chi=1.0, gamma=0.0, gamma_phi=0.0)),

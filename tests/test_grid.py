@@ -27,23 +27,18 @@ def _states(fp):
 
 @pytest.mark.parametrize("preset", sorted(FIGURES))
 def test_grid_equals_pointwise(preset):
-    # every fourth point of the grid alone: a size-1 incoherent s21_probe
-    # costs about 0.6 ms (1.2 ms on fig4, 2 cores), so all 201 would add
-    # about 1 s to the suite.  A point alone gives the grid's bits, but for
-    # fig4 incoherent light: its lone terms take the scalar e^x E_n(x),
-    # whose last bit the 5-term series magnifies (9 of 51 points differ,
-    # by up to 2.5e-14 in R; see CHANGES.md, FOUND on fig4).  The comb sums
-    # a lone point as a one-point grid, with the grid's bits.
+    # every fourth point of the grid alone, which gives the grid's bits in
+    # every state, as the comb does.  A size-1 incoherent s21_probe costs
+    # about 0.6 ms, but 12-20 ms on fig4, whose terms near the branch cut
+    # run the array e^x E_n(x) with one lane (2 cores): the fig4 case takes
+    # 1.1-1.6 s, and all 201 points would take about 3 s more.
     fp = FIGURES[preset]
     system = fp.system()
     grid = fp.probe_grid_default(201)
     for state, sig in _states(fp).items():
         full = sweep(system, sig, grid).s21[::4]
         one = np.array([s21_probe(float(wp), system, sig) for wp in grid[::4]])
-        if (preset, state) == ("fig4", "incoherent"):
-            assert np.all(np.abs(full - one) <= 1e-13*np.abs(one)), state
-        else:
-            assert np.array_equal(full, one), state
+        assert np.array_equal(full, one), state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # fig4/fig5q lie outside the comb's range
         sig = Coherent(nbar=fp.nbar)
@@ -106,9 +101,10 @@ FIG1_PINNED = {
 
 @pytest.mark.parametrize("case", sorted(FIG1_PINNED))
 def test_fig1_series_pinned_values(case):
-    # a grid of 101 lanes sums 10 terms per pass, a lone point 64: coherent
-    # sums are unchanged to the bit; an incoherent point alone now shares the
-    # array continued fraction, which rounds its last bit differently
+    # a grid of 101 lanes sums 10 terms per pass, a lone point 64, with the
+    # sums of one term at a time: coherent sums are unchanged to the bit;
+    # incoherent ones may move in the last bit, through the rounding of the
+    # continued fraction for e^x E_n(x)
     sig, pinned = FIG1_PINNED[case]
     rtol = 1e-15 if isinstance(sig, Incoherent) else 0.0
     fp = FIGURES["fig1"]
@@ -125,12 +121,9 @@ def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
     # 101 lanes take blocks of 40 terms, 401 lanes blocks of 10
     fp = FIGURES[preset]
     system = fp.system()
-    # A lone point sums its blocks in Python scalars, as a float and as a
-    # size-1 array; coherent light sums its precomputed first block, here
-    # against the general path one term at a time.  Its incoherent terms
-    # agree only to rounding: one term at a time hands expint_scaled a lone
-    # argument, which takes the scalar continued fraction, where a block
-    # shares the array one.
+    # A lone point, as a float and as a size-1 array, is a grid of one lane;
+    # coherent light sums its precomputed first block, here against the
+    # general path one term at a time.
     lone = float(fp.probe_grid_default(7)[2])
     grids = [fp.probe_grid_default(npts) for npts in (2, 7, 101, 401)]
     for grid in (lone, np.array([lone]), *grids):
@@ -146,10 +139,7 @@ def test_blocks_equal_one_term_at_a_time(preset, monkeypatch):
                 m.setattr(det._CoherentSeries, "lone", lambda self, wp: None)
                 one = s21_probe(grid, system, sig)
             assert type(blocks) is type(one), (np.size(grid), sig)
-            if np.size(grid) == 1 and isinstance(sig, Incoherent):
-                assert abs(blocks - one) <= 1e-14*abs(one), sig
-            else:
-                assert np.array_equal(blocks, one), (np.size(grid), sig)
+            assert np.array_equal(blocks, one), (np.size(grid), sig)
 
 
 def _bits(value):
@@ -222,7 +212,7 @@ def test_replaced_signal_gets_fresh_constants():
 def test_incoherent_cap_inside_a_block():
     # 11 lanes take blocks of 64 terms; the 5000-term cap falls 8 terms into
     # the 79th block and still stops the sum at exactly 5000 terms; a lone
-    # point sums the same blocks term by term
+    # point, a grid of one lane, too
     fp = FIGURES["fig1"]
     grid = fp.probe_grid_default(11)
     for omega_p in (grid, float(grid[5])):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import lambertw as scipy_lambertw
 
+from starkprobe import specfun
 from starkprobe.specfun import (ConvergenceError, elliptic_k, expint_scaled,
                                 lambert_w, lambert_w_log)
 
@@ -274,7 +275,23 @@ def test_expint_scaled_against_quadrature_near_cut():
     assert abs(got - (ref_re + 1j*ref_im)) < 1e-10
 
 
+def _expint_scaled_scalar(n, z):
+    """e^z E_n(z) by the scalar helpers alone: the series where
+    `expint_scaled` picks it, else the scalar continued fraction, else, where
+    that stalls, the series or the asymptotic series."""
+    if z == 0:
+        return 1.0/(n - 1)
+    if abs(z) <= (6.0 if z.real > 0 else 12.0):
+        return specfun._expint_scaled_series(n, z)
+    try:
+        return specfun._expint_scaled_cf(n, z)
+    except ConvergenceError:
+        return (specfun._expint_scaled_series(n, z) if abs(z) <= 200.0
+                else specfun._expint_scaled_asymptotic(n, z))
+
+
 def test_expint_scaled_array_matches_scalar():
+    # the array branches against the scalar helpers, a second implementation
     rng = np.random.default_rng(7)
     z = rng.uniform(-60.0, 60.0, 300) + 1j*rng.uniform(-60.0, 60.0, 300)
     # zero, series lanes, the fraction at Re z > 0 inside |z| <= 12, and
@@ -285,7 +302,7 @@ def test_expint_scaled_array_matches_scalar():
         zn = z[z != 0] if n == 1 else z      # E_1 diverges at 0
         got = expint_scaled(n, zn.reshape(-1, 1))
         assert got.shape == (zn.size, 1)
-        one = np.array([expint_scaled(n, complex(x)) for x in zn])
+        one = np.array([_expint_scaled_scalar(n, complex(x)) for x in zn])
         assert np.all(np.abs(got.ravel() - one) <= 1e-13*np.abs(one)), n
     assert isinstance(expint_scaled(3, 2.0 + 1.0j), complex)
 
@@ -314,10 +331,10 @@ def test_expint_scaled_array_order_matches_scalar_order():
 
 def test_expint_scaled_lanes_are_independent():
     # an argument's value must not depend on which others share the call,
-    # bit for bit, for any two or more arguments (a lone one takes the scalar
-    # recurrence): the subsets mix series lanes, fraction lanes, which leave
-    # the recurrence as they converge, and asymptotic lanes, down to one lane
-    # of a kind in a call
+    # bit for bit, down to none: the subsets mix series lanes, fraction
+    # lanes, which leave the recurrence as they converge, and asymptotic
+    # lanes, down to one lane of a kind in a call and to one argument, and
+    # every argument is also called alone as a complex and as a 0-d array
     rng = np.random.default_rng(23)
     # |z| from 1 to 1e6 at |arg z| < 3: the series below |z| = 12, then the
     # fraction, converging after 2 (large |z|) to several hundred (near the
@@ -329,11 +346,16 @@ def test_expint_scaled_lanes_are_independent():
               rng.integers(1, 701, z.size)):
         full = expint_scaled(n, z)
         # a pair puts each lane into a call with only one of its kind
-        sizes = [*rng.integers(2, z.size, 25), *[2]*10]
+        sizes = [*rng.integers(1, z.size, 25), *[2]*10, *[1]*10]
         for size in sizes:
             pick = np.sort(rng.choice(z.size, size, replace=False))
             got = expint_scaled(n[pick] if np.ndim(n) else n, z[pick])
             assert np.array_equal(got.view(float), full[pick].view(float)), size
+        orders = np.broadcast_to(n, z.shape)
+        for arg in (complex, np.array):
+            alone = np.array([expint_scaled(int(m), arg(x))
+                              for m, x in zip(orders, z)])
+            assert np.array_equal(alone.view(float), full.view(float)), arg
 
 
 def test_expint_scaled_asymptotic_branch_against_mpmath():
