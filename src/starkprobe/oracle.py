@@ -7,21 +7,23 @@ The ground block is diagonal and is divided out.  The qubit-excited block,
 2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
 response chi [block^-1]_00 is a finite continued fraction: one backward
 recurrence in real arithmetic, which gives the same bits for one probe
-point (floats) as for a whole grid (arrays).  The truncation and its check
-at 1.5 times the levels share one pass from the check's top level down.
-Only the probe point enters the pass; each level's other constants come
-from a small cache of per-level tables, so that a run of lone probe points
-forms them once.  `check_supported` states the oracle's domain.
-`dense_sigma_minus` solves the same block densely for the `oracle`
-command's explicit-truncation table.
+point (floats) as for a whole grid (arrays).  A sized truncation and its
+check at 1.5 times the levels share one pass from the check's top level
+down; an explicit truncation runs only its own levels, and its check waits
+until `SteadyResponse.residual` is read.  Only the probe point enters a
+pass; each level's other constants come from a small cache of per-level
+tables, so that a run of lone probe points forms them once.
+`check_supported` states the oracle's domain.  `dense_sigma_minus` solves
+the same block densely for the `oracle` command's explicit-truncation
+table.
 """
 
 from __future__ import annotations
 
-import contextlib
+import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -38,13 +40,29 @@ _CACHED_LEVELS = 2048
 
 @dataclass(frozen=True)
 class SteadyResponse:
-    """Scalars for one probe point, arrays for a grid; residual is the worst
-    relative change of sigma_minus against ceil(1.5 n_fock) levels."""
+    """Scalars for one probe point, arrays for a grid.
+
+    `residual` is the worst relative change of sigma_minus against
+    ceil(1.5 n_fock) levels.  A sized truncation finds it in the pass that
+    finds sigma_minus; an explicit one runs that check when `residual` is
+    first read and keeps it.  Equality ignores the check.
+    """
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
     a_expect: Union[complex, np.ndarray]
-    residual: float
     n_fock: int
+    # the residual once known; before, the excited block's constants that
+    # its check pass needs
+    _check: Union[float, tuple] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residual(self) -> float:
+        if isinstance(self._check, float):
+            return self._check
+        scalar = isinstance(self.omega_p, float)
+        check, = _fractions(None, math.ceil(1.5*self.n_fock), self._check,
+                            scalar)
+        return _change(self.sigma_minus, check, scalar)
 
 
 def _start_truncation(nbar: float) -> int:
@@ -79,14 +97,14 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
 
 
 @functools.lru_cache(maxsize=8)
-def _levels(bigger: int, u: float, v: float, y: float, h: float, q: float):
+def _levels(size: int, u: float, v: float, y: float, h: float, q: float):
     """The excited block's per-level constants, top level first: (u + k v,
-    y + k h) at k = bigger - 1, then one row (q (k+1), u + k v, y + k h)
+    y + k h) at k = size - 1, then one row (q (k+1), u + k v, y + k h)
     for each level k below it, as Python floats (numpy's elementwise
     products and sums round as the scalar ones do).  They do not depend on
     the probe point, so a run of lone points forms them once; the cache
     keeps tables of up to _CACHED_LEVELS levels, at 140 bytes a level."""
-    top = float(bigger - 1)
+    top = float(size - 1)
     k = np.arange(top, 0.0, -1.0)
     below = k - 1.0
     return ((u + top*v, y + top*h),
@@ -94,18 +112,21 @@ def _levels(bigger: int, u: float, v: float, y: float, h: float, q: float):
                       (y + below*h).tolist())))
 
 
-def _fraction_pair(n_fock: int, bigger: int, num: float, x, u: float,
-                   v: float, y: float, h: float, q: float):
-    """(num/g_0 at n_fock levels, num/g_0 at bigger > n_fock levels), from
-    g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1) with the excited
-    block's diagonal d_k = x - (u + k v) + i (y + k h).  One backward pass:
-    the bigger recurrence runs alone down to level n_fock - 1, where the
-    smaller one starts, and from there both share each level's d_k and
-    q (k+1), read from `_levels`.  The complex division is spelt out, so
-    that floats and arrays round alike."""
-    levels = _levels if bigger <= _CACHED_LEVELS else _levels.__wrapped__
-    (a, b), rows = levels(bigger, u, v, y, h, q)
-    split = bigger - n_fock       # rows down to level n_fock - 1
+def _fraction_pair(smaller: Optional[int], levels: int, num: float, x,
+                   u: float, v: float, y: float, h: float, q: float) -> list:
+    """[num/g_0 at `smaller` levels, num/g_0 at `levels` > smaller], or
+    [num/g_0 at `levels`] for smaller None, from g_(n-1) = d_(n-1) and
+    g_k = d_k - q (k+1)/g_(k+1) with the excited block's diagonal
+    d_k = x - (u + k v) + i (y + k h).  One backward pass: the bigger
+    recurrence runs alone down to level smaller - 1, where the smaller one
+    starts, and from there both share each level's d_k and q (k+1), read
+    from `_levels`.  The sized truncation takes the pair, its check fused;
+    an explicit one takes one recurrence now and its check at 1.5 times
+    the levels only when `SteadyResponse.residual` is read.  The complex
+    division is spelt out, so that floats and arrays round alike."""
+    table = _levels if levels <= _CACHED_LEVELS else _levels.__wrapped__
+    (a, b), rows = table(levels, u, v, y, h, q)
+    split = levels - smaller if smaller else len(rows)
     gr, gi = x - a, b
     for qk, a, b in rows[:split]:
         s = qk/(gr*gr + gi*gi)
@@ -117,12 +138,35 @@ def _fraction_pair(n_fock: int, bigger: int, num: float, x, u: float,
         dr, di = x - a, b
         gr, gi = dr - s*gr, di + s*gi
         fr, fi = dr - t*fr, di + t*fi
-    pair = []
-    for gr, gi in ((fr, fi), (gr, gi)):
+    fractions = []
+    for gr, gi in ((fr, fi), (gr, gi)) if smaller else ((gr, gi),):
         s = num/(gr*gr + gi*gi)
-        pair.append(complex(s*gr, -s*gi) if isinstance(s, float)
-                    else s*gr - 1j*(s*gi))
-    return pair
+        fractions.append(complex(s*gr, -s*gi) if isinstance(s, float)
+                         else s*gr - 1j*(s*gi))
+    return fractions
+
+
+def _fractions(smaller: Optional[int], levels: int, terms: tuple,
+               scalar: bool) -> list:
+    """`_fraction_pair` on the block constants `terms`, a grid's pass with
+    floating-point warnings off (a non-finite value is checked for)."""
+    if scalar:
+        return _fraction_pair(smaller, levels, *terms)
+    with np.errstate(all="ignore"):
+        return _fraction_pair(smaller, levels, *terms)
+
+
+def _change(sigma, check, scalar: bool) -> float:
+    """The worst relative change of sigma against check; ArithmeticError
+    once either pass has left the floats (nan or inf)."""
+    if scalar:
+        change = abs(sigma - check)/abs(check)
+    else:
+        with np.errstate(all="ignore"):
+            change = float((abs(sigma - check)/abs(check)).max())
+    if not math.isfinite(change):
+        raise ArithmeticError("continued fraction is not finite")
+    return change
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
@@ -135,9 +179,14 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     kets of n_fock levels per qubit sector.  omega_p is a float or a 1-D
     array.  sigma_minus is the probe-normalised response (comparable to
     qubit_response_coherent); a_expect keeps its Omega_p/2 drive factor.
-    None for n_fock starts at nbar + 12 sqrt(nbar) + 40 levels and grows
-    them 1.5-fold until the residual is at most 1e-13, raising
-    ConvergenceError once the next truncation would pass MAX_FOCK.
+    An explicit n_fock runs one recurrence of n_fock levels; its check at
+    ceil(1.5 n_fock) levels runs when `residual` is first read.  None for
+    n_fock starts at nbar + 12 sqrt(nbar) + 40 levels and grows them
+    1.5-fold, each truncation and its check in one pass, until the residual
+    is at most 1e-13, raising ConvergenceError once the next truncation
+    would pass MAX_FOCK.  A fraction that leaves the floats raises
+    ArithmeticError: at the call, or for an explicit truncation's check,
+    when `residual` is read.
     """
     qubit, beta = check_supported(params, sig, n_fock)
     scalar = isinstance(omega_p, float) or np.ndim(omega_p) == 0
@@ -154,18 +203,18 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     # - 2 chi (n + |beta|^2) - pull n
     terms = (chi, wp - qubit.omega_q, 2.0*chi*b2, 2.0*chi + pull.real,
              qubit.gamma_coh, -pull.imag, 4.0*chi*chi*b2)
-    explicit = n_fock is not None
-    n_fock = n_fock if explicit else _start_truncation(b2)
-    with contextlib.nullcontext() if scalar else np.errstate(all="ignore"):
+    if n_fock is not None:
+        sigma, = _fractions(None, n_fock, terms, scalar)
+        if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
+            raise ArithmeticError("continued fraction is not finite")
+        check = terms             # run when `residual` is first read
+    else:
+        n_fock = _start_truncation(b2)
         bigger = math.ceil(1.5*n_fock)
         while True:
-            sigma, check = _fraction_pair(n_fock, bigger, *terms)
-            change = abs(sigma - check)/abs(check)
-            change = change if scalar else float(change.max())
-            # nan or inf once either pass leaves the floats
-            if not math.isfinite(change):
-                raise ArithmeticError("continued fraction is not finite")
-            if explicit or change <= 1e-13:
+            sigma, check = _fractions(n_fock, bigger, terms, scalar)
+            change = _change(sigma, check, scalar)
+            if change <= 1e-13:
                 break
             if bigger > MAX_FOCK:
                 raise ConvergenceError(
@@ -173,10 +222,11 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
                     f" {n_fock} -> {bigger} levels still changed sigma_minus"
                     f" by {change:.3e}")
             n_fock, bigger = bigger, math.ceil(1.5*bigger)
+        check = change
     # (Omega_p/2) a+ |0> over the ground block
     return SteadyResponse(omega_p=wp, sigma_minus=sigma,
-                          a_expect=0.5/((wp - omega) - pull),
-                          residual=change, n_fock=n_fock)
+                          a_expect=0.5/((wp - omega) - pull), n_fock=n_fock,
+                          _check=check)
 
 
 def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],

@@ -1,6 +1,6 @@
 """Closed forms and published data the tests check the package against:
-the 1F1 form of the coherent response (the dual path of its series), 1F1
-itself, Tricomi U (e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and gamma; the
+the 1F1 form of the coherent response (the dual path of its series), the
+series itself summed at 40 digits, 1F1 itself, Tricomi U (e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and gamma; the
 small-gap expansions of the resonator modes; and the published
 line-constant table with the nominal CPW geometry."""
 
@@ -27,6 +27,34 @@ def coherent_response_closed(omega_p: float, qubit, params, beta: complex,
     a = -w0/w - big_w
     return (chi*cmath.exp(-big_w)/(w0 + 4.0*chi*chi*beta2/w)
             *hyp1f1(a, 1.0 + a, big_w))
+
+
+def coherent_series_mp(omega_p: float, qubit, params, beta: complex,
+                       signal_omega=None, dps: int = 40) -> complex:
+    """The coherent series chi e^-W sum_n W^n/n!/D_n of
+    qubit_response_coherent at one point, summed with dps digits, every
+    float input (omega_p, the qubit, the cavity, |beta|^2 as the package
+    rounds it) taken as exact, so that no constant of the series is rounded
+    before the sum."""
+    import mpmath
+    with mpmath.workdps(dps):
+        chi, gc = mpmath.mpf(qubit.chi), mpmath.mpf(params.cavity.gamma_c)
+        dressed = mpmath.mpf(params.omega_c_star)
+        omega = dressed if signal_omega is None else mpmath.mpf(signal_omega)
+        beta2 = mpmath.mpf(abs(beta)**2)
+        pull = dressed - omega - 0.5j*gc
+        w = 2*chi + pull
+        big_w = 4*chi**2*beta2/w**2
+        d_0 = (mpmath.mpf(omega_p) - qubit.omega_q - 2*chi*beta2
+               + 1j*mpmath.mpf(qubit.gamma_coh) + 4*chi**2*beta2/w)
+        weight, total = mpmath.exp(-big_w), mpmath.mpc(0)
+        for n in range(_SERIES_MAX_TERMS):
+            term = weight/(d_0 - n*w)
+            total += term
+            if n > abs(big_w) and abs(term) < mpmath.mpf(10)**-(dps + 5)*abs(total):
+                return complex(chi*total)
+            weight *= big_w/(n + 1)
+    raise ConvergenceError(f"coherent series: {_SERIES_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------

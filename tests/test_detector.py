@@ -20,7 +20,7 @@ from starkprobe.presets import FIGURES
 from starkprobe.specfun import ConvergenceError, expint_scaled
 from starkprobe.waveguide import WaveguideParams
 
-from closedform import coherent_response_closed, kummer_u
+from closedform import coherent_response_closed, coherent_series_mp, kummer_u
 from peakfit import analyze_comb, response_from_s21
 
 TWO_PI = 2.0*math.pi
@@ -115,6 +115,27 @@ def test_beta_phase_invariance():
         rot = qubit_response_coherent(wp, Q1, FIG1,
                                       math.sqrt(1.3)*cmath.exp(1j*phase))
         assert abs(rot - base) < 1e-12*abs(base)
+
+
+def test_coherent_series_runs_to_term_w():
+    # a lane may not stop before term |W|.  On a line that neither the
+    # qubit nor the cavity widens, term 0 outweighs terms 1-3 by more than
+    # 1e12, while the Poisson weights near |W| = 30 still count: stopping at
+    # the first three small terms drops 2e-5 of the sum.  Small units keep
+    # D_0 exact: at GHz scale the spacing of omega_p alone holds |D_0|
+    # above 4e-6 rad/s, too wide for terms 1-3 to fall that far.
+    pytest.importorskip("mpmath")
+    qubit = QubitParams(omega_q=1.0, chi=2.0**-7, gamma=0.0, gamma_phi=0.0)
+    params = SystemParams(CavityParams(omega_c=2.0, gamma_c=2.0**-64), (qubit,))
+    sig = Coherent(nbar=30.0)
+    _, beta = cavity_photon_number(sig, params)
+    # the n = 0 line: D_0 = i |beta|^2 gamma_c/2
+    ref = coherent_series_mp(1.0, qubit, params, beta)
+    respond = sig.response(params)
+    lone = respond(1.0, qubit)
+    grid = respond(np.array([0.99, 1.0, 1.01]), qubit)[1]
+    assert abs(lone - ref) <= 1e-12*abs(ref)
+    assert abs(grid - ref) <= 1e-12*abs(ref)
 
 
 def test_weak_cavity_poisson_comb_reduction():

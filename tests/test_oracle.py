@@ -15,7 +15,7 @@ from starkprobe.oracle import check_supported, lindblad_steady_response
 from starkprobe.presets import FIGURES
 from starkprobe.specfun import ConvergenceError
 
-from closedform import coherent_response_closed
+from closedform import coherent_response_closed, coherent_series_mp
 from fockref import (FockOperatorSpace, liouvillian, propagator_vacuum_element,
                      steady_state)
 
@@ -334,6 +334,83 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
                                       /abs(check.sigma_minus))
 
 
+def _spy_on_recurrence(monkeypatch) -> list:
+    """The (smaller, levels) of every `_fraction_pair` pass from here on."""
+    calls = []
+    fraction_pair = oracle._fraction_pair
+
+    def spy(smaller, levels, *terms):
+        calls.append((smaller, levels))
+        return fraction_pair(smaller, levels, *terms)
+    monkeypatch.setattr(oracle, "_fraction_pair", spy)
+    return calls
+
+
+def test_explicit_truncation_defers_its_check(monkeypatch):
+    # an explicit truncation runs one recurrence of n_fock levels; its check
+    # at ceil(1.5 n_fock) runs at the first read of `residual`, with the
+    # value of test_explicit_residual_is_the_change_to_1_5_n_fock, and a
+    # second read runs nothing
+    calls = _spy_on_recurrence(monkeypatch)
+    sig = Coherent(nbar=3.0)
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    for omega_p in (float(grid[3]), grid):
+        for n_fock in (40, 80):
+            bigger = math.ceil(1.5*n_fock)
+            calls.clear()
+            got = lindblad_steady_response(FIG1, sig, omega_p, n_fock=n_fock)
+            assert calls == [(None, n_fock)]
+            first = got.residual
+            assert calls == [(None, n_fock), (None, bigger)]
+            assert got.residual == first and len(calls) == 2
+            check = lindblad_steady_response(FIG1, sig, omega_p,
+                                             n_fock=bigger).sigma_minus
+            change = np.abs(got.sigma_minus - check)/np.abs(check)
+            assert first == np.max(change)
+    # the sized truncation fuses its check: reading it runs nothing more
+    calls.clear()
+    got = lindblad_steady_response(FIG1, sig, grid)
+    assert calls and all(smaller for smaller, _ in calls)
+    count = len(calls)
+    assert got.residual <= 1e-13 and len(calls) == count
+
+
+def test_explicit_check_that_leaves_the_floats_raises_on_read():
+    # a lossless qubit under a detuned vacuum: q = 0, so g_k = d_k, and
+    # d_50 = i 50 gamma_c/2, whose square underflows to 0.  The 40 levels
+    # hold no such level and return; the check's 60 levels do, and raise
+    # when `residual` is read (ZeroDivisionError in floats, an
+    # ArithmeticError for a grid).  The sized truncation, whose check is
+    # fused, raises at the call.
+    qubit = QubitParams(omega_q=1.0, chi=1.0, gamma=0.0, gamma_phi=0.0)
+    params = SystemParams(CavityParams(omega_c=1000.0, gamma_c=1e-200),
+                          (qubit,))
+    sig = Vacuum(signal_omega=998.0)
+    # d_k = (omega_p - 1 - 3 k) + i k gamma_c/2: level 50 at omega_p = 151,
+    # level 51 at 154
+    for omega_p in (151.0, np.array([151.0, 154.0])):
+        got = lindblad_steady_response(params, sig, omega_p, n_fock=40)
+        assert np.isfinite(got.sigma_minus).all()
+        with pytest.raises(ArithmeticError):
+            got.residual
+        with pytest.raises(ArithmeticError):
+            lindblad_steady_response(params, sig, omega_p)
+
+
+def test_steady_response_equality_ignores_the_check():
+    # a response equals another whether or not its check has run, and the
+    # sized and explicit paths agree at one truncation
+    sig = Coherent(nbar=3.0)
+    wp = float(FIGURES["fig1"].probe_grid_default(41)[20])
+    sized = lindblad_steady_response(FIG1, sig, wp)
+    read = lindblad_steady_response(FIG1, sig, wp, n_fock=sized.n_fock)
+    unread = lindblad_steady_response(FIG1, sig, wp, n_fock=sized.n_fock)
+    assert read.residual == sized.residual
+    assert read == unread == sized
+    assert "residual" not in vars(unread)
+    assert unread.residual == read.residual
+
+
 def test_dense_table_solve_matches_fraction():
     # the `oracle` command's explicit-truncation table keeps the dense solve
     grid = FIGURES["fig1"].probe_grid_default(9)
@@ -346,6 +423,36 @@ def test_dense_table_solve_matches_fraction():
         oracle.dense_sigma_minus(FIG1, Vacuum(), FIG1.omega_c_star, 40)
     with pytest.raises(ValueError, match="n_fock"):
         oracle.dense_sigma_minus(FIG1, Vacuum(), Q1.omega_q, 3)
+
+
+@pytest.mark.parametrize("method", ["series", "oracle"])
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "rounding limit on narrow lines: the distance to the n = 0 line, D_0 ="
+    " (omega_p - omega_q) - 2 chi |beta|^2 + Re(4 chi^2 |beta|^2/w), "
+    "cancels terms of 1.3e9 rad/s down to a 63 rad/s linewidth, so the "
+    "rounding of the constants costs digits: against the sum at 40 digits "
+    "the series is off by 3.2e-8 and the sized oracle by 2.3e-10, while the "
+    "oracle's residual, which measures truncation, reads 0"))
+def test_narrow_line_is_good_to_1e_12(method):
+    pytest.importorskip("mpmath")
+    # fig1 with chi 2 pi 10 MHz, gamma_c = gamma = 2 pi 10 Hz and nbar 10,
+    # one cavity linewidth off the n = 0 line
+    qubit = QubitParams(omega_q=Q1.omega_q, chi=TWO_PI*10e6,
+                        gamma=TWO_PI*10.0, gamma_phi=0.0)
+    params = SystemParams(CavityParams(omega_c=FIG1.cavity.omega_c,
+                                       gamma_c=TWO_PI*10.0), (qubit,))
+    sig = Coherent(nbar=10.0)
+    _, beta = cavity_photon_number(sig, params)
+    b2 = abs(beta)**2
+    w = 2.0*qubit.chi - 0.5j*params.cavity.gamma_c
+    wp = (qubit.omega_q + 2.0*qubit.chi*b2 - (4.0*qubit.chi**2*b2/w).real
+          + params.cavity.gamma_c)
+    ref = coherent_series_mp(wp, qubit, params, beta)
+    if method == "series":
+        got = sig.response(params)(wp, qubit)
+    else:
+        got = lindblad_steady_response(params, sig, wp).sigma_minus
+    assert abs(got - ref) <= 1e-12*abs(ref), abs(got - ref)/abs(ref)
 
 
 @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4", "fig7"])
