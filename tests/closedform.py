@@ -48,10 +48,11 @@ def coherent_series_mp(omega_p: float, qubit, params, beta: complex,
         d_0 = (mpmath.mpf(omega_p) - qubit.omega_q - 2*chi*beta2
                + 1j*mpmath.mpf(qubit.gamma_coh) + 4*chi**2*beta2/w)
         weight, total = mpmath.exp(-big_w), mpmath.mpc(0)
+        rtol = mpmath.mpf(10)**-(dps + 5)
         for n in range(_SERIES_MAX_TERMS):
             term = weight/(d_0 - n*w)
             total += term
-            if n > abs(big_w) and abs(term) < mpmath.mpf(10)**-(dps + 5)*abs(total):
+            if n > abs(big_w) and abs(term) < rtol*abs(total):
                 return complex(chi*total)
             weight *= big_w/(n + 1)
     raise ConvergenceError(f"coherent series: {_SERIES_MAX_TERMS} terms")
