@@ -7,12 +7,13 @@ The ground block is diagonal and is divided out.  The qubit-excited block,
 2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
 response chi [block^-1]_00 is a finite continued fraction: one backward
 recurrence in real arithmetic, which gives the same bits for one probe
-point (floats) as for a whole grid (arrays).  A sized truncation and its
-check at 1.5 times the levels share one pass from the check's top level
-down; an explicit truncation runs only its own levels, and its check waits
-until `SteadyResponse.residual` is read.  Only the probe point enters a
-pass; each level's other constants come from a small cache of per-level
-tables, so that a run of lone probe points forms them once.
+point (floats) as for a whole grid (arrays).  Every truncation and every
+check at 1.5 times its levels runs that one recurrence: an explicit
+truncation's check waits until `SteadyResponse.residual` is read, and when
+a sized truncation must grow, its check becomes the next truncation.  Only
+the probe point enters a pass; each level's other constants come from a
+small cache of per-level tables, so that a run of lone probe points forms
+them once.
 `check_supported` states the oracle's domain.  `dense_sigma_minus` solves
 the same block densely for the `oracle` command's explicit-truncation
 table.
@@ -43,9 +44,9 @@ class SteadyResponse:
     """Scalars for one probe point, arrays for a grid.
 
     `residual` is the worst relative change of sigma_minus against
-    ceil(1.5 n_fock) levels.  A sized truncation finds it in the pass that
-    finds sigma_minus; an explicit one runs that check when `residual` is
-    first read and keeps it.  Equality ignores the check.
+    ceil(1.5 n_fock) levels.  A sized truncation knows it from its growth
+    loop; an explicit one runs that check when `residual` is first read and
+    keeps it.  Equality ignores the check.
     """
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
@@ -60,8 +61,7 @@ class SteadyResponse:
         if isinstance(self._check, float):
             return self._check
         scalar = isinstance(self.omega_p, float)
-        check, = _fractions(None, math.ceil(1.5*self.n_fock), self._check,
-                            scalar)
+        check = _fractions(math.ceil(1.5*self.n_fock), self._check, scalar)
         return _change(self.sigma_minus, check, scalar)
 
 
@@ -112,48 +112,30 @@ def _levels(size: int, u: float, v: float, y: float, h: float, q: float):
                       (y + below*h).tolist())))
 
 
-def _fraction_pair(smaller: Optional[int], levels: int, num: float, x,
-                   u: float, v: float, y: float, h: float, q: float) -> list:
-    """[num/g_0 at `smaller` levels, num/g_0 at `levels` > smaller], or
-    [num/g_0 at `levels`] for smaller None, from g_(n-1) = d_(n-1) and
-    g_k = d_k - q (k+1)/g_(k+1) with the excited block's diagonal
-    d_k = x - (u + k v) + i (y + k h).  One backward pass: the bigger
-    recurrence runs alone down to level smaller - 1, where the smaller one
-    starts, and from there both share each level's d_k and q (k+1), read
-    from `_levels`.  The sized truncation takes the pair, its check fused;
-    an explicit one takes one recurrence now and its check at 1.5 times
-    the levels only when `SteadyResponse.residual` is read.  The complex
-    division is spelt out, so that floats and arrays round alike."""
+def _fraction(levels: int, num: float, x, u: float, v: float, y: float,
+              h: float, q: float):
+    """num/g_0 over `levels` levels, from g_(n-1) = d_(n-1) and g_k = d_k -
+    q (k+1)/g_(k+1) with the excited block's diagonal d_k = x - (u + k v)
+    + i (y + k h), each level's d_k and q (k+1) read from `_levels`.  One
+    backward pass; the complex division is spelt out, so that floats and
+    arrays round alike."""
     table = _levels if levels <= _CACHED_LEVELS else _levels.__wrapped__
     (a, b), rows = table(levels, u, v, y, h, q)
-    split = levels - smaller if smaller else len(rows)
     gr, gi = x - a, b
-    for qk, a, b in rows[:split]:
+    for qk, a, b in rows:
         s = qk/(gr*gr + gi*gi)
-        dr, di = x - a, b
-        gr, gi = dr - s*gr, di + s*gi
-    fr, fi = dr, di
-    for qk, a, b in rows[split:]:
-        s, t = qk/(gr*gr + gi*gi), qk/(fr*fr + fi*fi)
-        dr, di = x - a, b
-        gr, gi = dr - s*gr, di + s*gi
-        fr, fi = dr - t*fr, di + t*fi
-    fractions = []
-    for gr, gi in ((fr, fi), (gr, gi)) if smaller else ((gr, gi),):
-        s = num/(gr*gr + gi*gi)
-        fractions.append(complex(s*gr, -s*gi) if isinstance(s, float)
-                         else s*gr - 1j*(s*gi))
-    return fractions
+        gr, gi = x - a - s*gr, b + s*gi
+    s = num/(gr*gr + gi*gi)
+    return complex(s*gr, -s*gi) if isinstance(s, float) else s*gr - 1j*(s*gi)
 
 
-def _fractions(smaller: Optional[int], levels: int, terms: tuple,
-               scalar: bool) -> list:
-    """`_fraction_pair` on the block constants `terms`, a grid's pass with
+def _fractions(levels: int, terms: tuple, scalar: bool):
+    """`_fraction` on the block constants `terms`, a grid's pass with
     floating-point warnings off (a non-finite value is checked for)."""
     if scalar:
-        return _fraction_pair(smaller, levels, *terms)
+        return _fraction(levels, *terms)
     with np.errstate(all="ignore"):
-        return _fraction_pair(smaller, levels, *terms)
+        return _fraction(levels, *terms)
 
 
 def _change(sigma, check, scalar: bool) -> float:
@@ -163,7 +145,7 @@ def _change(sigma, check, scalar: bool) -> float:
         change = abs(sigma - check)/abs(check)
     else:
         with np.errstate(all="ignore"):
-            change = float((abs(sigma - check)/abs(check)).max())
+            change = float((abs(sigma - check)/abs(check)).max(initial=0.0))
     if not math.isfinite(change):
         raise ArithmeticError("continued fraction is not finite")
     return change
@@ -182,7 +164,7 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     An explicit n_fock runs one recurrence of n_fock levels; its check at
     ceil(1.5 n_fock) levels runs when `residual` is first read.  None for
     n_fock starts at nbar + 12 sqrt(nbar) + 40 levels and grows them
-    1.5-fold, each truncation and its check in one pass, until the residual
+    1.5-fold, each check becoming the next truncation, until the residual
     is at most 1e-13, raising ConvergenceError once the next truncation
     would pass MAX_FOCK.  A fraction that leaves the floats raises
     ArithmeticError: at the call, or for an explicit truncation's check,
@@ -204,15 +186,16 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     terms = (chi, wp - qubit.omega_q, 2.0*chi*b2, 2.0*chi + pull.real,
              qubit.gamma_coh, -pull.imag, 4.0*chi*chi*b2)
     if n_fock is not None:
-        sigma, = _fractions(None, n_fock, terms, scalar)
+        sigma = _fractions(n_fock, terms, scalar)
         if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
             raise ArithmeticError("continued fraction is not finite")
         check = terms             # run when `residual` is first read
     else:
         n_fock = _start_truncation(b2)
-        bigger = math.ceil(1.5*n_fock)
+        sigma = _fractions(n_fock, terms, scalar)
         while True:
-            sigma, check = _fractions(n_fock, bigger, terms, scalar)
+            bigger = math.ceil(1.5*n_fock)
+            check = _fractions(bigger, terms, scalar)
             change = _change(sigma, check, scalar)
             if change <= 1e-13:
                 break
@@ -221,7 +204,7 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
                     f"oracle truncation reached the cap MAX_FOCK = {MAX_FOCK}:"
                     f" {n_fock} -> {bigger} levels still changed sigma_minus"
                     f" by {change:.3e}")
-            n_fock, bigger = bigger, math.ceil(1.5*bigger)
+            n_fock, sigma = bigger, check
         check = change
     # (Omega_p/2) a+ |0> over the ground block
     return SteadyResponse(omega_p=wp, sigma_minus=sigma,

@@ -279,26 +279,28 @@ def _fraction_walk(levels, num, x, u, v, y, h, q):
 
 def test_fraction_tables_are_kept_per_block():
     # a per-level table hangs on every constant of the block, not only on
-    # the level count: constant sets with the same 60 levels, called in
-    # turn, each keep a table of their own and give the bits of a walk of
-    # their own diagonal; a table past _CACHED_LEVELS levels is not kept
-    oracle._levels.cache_clear()
+    # the level count: constant sets with the same 40 (then 60) levels,
+    # called in turn, each keep a table of their own and give the bits of a
+    # walk of their own diagonal; a table of _CACHED_LEVELS levels is kept,
+    # one past it is not
     base = dict(u=4.0e8, v=6.3e7, y=8.0e5, h=3.1e5, q=2.5e15)
     sets = [base] + [{**base, key: 1.25*base[key]} for key in base]
     num, x = 6.3e7, 1.7e8
-    for _ in range(2):
-        for consts in sets:
-            pair = oracle._fraction_pair(40, 60, num, x, **consts)
-            assert pair == [_fraction_walk(40, num, x, **consts),
-                            _fraction_walk(60, num, x, **consts)], consts
-    assert oracle._levels.cache_info().currsize == len(sets)
+    for levels in (40, 60):
+        oracle._levels.cache_clear()
+        for _ in range(2):
+            for consts in sets:
+                got = oracle._fraction(levels, num, x, **consts)
+                assert got == _fraction_walk(levels, num, x, **consts), consts
+        assert oracle._levels.cache_info().currsize == len(sets)
     tables = [oracle._levels(60, *consts.values()) for consts in sets]
     assert len({id(rows) for _, rows in tables}) == len(sets)
     assert all(a != b for i, a in enumerate(tables) for b in tables[i + 1:])
     big = oracle._CACHED_LEVELS
-    pair = oracle._fraction_pair(big, math.ceil(1.5*big), num, x, **base)
-    assert pair[0] == _fraction_walk(big, num, x, **base)
-    assert oracle._levels.cache_info().currsize == len(sets)
+    for levels in (big, big + 1):
+        got = oracle._fraction(levels, num, x, **base)
+        assert got == _fraction_walk(levels, num, x, **base)
+        assert oracle._levels.cache_info().currsize == len(sets) + 1, levels
     # through the oracle: alternating signals read no stale table
     wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
     turns = [lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
@@ -320,7 +322,7 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
     change = np.abs(at_40.sigma_minus - at_60.sigma_minus)/np.abs(at_60.sigma_minus)
     assert at_40.residual == change.max()
     assert 1e-8 < at_40.residual < 1e-6
-    # a lone point runs both truncations in one pass as well, in floats
+    # a lone point's residual is its change to 1.5 n_fock as well, in floats
     for n_fock in (40, 80):
         whole = lindblad_steady_response(FIG1, sig, grid, n_fock=n_fock)
         for i in (3, 20):
@@ -335,14 +337,14 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
 
 
 def _spy_on_recurrence(monkeypatch) -> list:
-    """The (smaller, levels) of every `_fraction_pair` pass from here on."""
+    """The levels of every `_fraction` pass from here on."""
     calls = []
-    fraction_pair = oracle._fraction_pair
+    fraction = oracle._fraction
 
-    def spy(smaller, levels, *terms):
-        calls.append((smaller, levels))
-        return fraction_pair(smaller, levels, *terms)
-    monkeypatch.setattr(oracle, "_fraction_pair", spy)
+    def spy(levels, *terms):
+        calls.append(levels)
+        return fraction(levels, *terms)
+    monkeypatch.setattr(oracle, "_fraction", spy)
     return calls
 
 
@@ -359,19 +361,20 @@ def test_explicit_truncation_defers_its_check(monkeypatch):
             bigger = math.ceil(1.5*n_fock)
             calls.clear()
             got = lindblad_steady_response(FIG1, sig, omega_p, n_fock=n_fock)
-            assert calls == [(None, n_fock)]
+            assert calls == [n_fock]
             first = got.residual
-            assert calls == [(None, n_fock), (None, bigger)]
+            assert calls == [n_fock, bigger]
             assert got.residual == first and len(calls) == 2
             check = lindblad_steady_response(FIG1, sig, omega_p,
                                              n_fock=bigger).sigma_minus
             change = np.abs(got.sigma_minus - check)/np.abs(check)
             assert first == np.max(change)
-    # the sized truncation fuses its check: reading it runs nothing more
+    # the sized truncation runs its check in the call: reading it runs no
+    # pass
     calls.clear()
     got = lindblad_steady_response(FIG1, sig, grid)
-    assert calls and all(smaller for smaller, _ in calls)
     count = len(calls)
+    assert count >= 2
     assert got.residual <= 1e-13 and len(calls) == count
 
 
@@ -380,8 +383,8 @@ def test_explicit_check_that_leaves_the_floats_raises_on_read():
     # d_50 = i 50 gamma_c/2, whose square underflows to 0.  The 40 levels
     # hold no such level and return; the check's 60 levels do, and raise
     # when `residual` is read (ZeroDivisionError in floats, an
-    # ArithmeticError for a grid).  The sized truncation, whose check is
-    # fused, raises at the call.
+    # ArithmeticError for a grid).  The sized truncation, which runs its
+    # check in the call, raises at the call.
     qubit = QubitParams(omega_q=1.0, chi=1.0, gamma=0.0, gamma_phi=0.0)
     params = SystemParams(CavityParams(omega_c=1000.0, gamma_c=1e-200),
                           (qubit,))
@@ -395,6 +398,16 @@ def test_explicit_check_that_leaves_the_floats_raises_on_read():
             got.residual
         with pytest.raises(ArithmeticError):
             lindblad_steady_response(params, sig, omega_p)
+
+
+def test_empty_grid_gives_empty_response():
+    # as in `sweep` and the `qubit_response_*` kernels, no probe points give
+    # no values, and a residual of 0 on both paths
+    sig = Coherent(nbar=1.0)
+    for n_fock in (None, 40):
+        got = lindblad_steady_response(FIG1, sig, np.array([]), n_fock)
+        assert got.sigma_minus.shape == got.a_expect.shape == (0,)
+        assert got.residual == 0.0
 
 
 def test_steady_response_equality_ignores_the_check():
@@ -468,12 +481,16 @@ def test_sized_truncation_converges_to_nbar_3000(preset):
 
 
 @pytest.mark.parametrize("preset", ["fig1", "fig7"])
-def test_sized_truncation_grows_at_nbar_30(preset):
-    # the levels near resonance at the grid edge need more than the start
+def test_sized_truncation_grows_at_nbar_30(preset, monkeypatch):
+    # the levels near resonance at the grid edge need more than the start;
+    # the check at 204 levels becomes the next truncation, so each level
+    # count is walked once
+    calls = _spy_on_recurrence(monkeypatch)
     fp = FIGURES[preset]
     got = lindblad_steady_response(fp.system(), Coherent(nbar=30.0),
                                    fp.probe_grid_default(401))
     assert oracle._start_truncation(30.0) == 136
+    assert calls == [136, 204, 306]
     assert got.n_fock == 204 and got.residual <= 1e-13
 
 
