@@ -12,6 +12,11 @@ transmission assembles the two rotating branches
 with omega_c* = omega_c - sum_j chi_j the ground-state-dressed cavity
 frequency.  R depends on the signal state through the in-cavity photon
 statistics; the photon-number sidebands sit at omega_j + 2 chi_j n.
+
+Each R is a series summed per probe point.  For incoherent and thermal
+light, a point far from every sideband (the counter-rotating branch sits
+about 2 omega_j away) is summed in closed form from the series' expansion
+in its inverse detuning, where 24 terms of it settle to 2^-56.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ _TERM_CAP = 5000
 _BLOCK_ROWS = 64
 _BLOCK_CELLS = 4096
 _BLOCK_MIN_ROWS = 8
+# a lane far from every pole is summed in closed form where the expansion
+# in its detuning settles within _FAR_TERMS terms: the last below _FAR_RTOL
+# of the sum
+_FAR_TERMS = 24
+_FAR_RTOL = 2.0**-56
 # the most sidebands a comb's table may hold
 _SIDEBAND_CAP = 100000
 
@@ -335,11 +345,12 @@ class _Lanes:
     A lane stops once three consecutive terms each fall below _TERM_RTOL of
     its running total and then leaves the active set, so the per-term work
     follows the points still summing; `active` holds their grid indices and
-    `lane` the kernel's per-lane arrays.  `run` adds the terms one per array
-    pass (`add`) or, while few lanes are left, a block of terms per pass
-    (`add_block`), with the same sums.  A grid of one point, 0-d or not, is
-    summed by the same code as any other, so a lone point gets the bits it
-    has on any grid.
+    `lane` the kernel's per-lane arrays.  A kernel may first `settle` the
+    lanes it sums in closed form; `run` then adds the terms of the rest one
+    per array pass (`add`) or, while few lanes are left, a block of terms
+    per pass (`add_block`), with the same sums, and scales every lane once.
+    A grid of one point, 0-d or not, is summed by the same code as any
+    other, so a lone point gets the bits it has on any grid.
     """
 
     def __init__(self, omega_p):
@@ -395,9 +406,14 @@ class _Lanes:
         small = np.abs(term) < _TERM_RTOL*np.maximum(np.abs(self.total), 1e-300)
         done = small & self.small1 & self.small2
         self.small1, self.small2 = small, self.small1
+        self.settle(done, self.total)
+
+    def settle(self, done: np.ndarray, sums: np.ndarray) -> None:
+        """Finish the active lanes where `done` holds with their entries of
+        `sums` (unscaled, one per active lane) and retire them."""
         if np.count_nonzero(done):
             hit = done.nonzero()[0]
-            self.out[self.active[hit]] = self.total[hit]
+            self.out[self.active[hit]] = sums[hit]
             self._retire(done)
 
     def add_block(self, terms: np.ndarray, stop: np.ndarray) -> None:
@@ -443,6 +459,55 @@ def _geometric_end(decay) -> int:
     """Term where decay^n drops below _TERM_RTOL, three terms on (or _TERM_CAP)."""
     return (3 + int(math.log(_TERM_RTOL)/math.log(decay)) if 0 < decay < 1
             else _TERM_CAP)
+
+
+def _incoherent_far(x0: np.ndarray, ratio: complex, gap: complex,
+                    shift: complex):
+    """(far, sums): sum_n ratio^n e^(x_n) E_(n+1)(x_n), x_n = x0 - n shift,
+    at large |x0|, and the lanes where that expansion settles; gap is
+    1 - ratio, formed without cancellation, as the sum is about 1/(x0 gap).
+
+    The sum is int_0^inf e^(-x0 t)/(1 + t - ratio e^(shift t)) dt, so by
+    Watson's lemma it is sum_m m! F_m/x0^(m+1), with F_m the Taylor
+    coefficients of 1/(1 + t - ratio e^(shift t)).  They are formed once
+    per call from those of the denominator, and each lane takes one Horner
+    pass in 1/x0.
+    """
+    # the denominator's coefficients: gap, 1 - ratio shift, -ratio shift^j/j!
+    denom, power = [gap, 1.0 - ratio*shift], -ratio*shift
+    for j in range(2, _FAR_TERMS):
+        power *= shift/j
+        denom.append(power)
+    f = [1.0/gap]                       # F_m
+    for m in range(1, _FAR_TERMS):
+        f.append(-sum(map(operator.mul, denom[1:m + 1], reversed(f)))/gap)
+    coef = [math.factorial(m)*f_m for m, f_m in enumerate(f)]
+    with np.errstate(all="ignore"):     # a lane gone non-finite is not far
+        u = 1.0/x0
+        total = coef[-1]*u
+        for a in reversed(coef[:-1]):
+            total = (total + a)*u
+        far = abs(coef[-1])*np.abs(u)**_FAR_TERMS < _FAR_RTOL*np.abs(total)
+    return far, total
+
+
+def _thermal_far(a: np.ndarray, step: np.ndarray, rate: np.ndarray):
+    """(far, sums): sum_n rate^n/(a + n step) where |step| << |a|, and the
+    lanes where that expansion settles.
+
+    With y = -step/a the sum is the Euler transform
+    (1/a) sum_k k! rate^k/(1 - rate)^(k+1) y^k/prod_(i<=k) (1 - i y), whose
+    terms follow T_k = T_(k-1) k g/(1 - k y) with g = rate y/(1 - rate).
+    """
+    with np.errstate(all="ignore"):
+        y = -step/a
+        g = rate*y/(1.0 - rate)
+        term = total = 1.0/(1.0 - rate)
+        for k in range(1, _FAR_TERMS):
+            term = term*g/(1.0/k - y)
+            total = total + term
+        far = np.abs(term) < _FAR_RTOL*np.abs(total)
+    return far, total/a
 
 
 def _cmul(x, y):
@@ -574,6 +639,14 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
 
     with w, step as in the coherent series.  The product e^x E_(n+1)(x)
     equals x^n U(n+1, n+1, x) and is evaluated in scaled form.
+
+    A lane far from every pole (the counter-rotating branch at the
+    presets' nbar) takes the sum in closed form instead: with
+    s = c step/B the series is int_0^inf e^(-x_0 t)/(1 + t - (k/c) e^(s t)) dt,
+    whose Watson expansion in 1/x_0 (`_incoherent_far`) has coefficients
+    shared by every lane.  A lane is far when the expansion's 24th term is
+    below 2^-56 of its sum, a test of that lane alone, so its value does
+    not depend on the lanes beside it; every other lane sums the series.
     """
     if nbar <= 0:
         raise ValueError("incoherent response needs nbar > 0")
@@ -591,6 +664,9 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
         # x_0 = 0, where e^x E_1(x) diverges
         raise _not_finite("incoherent", lanes.grid.flat[pole[0]])
     lanes.lane["base"] = base
+    far, sums = _incoherent_far(_cmul(base, c)/b_coef, k/c, 1.0/(nbar*c),
+                                c*step/b_coef)
+    lanes.settle(far, sums/(nbar*b_coef))
     ratios = accumulate(repeat(k/c), operator.mul, initial=1.0 + 0j)  # (k/c)^n
 
     def terms(n, ratio):
@@ -614,6 +690,11 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
     S = sqrt(gc^2/4 + gc (2 nbar_p + 1) i chi - chi^2) (Re S >= 0) the
     response is a geometric double series over the poles
     omega_p^(n) = omega_j - i gamma_coh - i(2n+1) S - chi + i gc/2.
+
+    Far from every pole (|S| small against omega_p - omega_p^(0), as on the
+    counter-rotating branch) a lane takes the Euler transform of its series
+    instead (`_thermal_far`), where its 24th term is below 2^-56 of its
+    sum; every other lane sums the series.
     """
     if flux < 0:
         raise ValueError("flux must be non-negative")
@@ -639,6 +720,11 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
         lane.update(s_root=s_root, prefactor=2.0*s_root*gc/(q1*q2),
                     rate=(r1/q1)*(r2/q2), f=np.ones(wp.shape, dtype=complex))
         pole0 = qubit.omega_q - 1j*qubit.gamma_coh
+        # omega_p - omega_p^(0), with omega_p - omega_j formed first
+        far, sums = _thermal_far(
+            (wp - qubit.omega_q) + (chi + 1j*(qubit.gamma_coh - 0.5*gc))
+            + 1j*s_root, 2j*s_root, lane["rate"])
+        lanes.settle(far, lane["prefactor"]*sums)
 
         def factors():            # the next f, formed before lanes retire
             while True:

@@ -1,7 +1,8 @@
 """Closed forms and published data the tests check the package against:
 the 1F1 form of the coherent response (the dual path of its series), the
-series itself summed at 40 digits, 1F1 itself, Tricomi U (e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and gamma; the
-small-gap expansions of the resonator modes; and the published
+coherent, incoherent and thermal series themselves summed at 40 digits,
+1F1 itself, Tricomi U (e^z E_n(z) = z^(n-1) U(n, n, z)), digamma and
+gamma; the small-gap expansions of the resonator modes; and the published
 line-constant table with the nominal CPW geometry."""
 
 import cmath
@@ -56,6 +57,104 @@ def coherent_series_mp(omega_p: float, qubit, params, beta: complex,
                 return complex(chi*total)
             weight *= big_w/(n + 1)
     raise ConvergenceError(f"coherent series: {_SERIES_MAX_TERMS} terms")
+
+
+def _expint_scaled_mp(n: int, z, rtol):
+    """e^z E_n(z) to rtol: the continued fraction
+    1/(z + n - 1 n/(z + n + 2 - 2(n + 1)/(z + n + 4 - ...))) by modified
+    Lentz, which converges in few steps for large |z|; mpmath.expint (slow,
+    but good everywhere) where |z| < 50."""
+    import mpmath
+    if abs(z) < 50:
+        return mpmath.exp(z)*mpmath.expint(n, z)
+    tiny = mpmath.mpf(10)**-(2*mpmath.mp.dps)
+    b = z + n
+    c, d = 1/tiny, 1/b
+    h = d
+    for i in range(1, _SERIES_MAX_TERMS):
+        a = -i*(n - 1 + i)
+        b += 2
+        d = 1/(a*d + b)
+        c = b + a/c
+        step = c*d
+        h *= step
+        if abs(step.real - 1) + abs(step.imag) < rtol:
+            return h
+    raise ConvergenceError(f"e^z E_n(z) fraction: {_SERIES_MAX_TERMS} steps")
+
+
+def _geometric_sum_mp(term, ratio, rtol):
+    """sum_n ratio^n term(n) for |term(n)| that do not grow, stopped where
+    the geometric tail bound is below rtol of the total."""
+    import mpmath
+    total, weight = mpmath.mpc(0), mpmath.mpc(1)
+    bound = rtol*(1 - abs(ratio))
+    for n in range(_SERIES_MAX_TERMS):
+        t = weight*term(n)
+        total += t
+        if abs(t) < bound*abs(total):
+            return total
+        weight *= ratio
+    raise ConvergenceError(f"geometric series: {_SERIES_MAX_TERMS} terms")
+
+
+def incoherent_series_mp(omega_p: float, qubit, params, nbar: float,
+                         signal_omega=None, dps: int = 40) -> complex:
+    """The incoherent series chi sum_n (k/c)^n e^(x_n) E_(n+1)(x_n)/(nbar B)
+    of qubit_response_incoherent at one point, summed with dps digits from
+    the same float inputs, taken as exact, as `coherent_series_mp` does, to
+    a tail and e^x E_n(x) error below 10^(-dps/2) of the total."""
+    import mpmath
+    with mpmath.workdps(dps):
+        chi, gc = mpmath.mpf(qubit.chi), mpmath.mpf(params.cavity.gamma_c)
+        dressed = mpmath.mpf(params.omega_c_star)
+        omega = dressed if signal_omega is None else mpmath.mpf(signal_omega)
+        nbar = mpmath.mpf(nbar)
+        pull = dressed - omega - 0.5j*gc
+        w = 2*chi + pull
+        k = 4*chi**2/w**2
+        c = 1/nbar + k
+        b = -(2*chi - 4*chi**2/w)
+        base = (mpmath.mpf(omega_p) - qubit.omega_q
+                + 1j*mpmath.mpf(qubit.gamma_coh))
+        x0, shift = c*base/b, c*w/b      # the series' n step equals w
+        rtol = mpmath.mpf(10)**-(dps//2)
+        total = _geometric_sum_mp(
+            lambda n: _expint_scaled_mp(n + 1, x0 - n*shift, rtol), k/c, rtol)
+        return complex(chi*total/(nbar*b))
+
+
+def thermal_series_mp(omega_p: float, qubit, params, flux: float,
+                      tau_c: float, signal_omega=None, dps: int = 40) -> complex:
+    """The thermal series chi sum_n prefactor rate^n/(omega_p - pole_n) of
+    qubit_response_thermal at one point, summed with dps digits from the
+    same float inputs, taken as exact, to a tail below 10^(-dps/2) of the
+    total."""
+    import mpmath
+    with mpmath.workdps(dps):
+        chi, gc = mpmath.mpf(qubit.chi), mpmath.mpf(params.cavity.gamma_c)
+        flux, tau_c = mpmath.mpf(flux), mpmath.mpf(tau_c)
+        dressed = mpmath.mpf(params.omega_c_star)
+        omega = dressed if signal_omega is None else mpmath.mpf(signal_omega)
+        wp = mpmath.mpf(omega_p)
+        delta = omega - dressed
+        nbar = (flux/tau_c)/(delta**2 + 1/tau_c**2)
+        tau_p = tau_c/(1 + 1j*tau_c*(wp - omega))
+        nbar_p = (flux/tau_p)/(delta**2 + 1/tau_p**2)
+        s_root = mpmath.sqrt(gc**2/4 + gc*(2*nbar_p + 1)*1j*chi - chi**2)
+        if s_root.real < 0:
+            s_root = -s_root
+        v = 1 + (1j*chi - gc/2 - s_root)/(gc*(1 + nbar_p))
+        r1, q1 = gc/2 - s_root - 1j*chi, gc/2 + s_root - 1j*chi
+        r2 = gc*(v - nbar/(1 + nbar))*(1 + nbar_p)
+        q2 = r2 + 2*s_root
+        rate = (r1/q1)*(r2/q2)
+        pole0 = (mpmath.mpf(qubit.omega_q) - 1j*mpmath.mpf(qubit.gamma_coh)
+                 - chi + 0.5j*gc)
+        total = _geometric_sum_mp(
+            lambda n: 1/(wp - pole0 + 1j*(2*n + 1)*s_root), rate,
+            mpmath.mpf(10)**-(dps//2))
+        return complex(chi*2*s_root*gc/(q1*q2)*total)
 
 
 # ---------------------------------------------------------------------------
