@@ -5,18 +5,10 @@ from the displaced-frame master equation on n_fock Fock levels per qubit
 sector; it knows nothing about the series expansions it is meant to check.
 The ground block is diagonal and is divided out.  The qubit-excited block,
 2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
-response chi [block^-1]_00 is a finite continued fraction: one backward
-recurrence in real arithmetic, which gives the same bits for one probe
-point (floats) as for a whole grid (arrays).  Every truncation and every
-check at 1.5 times its levels runs that one recurrence: an explicit
-truncation's check waits until `SteadyResponse.residual` is read, and when
-a sized truncation must grow, its check becomes the next truncation.  Only
-the probe point enters a pass; each level's other constants come from a
-small cache of per-level tables, so that a run of lone probe points forms
-them once.
-`check_supported` states the oracle's domain.  `dense_sigma_minus` solves
-the same block densely for the `oracle` command's explicit-truncation
-table.
+response chi [block^-1]_00 is `tridiagonal.fraction`, run once per
+truncation and per check.  `check_supported` states the oracle's domain.
+`dense_sigma_minus` solves the same block densely for the `oracle`
+command's explicit-truncation table.
 """
 
 from __future__ import annotations
@@ -32,11 +24,10 @@ import numpy as np
 from .detector import (Coherent, QubitParams, SystemParams, Vacuum,
                        cavity_photon_number, signal_frequency)
 from .specfun import ConvergenceError
+from .tridiagonal import fraction
 
 # the most Fock levels a truncation may hold
 MAX_FOCK = 20000
-# the most levels of a per-level table that `_levels` keeps
-_CACHED_LEVELS = 2048
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,8 @@ class SteadyResponse:
     `residual` is the worst relative change of sigma_minus against
     ceil(1.5 n_fock) levels.  A sized truncation knows it from its growth
     loop; an explicit one runs that check when `residual` is first read and
-    keeps it.  Equality ignores the check.
+    keeps it.  Equality ignores the check, and only lone-point results
+    compare: `==` on two grids raises numpy's ambiguous-truth ValueError.
     """
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
@@ -60,9 +52,8 @@ class SteadyResponse:
     def residual(self) -> float:
         if isinstance(self._check, float):
             return self._check
-        scalar = isinstance(self.omega_p, float)
-        check = _fractions(math.ceil(1.5*self.n_fock), self._check, scalar)
-        return _change(self.sigma_minus, check, scalar)
+        check = fraction(math.ceil(1.5*self.n_fock), *self._check)
+        return _change(self.sigma_minus, check)
 
 
 def _start_truncation(nbar: float) -> int:
@@ -96,56 +87,11 @@ def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
     return params.qubits[0], beta
 
 
-@functools.lru_cache(maxsize=8)
-def _levels(size: int, u: float, v: float, y: float, h: float, q: float):
-    """The excited block's per-level constants, top level first: (u + k v,
-    y + k h) at k = size - 1, then one row (q (k+1), u + k v, y + k h)
-    for each level k below it, as Python floats (numpy's elementwise
-    products and sums round as the scalar ones do).  They do not depend on
-    the probe point, so a run of lone points forms them once; the cache
-    keeps tables of up to _CACHED_LEVELS levels, at 140 bytes a level."""
-    top = float(size - 1)
-    k = np.arange(top, 0.0, -1.0)
-    below = k - 1.0
-    return ((u + top*v, y + top*h),
-            tuple(zip((q*k).tolist(), (u + below*v).tolist(),
-                      (y + below*h).tolist())))
-
-
-def _fraction(levels: int, num: float, x, u: float, v: float, y: float,
-              h: float, q: float):
-    """num/g_0 over `levels` levels, from g_(n-1) = d_(n-1) and g_k = d_k -
-    q (k+1)/g_(k+1) with the excited block's diagonal d_k = x - (u + k v)
-    + i (y + k h), each level's d_k and q (k+1) read from `_levels`.  One
-    backward pass; the complex division is spelt out, so that floats and
-    arrays round alike."""
-    table = _levels if levels <= _CACHED_LEVELS else _levels.__wrapped__
-    (a, b), rows = table(levels, u, v, y, h, q)
-    gr, gi = x - a, b
-    for qk, a, b in rows:
-        s = qk/(gr*gr + gi*gi)
-        gr, gi = x - a - s*gr, b + s*gi
-    s = num/(gr*gr + gi*gi)
-    return complex(s*gr, -s*gi) if isinstance(s, float) else s*gr - 1j*(s*gi)
-
-
-def _fractions(levels: int, terms: tuple, scalar: bool):
-    """`_fraction` on the block constants `terms`, a grid's pass with
-    floating-point warnings off (a non-finite value is checked for)."""
-    if scalar:
-        return _fraction(levels, *terms)
+def _change(sigma, check) -> float:
+    """The worst relative change of sigma against check, over a point or a
+    grid; ArithmeticError once either pass has left the floats (nan or inf)."""
     with np.errstate(all="ignore"):
-        return _fraction(levels, *terms)
-
-
-def _change(sigma, check, scalar: bool) -> float:
-    """The worst relative change of sigma against check; ArithmeticError
-    once either pass has left the floats (nan or inf)."""
-    if scalar:
-        change = abs(sigma - check)/abs(check)
-    else:
-        with np.errstate(all="ignore"):
-            change = float((abs(sigma - check)/abs(check)).max(initial=0.0))
+        change = float(np.max(abs(sigma - check)/abs(check), initial=0.0))
     if not math.isfinite(change):
         raise ArithmeticError("continued fraction is not finite")
     return change
@@ -186,17 +132,17 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     terms = (chi, wp - qubit.omega_q, 2.0*chi*b2, 2.0*chi + pull.real,
              qubit.gamma_coh, -pull.imag, 4.0*chi*chi*b2)
     if n_fock is not None:
-        sigma = _fractions(n_fock, terms, scalar)
+        sigma = fraction(n_fock, *terms)
         if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
             raise ArithmeticError("continued fraction is not finite")
         check = terms             # run when `residual` is first read
     else:
         n_fock = _start_truncation(b2)
-        sigma = _fractions(n_fock, terms, scalar)
+        sigma = fraction(n_fock, *terms)
         while True:
             bigger = math.ceil(1.5*n_fock)
-            check = _fractions(bigger, terms, scalar)
-            change = _change(sigma, check, scalar)
+            check = fraction(bigger, *terms)
+            change = _change(sigma, check)
             if change <= 1e-13:
                 break
             if bigger > MAX_FOCK:

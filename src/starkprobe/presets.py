@@ -59,9 +59,9 @@ class FigurePreset:
         return np.linspace(center - span, center + span, n_points)
 
 
-# The thermal coherence times keep both gamma_c tau_c and the probe-signal
-# beat tau_c |omega_p - omega| deep in the short-coherence regime the
-# closed-form widths assume.
+# Thermal coherence times keep gamma_c tau_c <= 1e-3 on every preset; the beat
+# tau_c |omega_p - omega| is below 0.01 except on fig7, whose default and third
+# coherence times reach 1.05 and 10.5 over its probe grid.
 FIGURES: dict[str, FigurePreset] = {
     "fig1": FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3,
                          tau_c=1e-12),

@@ -1,5 +1,8 @@
+import ast
 import cmath
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  qubit_response_coherent,
                                  qubit_response_incoherent,
                                  signal_frequency)
-from starkprobe import oracle
+from starkprobe import oracle, tridiagonal
 from starkprobe.oracle import check_supported, lindblad_steady_response
 from starkprobe.presets import FIGURES
 from starkprobe.specfun import ConvergenceError
@@ -266,7 +269,7 @@ def test_point_equals_grid_bit_for_bit():
 
 def _fraction_walk(levels, num, x, u, v, y, h, q):
     """num/g_0 over `levels` levels, each level's d_k and q k formed as it
-    is reached, in the expressions of `oracle._levels`."""
+    is reached, in the expressions of `tridiagonal._levels`."""
     k = float(levels - 1)
     gr, gi = x - (u + k*v), y + k*h
     while k:
@@ -287,30 +290,45 @@ def test_fraction_tables_are_kept_per_block():
     sets = [base] + [{**base, key: 1.25*base[key]} for key in base]
     num, x = 6.3e7, 1.7e8
     for levels in (40, 60):
-        oracle._levels.cache_clear()
+        tridiagonal._levels.cache_clear()
         for _ in range(2):
             for consts in sets:
-                got = oracle._fraction(levels, num, x, **consts)
+                got = tridiagonal.fraction(levels, num, x, **consts)
                 assert got == _fraction_walk(levels, num, x, **consts), consts
-        assert oracle._levels.cache_info().currsize == len(sets)
-    tables = [oracle._levels(60, *consts.values()) for consts in sets]
+        assert tridiagonal._levels.cache_info().currsize == len(sets)
+    tables = [tridiagonal._levels(60, *consts.values()) for consts in sets]
     assert len({id(rows) for _, rows in tables}) == len(sets)
     assert all(a != b for i, a in enumerate(tables) for b in tables[i + 1:])
-    big = oracle._CACHED_LEVELS
+    big = tridiagonal._CACHED_LEVELS
     for levels in (big, big + 1):
-        got = oracle._fraction(levels, num, x, **base)
+        got = tridiagonal.fraction(levels, num, x, **base)
         assert got == _fraction_walk(levels, num, x, **base)
-        assert oracle._levels.cache_info().currsize == len(sets) + 1, levels
+        assert tridiagonal._levels.cache_info().currsize == len(sets) + 1, levels
     # through the oracle: alternating signals read no stale table
     wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
     turns = [lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
              for nbar in (1.0, 3.0, 1.0, 3.0)]
-    oracle._levels.cache_clear()
+    tridiagonal._levels.cache_clear()
     for nbar, got in zip((1.0, 3.0), turns):
         fresh = lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
         assert (got.sigma_minus, got.residual) == (fresh.sigma_minus,
                                                    fresh.residual), nbar
     assert turns[:2] == turns[2:]
+
+
+def test_tridiagonal_imports_only_the_standard_library_and_numpy():
+    # the recurrence is a leaf: it imports nothing from the package, so a
+    # response kernel in `detector` can call it as the oracle does
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(tridiagonal))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.module
+            names.add(node.module)
+    tops = {name.split(".")[0] for name in names}
+    assert "numpy" in tops
+    assert tops - {"numpy"} <= set(sys.stdlib_module_names), tops
 
 
 def test_explicit_residual_is_the_change_to_1_5_n_fock():
@@ -337,14 +355,14 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
 
 
 def _spy_on_recurrence(monkeypatch) -> list:
-    """The levels of every `_fraction` pass from here on."""
+    """The levels of every `tridiagonal.fraction` pass from here on."""
     calls = []
-    fraction = oracle._fraction
+    fraction = oracle.fraction
 
     def spy(levels, *terms):
         calls.append(levels)
         return fraction(levels, *terms)
-    monkeypatch.setattr(oracle, "_fraction", spy)
+    monkeypatch.setattr(oracle, "fraction", spy)
     return calls
 
 
@@ -422,6 +440,12 @@ def test_steady_response_equality_ignores_the_check():
     assert read == unread == sized
     assert "residual" not in vars(unread)
     assert unread.residual == read.residual
+    # only lone points compare: `==` on two grids meets numpy's arrays,
+    # which have no single truth value
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    whole = lindblad_steady_response(FIG1, sig, grid, n_fock=40)
+    with pytest.raises(ValueError, match="ambiguous"):
+        whole == lindblad_steady_response(FIG1, sig, grid, n_fock=40)
 
 
 def test_dense_table_solve_matches_fraction():
