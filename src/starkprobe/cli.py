@@ -14,13 +14,16 @@ import math
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import atom as atom_mod
-from . import cavity as cavity_mod
-from . import detector, oracle, output, presets, waveguide
+# each command imports the modules it runs, so it starts up loading no other
+from . import presets
 from .config import ConfigError, load_config
+
+if TYPE_CHECKING:
+    from . import detector
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,9 +105,11 @@ def _formats(arg: str) -> tuple[str, ...]:
     if arg == "all":
         return ("csv", "json", "svg")
     fmts = tuple(s.strip() for s in arg.split(",") if s.strip())
-    for f in fmts:
+    for i, f in enumerate(fmts):
         if f not in ("csv", "json", "svg"):
             raise ConfigError(f"unknown format {f!r}")
+        if f in fmts[:i]:
+            raise ConfigError(f"format {f!r} given twice")
     if not fmts:
         raise ConfigError(f"no output format in {arg!r}")
     return fmts
@@ -125,6 +130,7 @@ _SPECTRUM_KEYS = ("omega_c", "gamma_c", "omega_q", "chi", "gamma",
 
 
 def _cmd_waveguide(args) -> int:
+    from . import output, waveguide
     cfg = (load_config(args.config, _WAVEGUIDE_KEYS[args.model])
            if args.config else {})
     if args.model == "parallel-plate":
@@ -147,16 +153,17 @@ def _cmd_waveguide(args) -> int:
 
 
 def _cmd_cavity(args) -> int:
+    from . import cavity, output
     cfg = load_config(args.config, _CAVITY_KEYS) if args.config else {}
     geom = dataclasses.replace(presets.resonator_preset(args.ratio), **cfg)
-    modes = cavity_mod.resonances(geom, args.modes)
+    modes = cavity.resonances(geom, args.modes)
     mode_table = output.csv_text(
         "n,f_n_hz,gamma_n_hz,q_factor", [m.n for m in modes],
         [m.omega_n/math.tau for m in modes],
         [m.gamma_n/math.tau for m in modes], [m.q_factor for m in modes])
     grid = np.linspace(0.5*modes[0].omega_n, 1.15*modes[-1].omega_n,
                        args.points)
-    s21, s11 = zip(*(cavity_mod.bare_s_params(geom, w) for w in grid))
+    s21, s11 = zip(*(cavity.bare_s_params(geom, w) for w in grid))
     # abs() per value: np.abs may differ from it in the last digit
     sweep_table = output.csv_text(
         "omega_hz,re_s21,im_s21,abs_s21,re_s11,im_s11,abs_s11", grid/math.tau,
@@ -169,6 +176,7 @@ def _cmd_cavity(args) -> int:
 
 
 def _cmd_atom(args) -> int:
+    from . import atom as atom_mod, output
     cfg = load_config(args.config, _ATOM_KEYS) if args.config else {}
     span = cfg.pop("span", None)
     atom = dataclasses.replace(presets.ATOM, **cfg)
@@ -200,6 +208,7 @@ def _preset_from(args) -> presets.FigurePreset:
 
 
 def _signal_from(args, system, fp) -> detector.SignalState:
+    from . import detector
     vacuum = args.state == "vacuum"
     # a flag that cannot change what the state writes is refused
     for flag, unread in (("--nbar", vacuum and args.nbar is not None),
@@ -234,6 +243,7 @@ def _signal_from(args, system, fp) -> detector.SignalState:
 def _oracle_table(system, sig, grid, n_fock=None) -> str:
     """The first qubit's response R on the grid against the truncated-Fock
     oracle's, with their relative deviation."""
+    from . import detector, oracle
     analytic = detector.response_function(system, sig)(grid, system.qubits[0])
     if n_fock is None:
         orc = oracle.lindblad_steady_response(system, sig, grid,
@@ -249,10 +259,12 @@ def _oracle_table(system, sig, grid, n_fock=None) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
+    from . import detector, output
     fp = _preset_from(args)
     system = fp.system()
     sig = _signal_from(args, system, fp)
     if args.oracle_check:
+        from . import oracle
         oracle.check_supported(system, sig)
     grid = fp.probe_grid_default(args.points)
     fmts = _formats(args.format)
@@ -301,6 +313,7 @@ def _cmd_spectrum(args, model: str) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import detector, oracle, output
     fp = presets.FIGURES[args.preset]
     system = fp.system()
     sig = detector.Coherent(nbar=args.nbar)

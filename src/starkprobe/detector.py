@@ -28,14 +28,16 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, count, islice, repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cavity import ResonatorGeometry, resonances
 from .config import FINITE, NON_NEGATIVE, NON_ZERO, POSITIVE, check_values
 from .specfun import ConvergenceError, expint_scaled
-from .waveguide import WaveguideParams
+
+if TYPE_CHECKING:
+    from .cavity import ResonatorGeometry
+    from .waveguide import WaveguideParams
 
 E_CHARGE = 1.602176634e-19
 HBAR = 1.054571817e-34
@@ -293,6 +295,7 @@ def derive_qubit(josephson_energy: float, capacitance: float,
     chi = g^2/(omega_q - omega_c) against the first cavity mode.
     The non-line decay defaults to gamma = kappa^2/omega_q.
     """
+    from .cavity import resonances
     e_c = E_CHARGE**2/(2.0*capacitance)
     if e_c/josephson_energy > 0.1:
         _warn(f"E_C/E_J = {e_c/josephson_energy:.3f} > 0.1: "

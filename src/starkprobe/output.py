@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detector import Spectrum
+if TYPE_CHECKING:
+    from .detector import Spectrum
 
 
 def _fmt(x: float) -> str:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .atom import AtomParams
-from .cavity import ResonatorGeometry
 from .config import COUNT, FINITE, POSITIVE, ConfigError, check_values
-from .detector import CavityParams, QubitParams, SystemParams
-from .waveguide import CpwGeometry, ParallelPlateGeometry
+
+if TYPE_CHECKING:
+    from .atom import AtomParams
+    from .cavity import ResonatorGeometry
+    from .detector import SystemParams
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -44,6 +45,7 @@ class FigurePreset:
                      probe_span=POSITIVE)
 
     def system(self) -> SystemParams:
+        from .detector import CavityParams, QubitParams, SystemParams
         qubit = QubitParams(omega_q=self.omega_q, chi=self.chi,
                             gamma=self.gamma, gamma_phi=self.gamma_phi)
         return SystemParams(cavity=CavityParams(self.omega_c, self.gamma_c),
@@ -91,25 +93,37 @@ FIGURES: dict[str, FigurePreset] = {
 CONFIG_DEFAULT = FigurePreset(chi=math.tau*10e6, gamma_c=math.tau*100e3)
 
 
-# The published line-constant table is reproduced by an effective gap of
-# 7.5 um (conformal modulus k0 = 0.40); TABLE_GEOMETRY pins it, so the
-# table rows come out as published.
-TABLE_GEOMETRY = CpwGeometry(w=10e-6, s=7.5e-6, h1=500e-6, h2=550e-9,
-                             eps1_rel=11.6, eps2_rel=3.78)
-PLATE_GEOMETRY = ParallelPlateGeometry(w_plate=10e-6, d1=500e-6, d2=550e-9,
-                                       eps1_rel=11.6, eps2_rel=3.78)
+def __getattr__(name):
+    # the line and atom presets are built from their model's module on first
+    # access and kept, so that the spectrum commands load neither model
+    if name == "TABLE_GEOMETRY":
+        # The published line-constant table is reproduced by an effective
+        # gap of 7.5 um (conformal modulus k0 = 0.40); TABLE_GEOMETRY pins
+        # it, so the table rows come out as published.
+        from .waveguide import CpwGeometry
+        value = CpwGeometry(w=10e-6, s=7.5e-6, h1=500e-6, h2=550e-9,
+                            eps1_rel=11.6, eps2_rel=3.78)
+    elif name == "PLATE_GEOMETRY":
+        from .waveguide import ParallelPlateGeometry
+        value = ParallelPlateGeometry(w_plate=10e-6, d1=500e-6, d2=550e-9,
+                                      eps1_rel=11.6, eps2_rel=3.78)
+    elif name == "ATOM":
+        # the artificial atom of the `atom` sweep
+        from .atom import AtomParams
+        value = AtomParams(delta_omega=0.0, gamma1=math.tau*1e6,
+                           gamma_phi=0.0, rabi=0.0)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def resonator_preset(capacitance_ratio: float) -> ResonatorGeometry:
     """A cm-scale resonator with the gap ratio C/(C'L) given."""
+    from .cavity import ResonatorGeometry
     return ResonatorGeometry(length=0.02,
                              gap_capacitance=capacitance_ratio*1.6e-10*0.02,
                              line_capacitance=1.6e-10, velocity=1.2e8)
-
-
-# the artificial atom of the `atom` sweep
-ATOM = AtomParams(delta_omega=0.0, gamma1=math.tau*1e6, gamma_phi=0.0,
-                  rabi=0.0)
 
 
 def atom_grid(atom: AtomParams, n_points: int,

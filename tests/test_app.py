@@ -686,6 +686,17 @@ def test_cli_format_only_for_spectra(tmp_path):
         assert not (tmp_path/"no").exists(), command
 
 
+def test_cli_format_given_twice(tmp_path, capsys):
+    # a format named twice would write and list its file twice
+    for fmts in ("csv,csv,json", "json, svg,json"):
+        assert run_cli(["detect", "--preset", "fig1", "--points", "5",
+                        "--format", fmts, "--out", str(tmp_path/"no")]) == 2
+        assert not (tmp_path/"no").exists()
+    err = capsys.readouterr().err
+    assert "format 'csv' given twice" in err
+    assert "format 'json' given twice" in err
+
+
 def test_cli_components_only_for_detect(tmp_path):
     # the comb model has no per-term columns: comb rejects --components as a
     # usage error, and so does sweep
