@@ -16,8 +16,6 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 # each command imports the modules it runs, so it starts up loading no other
 from . import presets
 from .config import ConfigError, load_config
@@ -161,14 +159,14 @@ def _cmd_cavity(args) -> int:
         "n,f_n_hz,gamma_n_hz,q_factor", [m.n for m in modes],
         [m.omega_n/math.tau for m in modes],
         [m.gamma_n/math.tau for m in modes], [m.q_factor for m in modes])
-    grid = np.linspace(0.5*modes[0].omega_n, 1.15*modes[-1].omega_n,
-                       args.points)
+    grid = presets.linspace(0.5*modes[0].omega_n, 1.15*modes[-1].omega_n,
+                            args.points)
     s21, s11 = zip(*(cavity.bare_s_params(geom, w) for w in grid))
-    # abs() per value: np.abs may differ from it in the last digit
     sweep_table = output.csv_text(
-        "omega_hz,re_s21,im_s21,abs_s21,re_s11,im_s11,abs_s11", grid/math.tau,
-        np.real(s21), np.imag(s21), [abs(v) for v in s21],
-        np.real(s11), np.imag(s11), [abs(v) for v in s11])
+        "omega_hz,re_s21,im_s21,abs_s21,re_s11,im_s11,abs_s11",
+        [w/math.tau for w in grid],
+        [v.real for v in s21], [v.imag for v in s21], [abs(v) for v in s21],
+        [v.real for v in s11], [v.imag for v in s11], [abs(v) for v in s11])
     output.write_texts(args.out, {"cavity_modes.csv": mode_table,
                                   "cavity_sweep.csv": sweep_table})
     print(mode_table, end="")
@@ -184,8 +182,9 @@ def _cmd_atom(args) -> int:
     s11, s21 = zip(*(atom_mod.atom_s_params(
         dataclasses.replace(atom, delta_omega=d)) for d in grid))
     table = output.csv_text("delta_hz,re_s11,im_s11,re_s21,im_s21",
-                            grid/math.tau, np.real(s11), np.imag(s11),
-                            np.real(s21), np.imag(s21))
+                            [d/math.tau for d in grid],
+                            [v.real for v in s11], [v.imag for v in s11],
+                            [v.real for v in s21], [v.imag for v in s21])
     path, = output.write_texts(args.out, {"atom_sweep.csv": table})
     print(f"wrote {args.points} points to {path}")
     return 0
@@ -259,6 +258,8 @@ def _oracle_table(system, sig, grid, n_fock=None) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
+    import numpy as np
+
     from . import detector, output
     fp = _preset_from(args)
     system = fp.system()

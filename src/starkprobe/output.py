@@ -3,7 +3,8 @@ CSV tables, the line-parameter report, and the one writer for them all.
 
 Output is byte-deterministic: floats are written with repr-exact 17
 significant digits so a re-parsed CSV reproduces the in-memory arrays
-bitwise.
+bitwise.  Only the spectrum SVG writer imports numpy; the text writers
+(`csv_text`, `report_texts`, `write_texts`) take lists or arrays alike.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import json
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .detector import Spectrum
@@ -25,10 +24,12 @@ def _fmt(x: float) -> str:
 
 def csv_text(header: str, *columns) -> str:
     """A CSV table: the header line, then one row per index of the equally
-    long columns, every value in repr-exact 17 significant digits."""
+    long columns (lists or arrays), every value in repr-exact 17
+    significant digits."""
+    # an array's tolist() hands over its values as Python floats in one call
+    cols = (col.tolist() if hasattr(col, "tolist") else col for col in columns)
     rows = [header]
-    rows += [",".join(map(_fmt, row)) for row in
-             zip(*(np.asarray(col, dtype=float).tolist() for col in columns))]
+    rows += [",".join(map(_fmt, row)) for row in zip(*cols)]
     return "\n".join(rows) + "\n"
 
 
@@ -62,7 +63,7 @@ def _column_names(spec: Spectrum) -> list[str]:
 
 def spectrum_to_csv(spec: Spectrum, path: Path) -> None:
     columns = [spec.omega_p/math.tau, spec.s21.real, spec.s21.imag,
-               np.abs(spec.s21)]
+               abs(spec.s21)]
     for key in sorted(spec.components or ()):
         columns += [spec.components[key].real, spec.components[key].imag]
     path.write_text(csv_text(",".join(_column_names(spec)), *columns))
@@ -79,8 +80,9 @@ def spectrum_to_json(spec: Spectrum, path: Path) -> None:
 
 def spectrum_to_svg(spec: Spectrum, path: Path) -> None:
     """One polyline per channel of S21 (re, im, abs) over the probe grid."""
+    import numpy as np
     series = {"re": spec.s21.real, "im": spec.s21.imag,
-              "abs": np.abs(spec.s21)}
+              "abs": abs(spec.s21)}
     colors = {"re": "#1f77b4", "im": "#d62728", "abs": "#2ca02c"}
     xs = spec.omega_p
     x0, x1 = float(xs[0]), float(xs[-1])

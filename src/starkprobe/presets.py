@@ -4,6 +4,10 @@ Figure presets carry the caption parameter sets verbatim (frequencies are
 plain cycles-per-second values times 2 pi).  The quoted linewidth
 combination gamma + 2 gamma_phi enters every formula only through
 gamma/2 + gamma_phi, so it is split as gamma = combination, gamma_phi = 0.
+
+Grids follow one rule, `linspace`, on Python floats; of the functions here
+only `FigurePreset.probe_grid_default`, which returns an array, imports
+numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .config import COUNT, FINITE, POSITIVE, ConfigError, check_values
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .atom import AtomParams
     from .cavity import ResonatorGeometry
     from .detector import SystemParams
@@ -52,13 +56,14 @@ class FigurePreset:
                             qubits=(qubit,)*int(self.n_qubits))
 
     def probe_grid_default(self, n_points: int = 2001) -> np.ndarray:
+        import numpy as np
         if not self.n_qubits and None in (self.probe_center, self.probe_span):
             raise ConfigError("no qubits: config must set probe_center and "
                               "probe_span")
         center = self.omega_q if self.probe_center is None else self.probe_center
         span = (50.0*max(abs(self.chi), 0.5*self.gamma + self.gamma_phi)
                 if self.probe_span is None else self.probe_span)
-        return np.linspace(center - span, center + span, n_points)
+        return np.array(linspace(center - span, center + span, n_points))
 
 
 # Thermal coherence times keep gamma_c tau_c <= 1e-3 on every preset; the beat
@@ -126,9 +131,26 @@ def resonator_preset(capacitance_ratio: float) -> ResonatorGeometry:
                              line_capacitance=1.6e-10, velocity=1.2e8)
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced floats from start to stop, bit for bit those of
+    np.linspace: y_i = i*step + start, step = (stop - start)/(num - 1), the
+    product and the sum each rounded, and the last point set to stop (a step
+    that underflows to 0 gives y_i = (i/(num - 1))*(stop - start) + start, as
+    there).  Fewer than 2 points raise ConfigError."""
+    if num < 2:
+        raise ConfigError(f"a grid needs at least 2 points, got {num}")
+    start, stop = float(start), float(stop)
+    delta, div = stop - start, num - 1
+    step = delta/div
+    grid = ([i*step + start for i in range(num)] if step else
+            [i/div*delta + start for i in range(num)])
+    grid[-1] = stop
+    return grid
+
+
 def atom_grid(atom: AtomParams, n_points: int,
-              span: Optional[float] = None) -> np.ndarray:
+              span: Optional[float] = None) -> list[float]:
     """Drive detunings over +-span, by default 10 (gamma1/2 + gamma_phi)."""
     span = 10.0*atom.gamma_coh if span is None else span
     check_values({"span": span}, span=POSITIVE)
-    return np.linspace(-span, span, n_points)
+    return linspace(-span, span, n_points)

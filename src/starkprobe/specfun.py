@@ -12,15 +12,18 @@ value is the same whichever others share the call, and a lone argument (a
 scalar or an array of one) takes the same code.  Branch conventions:
 Lambert W follows the standard multivalued indexing (branch 0 real on
 z >= -1/e); the exponential integrals use the principal branch with the
-cut along the negative real axis.
+cut along the negative real axis.  Only `expint_scaled` and its two array
+helpers import numpy; Lambert W and K run on the standard library alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -158,6 +161,7 @@ def expint_scaled(n, z):
     the asymptotic series where that stalls too.  A non-finite result raises
     ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
     """
+    import numpy as np
     zs = np.asarray(z, dtype=complex)
     each_n = np.ndim(n) > 0
     if each_n:
@@ -245,6 +249,7 @@ def _expint_scaled_asymptotic_lanes(n, z: np.ndarray) -> np.ndarray:
     # |z| >= 128(n + 8): the first omitted term is below 128^-8 relative, so
     # no lane needs a convergence test.  n is one order or one per lane.
     # Out-of-place products only, which round alike at every array length.
+    import numpy as np
     with np.errstate(all="ignore"):     # a non-finite z raises below
         w = 1.0/z
         total = 1.0 - (n + 6.0)*w
@@ -289,6 +294,7 @@ def _expint_scaled_cf_lanes(n, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # converges and leaves through that mask too, to the scalar recurrence,
     # which floors.  (A d of 0 would need a*d + b to overflow, after a
     # denominator below about 1e-300.)
+    import numpy as np
     tiny = 1e-300
     out = np.full(z.shape, np.nan, dtype=complex)
     lane = np.arange(z.size)

@@ -2,6 +2,8 @@
 
 `import starkprobe` loads no module of the package: each public name
 resolves on first use, and each command imports only the modules it runs.
+The line, resonator and atom commands compute on Python floats and never
+load numpy.
 """
 
 import json
@@ -18,8 +20,8 @@ import starkprobe
 SRC = Path(__file__).resolve().parents[1]/"src"
 
 # a fresh interpreter records what a bare `import starkprobe` loaded, runs
-# the commands given as JSON and prints their exit codes and the package's
-# modules loaded then, as its last line
+# the commands given as JSON and prints their exit codes, the package's
+# modules loaded then and whether numpy was, as its last line
 _CHILD = """\
 import json, sys
 import starkprobe
@@ -28,7 +30,8 @@ bare = [m for m in sys.modules
 from starkprobe.cli import run_cli
 codes = [run_cli(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"bare": bare, "codes": codes, "loaded": sorted(
-    m for m in sys.modules if m.startswith("starkprobe"))}))
+    m for m in sys.modules if m.startswith("starkprobe")),
+    "numpy": "numpy" in sys.modules}))
 """
 
 _SPECTRUM = {"cli", "config", "presets", "output", "detector", "specfun"}
@@ -54,6 +57,10 @@ FAMILIES = {
     "oracle": ([["oracle", "--n-fock", "40", "--points", "3"]],
                _SPECTRUM | {"oracle", "tridiagonal"}),
 }
+
+
+# the families that run on Python floats alone
+NUMPY_FREE = {"waveguide", "cavity", "atom"}
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +91,11 @@ def test_command_loads_only_its_modules(started, family):
     assert record["codes"] == [0]*len(argvs)
     loaded = {m.partition(".")[2] for m in record["loaded"]} - {""}
     assert loaded <= allowed, sorted(loaded - allowed)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_only_the_spectrum_and_oracle_commands_load_numpy(started, family):
+    assert started[family]["numpy"] is (family not in NUMPY_FREE)
 
 
 def test_bare_import_loads_no_module_and_no_numpy(started):
