@@ -16,7 +16,10 @@ statistics; the photon-number sidebands sit at omega_j + 2 chi_j n.
 Each R is a series summed per probe point.  For incoherent and thermal
 light, a point far from every sideband (the counter-rotating branch sits
 about 2 omega_j away) is summed in closed form from the series' expansion
-in its inverse detuning, where 24 terms of it settle to 2^-56.
+in its inverse detuning, where 24 terms of it settle to 2^-56; for a long
+incoherent series, so is a point that recedes from every sideband, with
+the pole that stalls that expansion taken out.  `sweep` refuses a spectrum
+that is not passive.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import FINITE, NON_NEGATIVE, NON_ZERO, POSITIVE, check_values
-from .specfun import ConvergenceError, expint_scaled
+from .specfun import ConvergenceError, expint1_scaled_lanes, expint_scaled
 
 if TYPE_CHECKING:
     from .cavity import ResonatorGeometry
@@ -464,34 +467,117 @@ def _geometric_end(decay) -> int:
             else _TERM_CAP)
 
 
+def _incoherent_denominator(ratio: complex, gap: complex, shift: complex,
+                            count: int) -> list:
+    """The first `count` Taylor coefficients of D(t) = 1 + t - ratio e^(shift t):
+    gap (1 - ratio, formed without cancellation), 1 - ratio shift, and
+    -ratio shift^j/j!."""
+    denom, power = [gap, 1.0 - ratio*shift], -ratio*shift
+    for j in range(2, count):
+        power *= shift/j
+        denom.append(power)
+    return denom
+
+
+def _reciprocal(coefs: list) -> list:
+    """The Taylor coefficients of 1/a(t), as many as a(t) has."""
+    out = [1.0/coefs[0]]
+    for m in range(1, len(coefs)):
+        out.append(-sum(map(operator.mul, coefs[1:m + 1], reversed(out)))/coefs[0])
+    return out
+
+
+def _deflate(coefs: list, t0: complex) -> list:
+    """The Taylor coefficients of (a(t) - a(t0))/(t - t0), each the next one
+    of a(t) plus t0 times the one after it: run from the top down, the
+    recurrence does not divide by a small t0."""
+    return list(accumulate(reversed(coefs[1:]), lambda b, a: a + t0*b))[::-1]
+
+
+def _horner(coefs: list, t: complex) -> complex:
+    total = 0j
+    for a in reversed(coefs):
+        total = total*t + a
+    return total
+
+
+def _watson(coefs: list, x0: np.ndarray):
+    """(tail, total): sum_m m! coefs_m/x0^(m+1) by one Horner pass in 1/x0,
+    and the size of its last term."""
+    coef = [math.factorial(m)*a for m, a in enumerate(coefs)]
+    u = 1.0/x0
+    total = coef[-1]*u
+    for a in reversed(coef[:-1]):
+        total = (total + a)*u
+    return abs(coef[-1])*np.abs(u)**len(coef), total
+
+
 def _incoherent_far(x0: np.ndarray, ratio: complex, gap: complex,
                     shift: complex):
     """(far, sums): sum_n ratio^n e^(x_n) E_(n+1)(x_n), x_n = x0 - n shift,
     at large |x0|, and the lanes where that expansion settles; gap is
     1 - ratio, formed without cancellation, as the sum is about 1/(x0 gap).
 
-    The sum is int_0^inf e^(-x0 t)/(1 + t - ratio e^(shift t)) dt, so by
-    Watson's lemma it is sum_m m! F_m/x0^(m+1), with F_m the Taylor
-    coefficients of 1/(1 + t - ratio e^(shift t)).  They are formed once
-    per call from those of the denominator, and each lane takes one Horner
-    pass in 1/x0.
+    The sum is int_0^inf e^(-x0 t)/D(t) dt with D(t) = 1 + t -
+    ratio e^(shift t), so by Watson's lemma it is sum_m m! F_m/x0^(m+1),
+    with F_m the Taylor coefficients of 1/D(t).  They are formed once per
+    call from those of D, and each lane takes one Horner pass in 1/x0.
     """
-    # the denominator's coefficients: gap, 1 - ratio shift, -ratio shift^j/j!
-    denom, power = [gap, 1.0 - ratio*shift], -ratio*shift
-    for j in range(2, _FAR_TERMS):
-        power *= shift/j
-        denom.append(power)
-    f = [1.0/gap]                       # F_m
-    for m in range(1, _FAR_TERMS):
-        f.append(-sum(map(operator.mul, denom[1:m + 1], reversed(f)))/gap)
-    coef = [math.factorial(m)*f_m for m, f_m in enumerate(f)]
+    f = _reciprocal(_incoherent_denominator(ratio, gap, shift, _FAR_TERMS))
     with np.errstate(all="ignore"):     # a lane gone non-finite is not far
-        u = 1.0/x0
-        total = coef[-1]*u
-        for a in reversed(coef[:-1]):
-            total = (total + a)*u
-        far = abs(coef[-1])*np.abs(u)**_FAR_TERMS < _FAR_RTOL*np.abs(total)
+        tail, total = _watson(f, x0)
+        far = tail < _FAR_RTOL*np.abs(total)
     return far, total
+
+
+def _incoherent_pole(x0: np.ndarray, ratio: complex, gap: complex,
+                     shift: complex):
+    """(settled, sums): `_incoherent_far`'s sum where |ratio| is near 1,
+    on the lanes whose arguments x_n recede from 0 (Re(x0 conj(shift)) < 0).
+
+    Near |ratio| = 1 the zero t0 of D nearest 0 comes close to it, and the
+    Watson series stalls.  Taken out exactly, the pole contributes
+    e^(-x0 t0) E_1(-x0 t0)/D'(t0), with D'(t0) = 1 - shift (1 + t0); the
+    rest, 1/D(t) - 1/(D'(t0)(t - t0)), is regular out to the next zero and
+    is summed by Watson's lemma as before.  Its coefficients R_m come from
+    D(t) = (t - t0) Q(t) and 1/Q(t) = P(t) = P(t0) + (t - t0) R(t), both
+    divisions run from the top down.  A receding lane settles where the
+    Watson series does; on a lane that approaches a pole (a sideband on
+    the near side) the same expansion settles to a wrong value.  Where
+    Newton's method from -gap/(1 - ratio shift) finds no zero, or
+    |shift t0| > 1, no lane settles.
+    """
+    settled = (x0.real*shift.real + x0.imag*shift.imag) < 0
+    sums = np.zeros(x0.shape, dtype=complex)
+    if not settled.any():
+        return settled, sums
+    # twice the Watson terms: the backward divisions start far past them
+    denom = _incoherent_denominator(ratio, gap, shift, 2*_FAR_TERMS + 1)
+    t0 = _nearest_zero(denom, -denom[0]/denom[1])
+    if t0 is None or abs(shift*t0) > 1.0:
+        return np.zeros(x0.shape, dtype=bool), sums
+    rest = _deflate(_reciprocal(_deflate(denom, t0)), t0)[:_FAR_TERMS]
+    lanes = settled.nonzero()[0]
+    with np.errstate(all="ignore"):     # a lane gone non-finite does not settle
+        tail, total = _watson(rest, x0[lanes])
+        total = total + expint1_scaled_lanes(-x0[lanes]*t0)/(1.0 - shift*(1.0 + t0))
+        settled[lanes] = tail < _FAR_RTOL*np.abs(total)
+    sums[lanes] = total
+    return settled, sums
+
+
+def _nearest_zero(coefs: list, t: complex) -> Optional[complex]:
+    """The zero of the power series `coefs` that Newton's method reaches
+    from t within _FAR_TERMS steps, or None."""
+    slope = [j*a for j, a in enumerate(coefs)][1:]
+    for _ in range(_FAR_TERMS):
+        step = _horner(coefs, t)/_horner(slope, t)
+        t -= step
+        # a few units in the last place: the steps then hop between
+        # neighbouring doubles
+        if abs(step) <= 2.0**-50*abs(t):
+            return t
+    return None
 
 
 def _thermal_far(a: np.ndarray, step: np.ndarray, rate: np.ndarray):
@@ -628,6 +714,13 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
                          "coherent", series.cap, stop_from=abs(series.big_w))
 
 
+def _incoherent_constants(chi: float, nbar: float, w: complex):
+    """(k, c, B) of the incoherent series: k = 4 chi^2/w^2, c = 1/nbar + k,
+    B = -(2 chi - 4 chi^2/w)."""
+    k = 4.0*chi*chi/(w*w)
+    return k, 1.0/nbar + k, -(2.0*chi - 4.0*chi*chi/w)
+
+
 def qubit_response_incoherent(omega_p, qubit: QubitParams,
                               params: SystemParams, nbar: float,
                               signal_omega: Optional[float] = None):
@@ -649,17 +742,21 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     whose Watson expansion in 1/x_0 (`_incoherent_far`) has coefficients
     shared by every lane.  A lane is far when the expansion's 24th term is
     below 2^-56 of its sum, a test of that lane alone, so its value does
-    not depend on the lanes beside it; every other lane sums the series.
+    not depend on the lanes beside it.  Where the series would run past
+    _BLOCK_ROWS terms (|k/c| > 0.64), the lanes whose x_n recede from 0
+    take the same expansion with the pole nearest 0 taken out
+    (`_incoherent_pole`), under the same test; every other lane sums the
+    series.
     """
     if nbar <= 0:
         raise ValueError("incoherent response needs nbar > 0")
     chi, gc = qubit.chi, params.cavity.gamma_c
     omega = params.omega_c_star if signal_omega is None else signal_omega
-    w = params.omega_c_star + 2.0*chi - omega - 0.5j*gc
-    k = 4.0*chi*chi/(w*w)
-    c = 1.0/nbar + k
-    b_coef = -(2.0*chi - 4.0*chi*chi/w)
     step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
+    # w equals step; the series and the far lanes form it at the scale of
+    # omega_c* (7e-13 relative rounding on fig3) and keep those bits
+    k, c, b_coef = _incoherent_constants(
+        chi, nbar, params.omega_c_star + 2.0*chi - omega - 0.5j*gc)
     lanes = _Lanes(omega_p)
     base = lanes.grid.ravel() - qubit.omega_q + 1j*qubit.gamma_coh
     pole = (base == 0).nonzero()[0]
@@ -670,15 +767,22 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     far, sums = _incoherent_far(_cmul(base, c)/b_coef, k/c, 1.0/(nbar*c),
                                 c*step/b_coef)
     lanes.settle(far, sums/(nbar*b_coef))
+    # the terms fall off about like |k/c|^n; a short series (fig4: 5 terms)
+    # runs one term at a time instead of paying for terms past its stop
+    end = _geometric_end(abs(k/c))
+    if end > _BLOCK_ROWS:
+        # w as step: that rounding would cost these lanes up to 1.1e-13
+        pk, pc, pb = _incoherent_constants(chi, nbar, step)
+        settled, sums = _incoherent_pole(_cmul(base[~far], pc)/pb, pk/pc,
+                                         1.0/(nbar*pc), pc*step/pb)
+        lanes.settle(settled, sums/(nbar*pb))
     ratios = accumulate(repeat(k/c), operator.mul, initial=1.0 + 0j)  # (k/c)^n
 
     def terms(n, ratio):
         x = _cmul(lanes.lane["base"] - n*step, c)/b_coef
         return ratio*expint_scaled(n + 1, x)/(nbar*b_coef)
 
-    # the terms fall off about like |k/c|^n; a short series (fig4: 5 terms)
-    # runs one term at a time instead of paying for terms past its stop
-    return lanes.run(terms, ratios, _geometric_end(abs(k/c)), chi, "incoherent",
+    return lanes.run(terms, ratios, end, chi, "incoherent",
                      f"incoherent response series cap at nbar={nbar:.3g}")
 
 
@@ -863,7 +967,13 @@ def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
 
     The whole grid goes through `s21_probe` (or `comb_spectrum`) in one
     call, with the series form of every response.  with_components adds the
-    cavity term and one column per qubit to the full model.
+    cavity term and one column per qubit to the full model.  A passive
+    device transmits at most 1 within the rotating-wave approximation, and
+    the counter-rotating cavity and qubit terms add at most gc/2/|omega_p +
+    omega_c*| each; a full-model spectrum past 1 + gc/|omega_p + omega_c*|
+    anywhere raises ConvergenceError naming the state, nbar and the worst
+    point.  It marks a series that has lost its digits (fig3 coherent light
+    at nbar 1000: |S21| of order 1e24).
     """
     if model not in ("full", "comb"):
         raise ValueError(f"unknown model {model!r}")
@@ -877,9 +987,19 @@ def sweep(params: SystemParams, sig: SignalState, omega_p_grid: Sequence[float],
         values = comb_spectrum(grid, params, sig, nbar)
     else:
         values = s21_probe(grid, params, sig, parts=components)
+    state = type(sig).__name__.lower()
+    if model == "full":
+        # |S21| - 1 against the counter-rotating terms' gc/|omega_p + omega_c*|
+        mags = np.abs(np.ravel(values))
+        excess = (mags - 1.0)*np.abs(grid.ravel() + params.omega_c_star)
+        if np.max(excess, initial=0.0) > params.cavity.gamma_c:
+            worst = excess.argmax()
+            raise ConvergenceError(
+                f"{state} spectrum is not passive at nbar={nbar:.3g}: |S21| "
+                f"= {mags[worst]:.3g} at omega_p = {grid.flat[worst]:.17g} rad/s")
     meta = {
         "model": model,
-        "state": type(sig).__name__.lower(),
+        "state": state,
         "nbar": nbar,
         "signal_omega_rad_s": signal_frequency(sig, params),
         "omega_c_rad_s": params.cavity.omega_c,

@@ -423,6 +423,18 @@ def test_cli_comb_sideband_cap_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_active_spectrum_writes_nothing(tmp_path, capsys):
+    # fig3's coherent series loses every digit by nbar 1000 (|S21| of order
+    # 1e24); no passive device transmits more than it receives
+    out = tmp_path/"out"
+    assert run_cli(["detect", "--preset", "fig3", "--state", "coherent",
+                    "--nbar", "1000", "--points", "51", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "coherent spectrum is not passive at nbar=1e+03: |S21| = 7.86e+24" in err, err
+    assert "at omega_p = " in err, err
+    assert not out.exists()
+
+
 def test_cli_figure_detuning_error_and_fom(tmp_path):
     rc = run_cli(["figure", "--preset", "fig10", "--state", "coherent",
                   "--nbar", "1", "--points", "15", "--format", "csv",
@@ -728,7 +740,8 @@ def test_cli_oracle_check_columns_agree(tmp_path, capsys):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the coherent series sums complex Poisson weights that cancel about "
     "exp(0.11 nbar)-fold on fig3: at nbar 1000 the analytic response is "
-    "about 1e27 against the oracle's 5e-4, and every rel_dev reads 1"))
+    "about 1e27 against the oracle's 5e-4, so |S21| passes 1 and the "
+    "command exits 3"))
 def test_cli_fig3_coherent_oracle_check_at_nbar_1000(tmp_path, capsys):
     assert run_cli(["detect", "--preset", "fig3", "--state", "coherent",
                     "--nbar", "1000", "--oracle-check", "--points", "21",

@@ -1,7 +1,9 @@
 """Probe points far from every pole: the incoherent and thermal kernels sum
-them in closed form, from the series' expansion in the inverse detuning.
-Such a lane must agree with the 40-digit sum of its series, must not call
-the series' kernels, and must keep its bits whichever lanes share the
+them in closed form, from the series' expansion in the inverse detuning;
+and, for long incoherent series, lanes whose arguments recede from every
+pole, with the nearest zero of the generating function's denominator taken
+out.  Such a lane must agree with the 40-digit sum of its series, must not
+call the series' kernels, and must keep its bits whichever lanes share the
 call."""
 
 import numpy as np
@@ -19,7 +21,7 @@ DETUNINGS = (0.0, -1.0/3.0, 1.0/3.0)    # of gamma_c, fig10's
 
 
 def _far_mask(monkeypatch, name, call):
-    """call() with the far-lane mask of its one `det.<name>` call kept."""
+    """call() with the lane mask of its one `det.<name>` call kept."""
     kept = []
     original = getattr(det, name)
 
@@ -106,7 +108,8 @@ def test_thermal_far_lanes_agree_with_40_digit_sums(preset, monkeypatch):
 
 def test_fig1_incoherent_expansion_stalls_at_nbar_30(monkeypatch):
     # |k/c| = 0.98 puts the expansion's 24th term at about 6e-12 of the sum,
-    # so every lane keeps the series
+    # so no lane settles by it; `_incoherent_pole` takes them all instead
+    # (below)
     fp = FIGURES["fig1"]
     system = fp.system()
     grid = -fp.probe_grid_default(101)
@@ -182,3 +185,132 @@ def test_fig1_incoherent_near_lanes_agree_with_40_digit_sums(monkeypatch):
     for wp, value in zip(points, values):
         ref = incoherent_series_mp(float(wp), q, system, 1.0)
         assert abs(value - ref) <= 5e-15*abs(ref), float(wp)
+
+
+def _pole_lanes(monkeypatch, call):
+    """call() and the grid indices that `_incoherent_pole` settled: it sees
+    the lanes that `_incoherent_far` left, none where it was not called."""
+    masks = {}
+    originals = {name: getattr(det, name)
+                 for name in ("_incoherent_far", "_incoherent_pole")}
+
+    def spy(name):
+        def spied(*args):
+            settled, sums = originals[name](*args)
+            masks[name] = settled.copy()
+            return settled, sums
+        return spied
+    with monkeypatch.context() as m:
+        for name in originals:
+            m.setattr(det, name, spy(name))
+        values = call()
+    if "_incoherent_pole" not in masks:
+        return values, np.array([], dtype=int)
+    left = (~masks["_incoherent_far"]).nonzero()[0]
+    return values, left[masks["_incoherent_pole"]]
+
+
+# nbar 150 costs a 40-digit sum about 2 s a point, so it is checked on the
+# three distinct (chi, gamma_c) pairs only: fig1, fig3 and fig7
+RECEDING_NBARS = {"fig1": (2.0, 5.0, 30.0, 150.0), "fig3": (2.0, 5.0, 30.0, 150.0),
+                  "fig5q": (2.0, 5.0, 30.0), "fig7": (2.0, 5.0, 30.0, 150.0),
+                  "fig10": (2.0, 5.0, 30.0)}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_incoherent_receding_lanes_agree_with_40_digit_sums(preset, monkeypatch):
+    # both branches: the co-rotating points on the side of omega_q without
+    # a sideband, and on fig1 the whole counter-rotating branch from nbar
+    # 30 on (elsewhere `_incoherent_far` takes it).  The series these lanes
+    # replace stops with a tail of 1e-12 |k/c|/(1 - |k/c|): 7.8e-12 at
+    # nbar 10, 2.7e-11 at 30, 1.4e-10 at 150.
+    fp = FIGURES[preset]
+    system = fp.system()
+    q = system.qubits[0]
+    grid = fp.probe_grid_default(101)
+    checked = 0
+    for nbar, omega in _cases(preset, RECEDING_NBARS[preset]):
+        for wp in (grid, -grid):
+            values, lanes = _pole_lanes(monkeypatch, lambda: (
+                qubit_response_incoherent(wp, q, system, nbar, omega)))
+            if lanes.size:
+                i = lanes[lanes.size//2]
+                ref = incoherent_series_mp(float(wp[i]), q, system, nbar, omega)
+                assert abs(values[i] - ref) <= 1e-14*abs(ref), (nbar, float(wp[i]))
+                checked += 1
+    # every co-rotating branch switches from nbar 5 on, and fig1's counter
+    # branch from 30
+    assert checked >= len(RECEDING_NBARS[preset]) - 1 + (preset == "fig1")*2
+
+
+@pytest.mark.parametrize("nbar", [2.0, 30.0])
+def test_receding_lanes_keep_their_bits_alone(nbar, monkeypatch):
+    # a switched lane has the bits it has on the grid, as a float and as a
+    # size-1 array, whichever lanes share the call
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    half = fp.probe_grid_default(41)
+    grid = np.concatenate((-half, half))
+    respond = response_function(system, Incoherent(nbar=nbar))
+    values, lanes = _pole_lanes(monkeypatch, lambda: respond(grid, q))
+    assert lanes.size >= 15, lanes.size
+    for i in lanes:
+        assert respond(float(grid[i]), q) == values[i], i
+        assert respond(grid[i:i + 1], q)[0] == values[i], i
+
+
+def test_fig1_counter_branch_sums_no_series_at_nbar_30(monkeypatch):
+    # every counter-rotating lane is switched: no e^x E_n(x) of order above
+    # 1 (a series term) is formed; the co-rotating branch still forms them
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    grid = fp.probe_grid_default(2001)
+    orders = []
+    expint = det.expint_scaled
+
+    def spy(n, z):
+        orders.append(np.max(n))
+        return expint(n, z)
+    monkeypatch.setattr(det, "expint_scaled", spy)
+    respond = response_function(system, Incoherent(nbar=30.0))
+    respond(-grid, q)
+    assert not [n for n in orders if n > 1], orders[:5]
+    respond(grid, q)
+    assert max(orders) > 1
+
+
+@pytest.mark.parametrize("nbar", [2.0, 5.0, 30.0, 150.0])
+def test_fig4_constants_settle_no_lane(nbar):
+    # fig4's cavity is 5000 chi wide: the zero Newton's method finds lies
+    # past |shift t0| = 1, or it finds none, so the helper settles no lane
+    # even when called outside the kernel's long-series rule (fig4's series
+    # are 5 terms long)
+    fp = FIGURES["fig4"]
+    system = fp.system()
+    q = system.qubits[0]
+    chi, gc = q.chi, system.cavity.gamma_c
+    step = 2.0*chi - 0.5j*gc
+    k, c, b = det._incoherent_constants(chi, nbar, step)
+    grid = fp.probe_grid_default(101)
+    for wp in (grid, -grid):
+        base = wp - q.omega_q + 1j*q.gamma_coh
+        settled, _ = det._incoherent_pole(det._cmul(base, c)/b, k/c,
+                                          1.0/(nbar*c), c*step/b)
+        assert not settled.any(), nbar
+
+
+@pytest.mark.parametrize("nbar", [2.0, 5.0, 30.0, 150.0])
+def test_fig1_co_rotating_points_above_omega_q_are_not_switched(nbar, monkeypatch):
+    # above omega_q the arguments x_n approach the sidebands: the same
+    # expansion there "settles" to values off by 80-410%, so only receding
+    # lanes (below omega_q, chi > 0) are switched
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    grid = fp.probe_grid_default(101)
+    _, lanes = _pole_lanes(monkeypatch, lambda: (
+        qubit_response_incoherent(grid, q, system, nbar)))
+    assert lanes.size >= 30
+    assert np.all(grid[lanes] <= q.omega_q)

@@ -398,6 +398,47 @@ def test_expint_scaled_series_branch_against_mpmath():
     assert worst < 1e-13
 
 
+def _e1_grid():
+    # both sides of the boundary |z| + |Re z| = 4 between the series and the
+    # fraction, out to |z| = 1e3, both half-planes, up to the branch cut
+    r = np.concatenate([np.linspace(0.05, 6.0, 24), [1.99, 2.01, 3.99, 4.01],
+                        [8.0, 32.0, 1e3]])
+    theta = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 31)
+    return (r[:, None]*np.exp(1j*theta[None, :])).ravel()
+
+
+def test_expint1_scaled_lanes_against_mpmath():
+    # the power series where |z| + |Re z| <= 4, the fraction at depth 64 on
+    # the rest of the right half-plane, expint_scaled on the rest of the
+    # left; expint_scaled's own series is off by up to 1.2e-10 there (above)
+    mpmath = pytest.importorskip("mpmath")
+    z = _e1_grid()
+    got = specfun.expint1_scaled_lanes(z)
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.exp(x)*mpmath.expint(1, x))
+                        for x in map(complex, z)])
+    err = np.abs(got - ref)/np.abs(ref)
+    small = np.abs(z) + np.abs(z.real) <= 4.0
+    assert err[small].max() <= 1e-14, z[small][err[small].argmax()]
+    right = ~small & (z.real > 0)
+    assert err[right].max() <= 1e-15, z[right][err[right].argmax()]
+    assert err[~small & ~right].max() <= 1e-13
+
+
+def test_expint1_scaled_lanes_are_independent():
+    # each argument has the bits it has alone, and those of expint_scaled
+    # where that takes it
+    z = _e1_grid()
+    full = specfun.expint1_scaled_lanes(z)
+    rng = np.random.default_rng(5)
+    for size in (*rng.integers(2, z.size, 10), 1):
+        pick = np.sort(rng.choice(z.size, size, replace=False))
+        got = specfun.expint1_scaled_lanes(z[pick])
+        assert np.array_equal(got.view(float), full[pick].view(float)), size
+    rest = (np.abs(z) + np.abs(z.real) > 4.0) & (z.real <= 0)
+    assert np.array_equal(full[rest], expint_scaled(1, z[rest]))
+
+
 # ---------------------------------------------------------------------------
 # Digamma
 
