@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 _HOMES = {
     "atom": ("AtomParams", "atom_s_params", "atom_steady_state"),
     "cavity": ("CavityMode", "ResonatorGeometry", "bare_s_params",
-               "resonances"),
+               "derive_coupling", "derive_qubit", "resonances"),
     "detector": ("CavityParams", "Coherent", "Incoherent", "QubitParams",
                  "SignalState", "Spectrum", "SystemParams", "Thermal",
                  "Vacuum", "cavity_photon_number", "comb_spectrum",
-                 "derive_qubit", "detuning_error", "figure_of_merit",
+                 "detuning_error", "figure_of_merit",
                  "qubit_response_coherent", "qubit_response_incoherent",
                  "qubit_response_thermal", "response_function", "s21_probe",
                  "s21_signal", "sweep"),

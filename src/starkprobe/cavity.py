@@ -4,7 +4,8 @@ The resonator is a transmission-line section of length L terminated by
 identical gap capacitances C into semi-infinite lines (line capacitance
 C' per length, wave speed c).  Scattering off the lossless structure is
 unitary; the resonance poles follow from the Lambert W function, one
-branch pair per mode index.
+branch pair per mode index.  A transmon placed in the resonator gets its
+qubit parameters and cavity coupling from the device (`derive_coupling`).
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import POSITIVE, check_values
 from .specfun import lambert_w, lambert_w_log
+
+if TYPE_CHECKING:
+    from .detector import QubitParams
+    from .waveguide import WaveguideParams
 
 
 @dataclass(frozen=True)
@@ -114,3 +120,51 @@ def bare_s_params(geom: ResonatorGeometry, omega: float) -> tuple[complex, compl
     s21 = -t*t/den
     s11 = 2j*(t*math.cos(phase) + math.sin(phase))/den
     return s21, s11
+
+
+E_CHARGE = 1.602176634e-19
+HBAR = 1.054571817e-34
+
+
+def derive_coupling(josephson_energy: float, capacitance: float,
+                    flux_fraction: float, position: float,
+                    line: WaveguideParams, cav: ResonatorGeometry,
+                    gamma_phi: float = 0.0) -> tuple[QubitParams, float]:
+    """(qubit, g): the transmon's parameters from the physical block, and its
+    cavity coupling g, whose sign chi drops.
+
+    omega_q = sqrt(4 e^2 E_J/C)/hbar - e^2/(2 hbar C), the line coupling
+    kappa = (2e/hbar) f sqrt(E_J omega_q/(2 c C')) with c, C' the effective
+    line speed and capacitance, g = kappa cos(pi l/L)/sqrt(pi), and
+    chi = g^2/(omega_q - omega_c) against the first cavity mode.
+    The non-line decay defaults to gamma = kappa^2/omega_q.
+    """
+    from .detector import QubitParams, _warn
+    e_c = E_CHARGE**2/(2.0*capacitance)
+    if e_c/josephson_energy > 0.1:
+        _warn(f"E_C/E_J = {e_c/josephson_energy:.3f} > 0.1: "
+              "outside the transmon regime")
+    omega_q = (math.sqrt(4.0*E_CHARGE**2*josephson_energy/capacitance)
+               - e_c)/HBAR
+    kappa = (2.0*E_CHARGE/HBAR)*flux_fraction*math.sqrt(
+        josephson_energy*omega_q/(2.0*line.v*line.c_eff))
+    g = position_coupling(kappa, position, cav.length)
+    omega_c = resonances(cav, 1)[0].omega_n
+    if omega_q == omega_c:
+        raise ZeroDivisionError("omega_q equals omega_c: dispersive "
+                                "approximation breaks down")
+    if g != 0 and abs(omega_q - omega_c) < 10.0*abs(g):
+        _warn("detuning below 10 g: dispersive validity is marginal")
+    chi = g*g/(omega_q - omega_c)
+    return QubitParams(omega_q=omega_q, chi=chi, gamma=kappa**2/omega_q,
+                       gamma_phi=gamma_phi), g
+
+
+def derive_qubit(*args, **kwargs) -> QubitParams:
+    """The qubit of `derive_coupling`, which takes the same arguments."""
+    return derive_coupling(*args, **kwargs)[0]
+
+
+def position_coupling(kappa: float, position: float, length: float) -> float:
+    """Cavity coupling g = kappa cos(pi l/L)/sqrt(pi) at position l."""
+    return kappa*math.cos(math.pi*position/length)/math.sqrt(math.pi)

@@ -25,25 +25,19 @@ that is not passive.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, count, islice, repeat
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .config import FINITE, NON_NEGATIVE, NON_ZERO, POSITIVE, check_values
 from .specfun import ConvergenceError, expint1_scaled_lanes, expint_scaled
-
-if TYPE_CHECKING:
-    from .cavity import ResonatorGeometry
-    from .waveguide import WaveguideParams
-
-E_CHARGE = 1.602176634e-19
-HBAR = 1.054571817e-34
 
 # series truncation: stop once the last 3 terms each fall below
 # _TERM_RTOL of the accumulated magnitude; hard cap _TERM_CAP
@@ -51,8 +45,9 @@ _TERM_RTOL = 1e-12
 _TERM_CAP = 5000
 # while few lanes remain, a series takes a block of terms per array pass:
 # at most _BLOCK_ROWS terms and _BLOCK_CELLS terms x lanes (101 lanes: 40),
-# else one term at a time where a block would be shorter than
-# _BLOCK_MIN_ROWS.  A lane's last block computes terms past its stop.
+# else one term at a time where that budget is below _BLOCK_MIN_ROWS.  A
+# lane's last block computes terms past its stop.  A comb on a grid of few
+# points adds its sidebands in blocks of the same budget.
 _BLOCK_ROWS = 64
 _BLOCK_CELLS = 4096
 _BLOCK_MIN_ROWS = 8
@@ -66,9 +61,11 @@ _SIDEBAND_CAP = 100000
 
 
 def _warn(message: str) -> None:
-    """Warn at the first caller outside this module, such as that of `sweep`."""
+    """Warn at the first caller outside the module that warns, such as that
+    of `sweep`."""
     frame, level = sys._getframe(1), 2
-    while frame.f_back is not None and frame.f_globals["__name__"] == __name__:
+    home = frame.f_globals["__name__"]
+    while frame.f_back is not None and frame.f_globals["__name__"] == home:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
 
@@ -200,11 +197,15 @@ class Incoherent:
         return _lorentzian_fill(self, params)[2], None
 
     def response(self, params: SystemParams) -> Callable:
+        """R(omega_p, qubit) in this light; the binding keeps each qubit's
+        series constants from its first call on."""
         nbar, _ = self.photon_number(params)
         if nbar == 0:
             return Vacuum(signal_omega=self.signal_omega).response(params)
         omega = signal_frequency(self, params)
-        return lambda wp, q: qubit_response_incoherent(wp, q, params, nbar, omega)
+        constants: dict = {}
+        return lambda wp, q: qubit_response_incoherent(wp, q, params, nbar,
+                                                       omega, constants)
 
     def sideband(self, n: int, nbar: float, gamma_c: float) -> tuple[float, float]:
         return _bose_weight(n, nbar), 0.5*n*gamma_c
@@ -284,47 +285,6 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Parameter derivation
-
-def derive_qubit(josephson_energy: float, capacitance: float,
-                 flux_fraction: float, position: float,
-                 line: WaveguideParams, cav: ResonatorGeometry,
-                 gamma_phi: float = 0.0) -> QubitParams:
-    """Transmon parameters from the physical block.
-
-    omega_q = sqrt(4 e^2 E_J/C)/hbar - e^2/(2 hbar C), the line coupling
-    kappa = (2e/hbar) f sqrt(E_J omega_q/(2 c C')) with c, C' the effective
-    line speed and capacitance, g = kappa cos(pi l/L)/sqrt(pi), and
-    chi = g^2/(omega_q - omega_c) against the first cavity mode.
-    The non-line decay defaults to gamma = kappa^2/omega_q.
-    """
-    from .cavity import resonances
-    e_c = E_CHARGE**2/(2.0*capacitance)
-    if e_c/josephson_energy > 0.1:
-        _warn(f"E_C/E_J = {e_c/josephson_energy:.3f} > 0.1: "
-              "outside the transmon regime")
-    omega_q = (math.sqrt(4.0*E_CHARGE**2*josephson_energy/capacitance)
-               - e_c)/HBAR
-    kappa = (2.0*E_CHARGE/HBAR)*flux_fraction*math.sqrt(
-        josephson_energy*omega_q/(2.0*line.v*line.c_eff))
-    g = position_coupling(kappa, position, cav.length)
-    omega_c = resonances(cav, 1)[0].omega_n
-    if omega_q == omega_c:
-        raise ZeroDivisionError("omega_q equals omega_c: dispersive "
-                                "approximation breaks down")
-    if g != 0 and abs(omega_q - omega_c) < 10.0*abs(g):
-        _warn("detuning below 10 g: dispersive validity is marginal")
-    chi = g*g/(omega_q - omega_c)
-    return QubitParams(omega_q=omega_q, chi=chi,
-                       gamma=kappa**2/omega_q, gamma_phi=gamma_phi)
-
-
-def position_coupling(kappa: float, position: float, length: float) -> float:
-    """Cavity coupling g = kappa cos(pi l/L)/sqrt(pi) at position l."""
-    return kappa*math.cos(math.pi*position/length)/math.sqrt(math.pi)
-
-
-# ---------------------------------------------------------------------------
 # Photon statistics inside the cavity
 
 def signal_frequency(sig: SignalState, params: SystemParams) -> float:
@@ -355,6 +315,8 @@ class _Lanes:
     lanes it sums in closed form; `run` then adds the terms of the rest one
     per array pass (`add`) or, while few lanes are left, a block of terms
     per pass (`add_block`), with the same sums, and scales every lane once.
+    The cell budget alone decides between the two, so the few terms left
+    before the series' expected end take one short block.
     A grid of one point, 0-d or not, is summed by the same code as any
     other, so a lone point gets the bits it has on any grid.
     """
@@ -386,9 +348,11 @@ class _Lanes:
                 bad = self.active[~np.isfinite(self.total)]
                 raise (_not_finite(state, self.grid.flat[bad[0]]) if bad.size
                        else ConvergenceError(cap))
-            # a block reaches neither past term `end` nor past _TERM_CAP
-            rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size, end - n)
-            if rows < _BLOCK_MIN_ROWS:
+            # the cell budget picks a block or one term; a block stops at
+            # `end`, at most _TERM_CAP, and past it one term at a time
+            rows = min(_BLOCK_ROWS, _BLOCK_CELLS//self.active.size)
+            rows = min(rows, end - n) if rows >= _BLOCK_MIN_ROWS else 1
+            if rows <= 1:
                 self.add(terms(n, next(factors)), n >= stop_from)
                 n += 1
             else:
@@ -501,10 +465,14 @@ def _horner(coefs: list, t: complex) -> complex:
     return total
 
 
-def _watson(coefs: list, x0: np.ndarray):
-    """(tail, total): sum_m m! coefs_m/x0^(m+1) by one Horner pass in 1/x0,
-    and the size of its last term."""
-    coef = [math.factorial(m)*a for m, a in enumerate(coefs)]
+def _watson_coefficients(coefs: list) -> list:
+    """m! coefs_m: the numerators of the Watson series sum_m m! coefs_m/x0^(m+1)."""
+    return [math.factorial(m)*a for m, a in enumerate(coefs)]
+
+
+def _watson(coef: list, x0: np.ndarray):
+    """(tail, total): sum_m coef_m/x0^(m+1) by one Horner pass in 1/x0, with
+    coef from `_watson_coefficients`, and the size of its last term."""
     u = 1.0/x0
     total = coef[-1]*u
     for a in reversed(coef[:-1]):
@@ -512,28 +480,42 @@ def _watson(coefs: list, x0: np.ndarray):
     return abs(coef[-1])*np.abs(u)**len(coef), total
 
 
-def _incoherent_far(x0: np.ndarray, ratio: complex, gap: complex,
-                    shift: complex):
+def _incoherent_far(x0: np.ndarray, coef: list):
     """(far, sums): sum_n ratio^n e^(x_n) E_(n+1)(x_n), x_n = x0 - n shift,
-    at large |x0|, and the lanes where that expansion settles; gap is
-    1 - ratio, formed without cancellation, as the sum is about 1/(x0 gap).
+    at large |x0|, and the lanes where that expansion settles.
 
     The sum is int_0^inf e^(-x0 t)/D(t) dt with D(t) = 1 + t -
     ratio e^(shift t), so by Watson's lemma it is sum_m m! F_m/x0^(m+1),
-    with F_m the Taylor coefficients of 1/D(t).  They are formed once per
-    call from those of D, and each lane takes one Horner pass in 1/x0.
+    with F_m the Taylor coefficients of 1/D(t).  `coef` holds the m! F_m,
+    formed once per series (`_IncoherentSeries`), and each lane takes one
+    Horner pass in 1/x0.
     """
-    f = _reciprocal(_incoherent_denominator(ratio, gap, shift, _FAR_TERMS))
     with np.errstate(all="ignore"):     # a lane gone non-finite is not far
-        tail, total = _watson(f, x0)
+        tail, total = _watson(coef, x0)
         far = tail < _FAR_RTOL*np.abs(total)
     return far, total
 
 
-def _incoherent_pole(x0: np.ndarray, ratio: complex, gap: complex,
-                     shift: complex):
+def _pole_constants(ratio: complex, gap: complex, shift: complex
+                    ) -> Optional[tuple]:
+    """(t0, slope, coef) of `_incoherent_pole`: the zero t0 of D nearest 0,
+    D'(t0) = 1 - shift (1 + t0) and the Watson numerators of the rest; None
+    where Newton's method from -gap/(1 - ratio shift) finds no zero, or
+    |shift t0| > 1.  gap is 1 - ratio, formed without cancellation."""
+    # twice the Watson terms: the backward divisions start far past them
+    denom = _incoherent_denominator(ratio, gap, shift, 2*_FAR_TERMS + 1)
+    t0 = _nearest_zero(denom, -denom[0]/denom[1])
+    if t0 is None or abs(shift*t0) > 1.0:
+        return None
+    rest = _deflate(_reciprocal(_deflate(denom, t0)), t0)[:_FAR_TERMS]
+    return t0, 1.0 - shift*(1.0 + t0), _watson_coefficients(rest)
+
+
+def _incoherent_pole(x0: np.ndarray, shift: complex,
+                     pole: Callable[[], Optional[tuple]]):
     """(settled, sums): `_incoherent_far`'s sum where |ratio| is near 1,
-    on the lanes whose arguments x_n recede from 0 (Re(x0 conj(shift)) < 0).
+    on the lanes whose arguments x_n recede from 0 (Re(x0 conj(shift)) < 0);
+    pole() gives `_pole_constants`, called only where a lane recedes.
 
     Near |ratio| = 1 the zero t0 of D nearest 0 comes close to it, and the
     Watson series stalls.  Taken out exactly, the pole contributes
@@ -544,23 +526,20 @@ def _incoherent_pole(x0: np.ndarray, ratio: complex, gap: complex,
     divisions run from the top down.  A receding lane settles where the
     Watson series does; on a lane that approaches a pole (a sideband on
     the near side) the same expansion settles to a wrong value.  Where
-    Newton's method from -gap/(1 - ratio shift) finds no zero, or
-    |shift t0| > 1, no lane settles.
+    pole() is None, no lane settles.
     """
     settled = (x0.real*shift.real + x0.imag*shift.imag) < 0
     sums = np.zeros(x0.shape, dtype=complex)
     if not settled.any():
         return settled, sums
-    # twice the Watson terms: the backward divisions start far past them
-    denom = _incoherent_denominator(ratio, gap, shift, 2*_FAR_TERMS + 1)
-    t0 = _nearest_zero(denom, -denom[0]/denom[1])
-    if t0 is None or abs(shift*t0) > 1.0:
+    constants = pole()
+    if constants is None:
         return np.zeros(x0.shape, dtype=bool), sums
-    rest = _deflate(_reciprocal(_deflate(denom, t0)), t0)[:_FAR_TERMS]
+    t0, slope, coef = constants
     lanes = settled.nonzero()[0]
     with np.errstate(all="ignore"):     # a lane gone non-finite does not settle
-        tail, total = _watson(rest, x0[lanes])
-        total = total + expint1_scaled_lanes(-x0[lanes]*t0)/(1.0 - shift*(1.0 + t0))
+        tail, total = _watson(coef, x0[lanes])
+        total = total + expint1_scaled_lanes(-x0[lanes]*t0)/slope
         settled[lanes] = tail < _FAR_RTOL*np.abs(total)
     sums[lanes] = total
     return settled, sums
@@ -700,12 +679,17 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     if series is None:
         series = constants[qubit] = _CoherentSeries(qubit, params, beta,
                                                     signal_omega)
-    grid = np.asarray(omega_p, dtype=float)
-    if grid.size == 1:
-        value = series.lone(grid.item())
+    # a float goes to `lone` as it is, an array of one point as its item
+    grid = (None if isinstance(omega_p, float)
+            else np.asarray(omega_p, dtype=float))
+    point = (float(omega_p) if grid is None
+             else grid.item() if grid.size == 1 else None)
+    if point is not None:
+        value = series.lone(point)
         if value is not None:
-            return value if grid.ndim == 0 else np.full(grid.shape, value)
-    lanes = _Lanes(grid)
+            return (value if grid is None or grid.ndim == 0
+                    else np.full(grid.shape, value))
+    lanes = _Lanes(omega_p)
     lanes.lane["base"] = series.base(lanes.grid.ravel())
     step = series.step
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -721,9 +705,43 @@ def _incoherent_constants(chi: float, nbar: float, w: complex):
     return k, 1.0/nbar + k, -(2.0*chi - 4.0*chi*chi/w)
 
 
+class _IncoherentSeries:
+    """The incoherent series of one qubit in one system and field, all but
+    the probe point: k/c, c, B and the n step, the length it should stop
+    near, the far lanes' Watson numerators and, for the receding lanes, c
+    and B with w as the step and the pole's constants, formed at the first
+    lane that recedes.  A bound response keeps one per qubit."""
+
+    def __init__(self, qubit: QubitParams, params: SystemParams, nbar: float,
+                 signal_omega: Optional[float]):
+        chi, gc = qubit.chi, params.cavity.gamma_c
+        omega = params.omega_c_star if signal_omega is None else signal_omega
+        self.step = step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
+        # w equals step; the series and the far lanes form it at the scale of
+        # omega_c* (7e-13 relative rounding on fig3) and keep those bits
+        k, c, b = _incoherent_constants(
+            chi, nbar, params.omega_c_star + 2.0*chi - omega - 0.5j*gc)
+        self.ratio, self.c, self.b, self.scale = k/c, c, b, nbar*b
+        self.far = _watson_coefficients(_reciprocal(_incoherent_denominator(
+            k/c, 1.0/(nbar*c), c*step/b, _FAR_TERMS)))
+        # the terms fall off about like |k/c|^n; no block of a short series
+        # (fig4: 5 terms) reaches past this
+        self.end = _geometric_end(abs(k/c))
+        # w as step: that rounding would cost the receding lanes up to 1.1e-13
+        pk, pc, pb = _incoherent_constants(chi, nbar, step)
+        self.receding = (pc, pb, pc*step/pb, nbar*pb)
+        self._zero = (pk/pc, 1.0/(nbar*pc), pc*step/pb)
+        self.cap = f"incoherent response series cap at nbar={nbar:.3g}"
+
+    @functools.cached_property
+    def pole(self) -> Optional[tuple]:
+        return _pole_constants(*self._zero)
+
+
 def qubit_response_incoherent(omega_p, qubit: QubitParams,
                               params: SystemParams, nbar: float,
-                              signal_omega: Optional[float] = None):
+                              signal_omega: Optional[float] = None,
+                              constants: Optional[dict] = None):
     """Probe-normalised response for an incoherent (phase-less) field.
 
     Gaussian-weighted integral of the coherent response over |beta|^2,
@@ -746,17 +764,17 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     _BLOCK_ROWS terms (|k/c| > 0.64), the lanes whose x_n recede from 0
     take the same expansion with the pole nearest 0 taken out
     (`_incoherent_pole`), under the same test; every other lane sums the
-    series.
+    series.  `constants` is a bound response's dict of the qubits' series
+    constants (`_IncoherentSeries`), which it fills on first use, so that
+    both branches and many lone points form them once.
     """
     if nbar <= 0:
         raise ValueError("incoherent response needs nbar > 0")
-    chi, gc = qubit.chi, params.cavity.gamma_c
-    omega = params.omega_c_star if signal_omega is None else signal_omega
-    step = 2.0*chi + (params.omega_c_star - omega - 0.5j*gc)
-    # w equals step; the series and the far lanes form it at the scale of
-    # omega_c* (7e-13 relative rounding on fig3) and keep those bits
-    k, c, b_coef = _incoherent_constants(
-        chi, nbar, params.omega_c_star + 2.0*chi - omega - 0.5j*gc)
+    constants = {} if constants is None else constants
+    series = constants.get(qubit)
+    if series is None:
+        series = constants[qubit] = _IncoherentSeries(qubit, params, nbar,
+                                                      signal_omega)
     lanes = _Lanes(omega_p)
     base = lanes.grid.ravel() - qubit.omega_q + 1j*qubit.gamma_coh
     pole = (base == 0).nonzero()[0]
@@ -764,26 +782,23 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
         # x_0 = 0, where e^x E_1(x) diverges
         raise _not_finite("incoherent", lanes.grid.flat[pole[0]])
     lanes.lane["base"] = base
-    far, sums = _incoherent_far(_cmul(base, c)/b_coef, k/c, 1.0/(nbar*c),
-                                c*step/b_coef)
-    lanes.settle(far, sums/(nbar*b_coef))
-    # the terms fall off about like |k/c|^n; a short series (fig4: 5 terms)
-    # runs one term at a time instead of paying for terms past its stop
-    end = _geometric_end(abs(k/c))
-    if end > _BLOCK_ROWS:
-        # w as step: that rounding would cost these lanes up to 1.1e-13
-        pk, pc, pb = _incoherent_constants(chi, nbar, step)
-        settled, sums = _incoherent_pole(_cmul(base[~far], pc)/pb, pk/pc,
-                                         1.0/(nbar*pc), pc*step/pb)
-        lanes.settle(settled, sums/(nbar*pb))
-    ratios = accumulate(repeat(k/c), operator.mul, initial=1.0 + 0j)  # (k/c)^n
+    c, b_coef, scale, step = series.c, series.b, series.scale, series.step
+    far, sums = _incoherent_far(_cmul(base, c)/b_coef, series.far)
+    lanes.settle(far, sums/scale)
+    if series.end > _BLOCK_ROWS:
+        pc, pb, shift, pole_scale = series.receding
+        settled, sums = _incoherent_pole(_cmul(base[~far], pc)/pb, shift,
+                                         lambda: series.pole)
+        lanes.settle(settled, sums/pole_scale)
+    # (k/c)^n
+    ratios = accumulate(repeat(series.ratio), operator.mul, initial=1.0 + 0j)
 
     def terms(n, ratio):
         x = _cmul(lanes.lane["base"] - n*step, c)/b_coef
-        return ratio*expint_scaled(n + 1, x)/(nbar*b_coef)
+        return ratio*expint_scaled(n + 1, x)/scale
 
-    return lanes.run(terms, ratios, end, chi, "incoherent",
-                     f"incoherent response series cap at nbar={nbar:.3g}")
+    return lanes.run(terms, ratios, series.end, qubit.chi, "incoherent",
+                     series.cap)
 
 
 def qubit_response_thermal(omega_p, qubit: QubitParams,
@@ -854,9 +869,10 @@ def response_function(params: SystemParams, sig: SignalState
 
     omega_p is a probe frequency or an array of them, as for the kernels.
     Everything that depends on the state and the system only is formed
-    here; a coherent (or vacuum) binding also keeps each qubit's series
-    constants from the first call on, so that many lone probe points pay
-    for them once.  A state replaced by `dataclasses.replace` binds anew.
+    here; a coherent or incoherent binding keeps each qubit's series
+    constants from the first call on, so that both rotating branches and
+    many lone probe points pay for them once.  A state replaced by
+    `dataclasses.replace` binds anew.
     """
     return sig.response(params)
 
@@ -920,8 +936,11 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
     or once the table holds _SIDEBAND_CAP sidebands; valid for gc << chi.
     omega_p is a scalar or an array of probe points; the sideband table is
     built once, and a lone point is summed as a one-point grid, with the
-    grid's bits.  nbar is the signal's in-cavity photon number when the
-    caller already has it from `cavity_photon_number`.
+    grid's bits.  A grid of few points takes _BLOCK_CELLS // points
+    sidebands per array pass, where at least _BLOCK_MIN_ROWS fit, and adds
+    them in order, with the bits of one sideband at a time.  nbar is the
+    signal's in-cavity photon number when the caller already has it from
+    `cavity_photon_number`.
     """
     grid = np.asarray(omega_p, dtype=float)
     wp = np.atleast_1d(grid)
@@ -950,11 +969,26 @@ def comb_spectrum(omega_p, params: SystemParams, sig: SignalState,
             sidebands.append(sig.sideband(len(sidebands), nbar, gc))
             cumulative += sidebands[-1][0]
     total = -0.5j*gc/(wp - omega_c)
+    # a grid of few points takes `rows` sidebands per array pass
+    rows = _BLOCK_CELLS//max(wp.size, 1)
+    if rows >= _BLOCK_MIN_ROWS:
+        weights, widths = np.array(sidebands).T[:, :, None]
+        index = np.arange(len(sidebands))[:, None]
     for q in params.qubits:
         amp = 0.5j*gc*q.chi/(q.omega_q - omega_c)
-        for n, (p_n, width) in enumerate(sidebands):
-            total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n
-                                    - 1j*(width + q.gamma_coh)))
+        if rows < _BLOCK_MIN_ROWS:
+            for n, (p_n, width) in enumerate(sidebands):
+                total += amp*p_n/(wp - (q.omega_q + 2.0*q.chi*n
+                                        - 1j*(width + q.gamma_coh)))
+            continue
+        for i in range(0, len(sidebands), rows):
+            block = amp*weights[i:i + rows]/(
+                wp - (q.omega_q + 2.0*q.chi*index[i:i + rows]
+                      - 1j*(widths[i:i + rows] + q.gamma_coh)))
+            # the running total joins the first row, and the rows add up in
+            # order, as one sideband at a time does (a pairwise sum would not)
+            block[0] += total
+            total = np.add.accumulate(block, axis=0)[-1]
     return total if grid.ndim else complex(total[0])
 
 

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import starkprobe.detector as det
-from starkprobe.cavity import ResonatorGeometry
+from starkprobe.cavity import ResonatorGeometry, derive_qubit, position_coupling
 from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, Spectrum, SystemParams, Thermal,
                                  Vacuum, cavity_photon_number, comb_spectrum,
-                                 derive_qubit,
                                  detuning_error, figure_of_merit,
-                                 position_coupling, qubit_response_coherent,
+                                 qubit_response_coherent,
                                  qubit_response_incoherent,
                                  qubit_response_thermal, s21_probe,
                                  s21_signal, sweep)

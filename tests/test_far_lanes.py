@@ -296,8 +296,9 @@ def test_fig4_constants_settle_no_lane(nbar):
     grid = fp.probe_grid_default(101)
     for wp in (grid, -grid):
         base = wp - q.omega_q + 1j*q.gamma_coh
-        settled, _ = det._incoherent_pole(det._cmul(base, c)/b, k/c,
-                                          1.0/(nbar*c), c*step/b)
+        settled, _ = det._incoherent_pole(
+            det._cmul(base, c)/b, c*step/b,
+            lambda: det._pole_constants(k/c, 1.0/(nbar*c), c*step/b))
         assert not settled.any(), nbar
 
 

@@ -214,6 +214,88 @@ def test_replaced_signal_gets_fresh_constants():
     assert respond(wp, q) == before
 
 
+def _spectrum_bits(value):
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig3", "fig5q"])
+def test_bound_incoherent_response_forms_its_coefficients_once(preset,
+                                                                monkeypatch):
+    # both rotating branches of a bound incoherent response share its far
+    # lanes' coefficients and, where the series is long, the pole's: one
+    # `s21_probe` forms each set once, also for five identical qubits, and
+    # gives the bits of a kernel that forms them at every call
+    fp = FIGURES[preset]
+    system = fp.system()
+    grid = fp.probe_grid_default(101)
+    formed = []
+    reciprocal, kernel = det._reciprocal, det.qubit_response_incoherent
+    monkeypatch.setattr(det, "_reciprocal",
+                        lambda coefs: formed.append(1) or reciprocal(coefs))
+    for nbar in (1.0, 10.0, 30.0):
+        sig = Incoherent(nbar=nbar)
+        formed.clear()
+        bound = s21_probe(grid, system, sig)
+        # from nbar 10 on, a pole is taken out as well
+        assert len(formed) == (1 if nbar == 1.0 else 2), nbar
+        with monkeypatch.context() as m:
+            m.setattr(det, "qubit_response_incoherent",
+                      lambda *args: kernel(*args[:5]))
+            formed.clear()
+            unbound = s21_probe(grid, system, sig)
+        assert len(formed) > (1 if nbar == 1.0 else 2), nbar
+        assert _spectrum_bits(bound) == _spectrum_bits(unbound), nbar
+
+
+def test_series_tail_takes_one_short_block(monkeypatch):
+    # fig1 incoherent at nbar 2 on 101 points: the 63 co-rotating lanes
+    # that the pole leaves take a block of 64 terms, and the 7 terms left
+    # before the series' end (71) one block of 7, not a pass per term;
+    # the sums are those of one term at a time
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    grid = fp.probe_grid_default(101)
+    passes = []
+
+    def counted(method, rows):
+        def spy(self, terms, *stop):
+            passes.append(rows(terms))
+            return method(self, terms, *stop)
+        return spy
+    monkeypatch.setattr(det._Lanes, "add", counted(det._Lanes.add, lambda t: 1))
+    monkeypatch.setattr(det._Lanes, "add_block",
+                        counted(det._Lanes.add_block, len))
+    blocks = det.qubit_response_incoherent(grid, q, system, 2.0)
+    assert passes == [64, 7]
+    monkeypatch.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)
+    passes.clear()
+    one = det.qubit_response_incoherent(grid, q, system, 2.0)
+    assert len(passes) > 64 and set(passes) == {1}
+    assert _spectrum_bits(blocks) == _spectrum_bits(one)
+
+
+@pytest.mark.filterwarnings("ignore:comb approximation needs")
+@pytest.mark.parametrize("preset", ["fig1", "fig5q"])
+def test_comb_blocks_equal_one_sideband_at_a_time(preset, monkeypatch):
+    # on a grid of few points the comb adds a block of sidebands per pass,
+    # in order: no bit moves against one sideband at a time
+    fp = FIGURES[preset]
+    system = fp.system()
+    sigs = [Coherent(nbar=200.0), Incoherent(nbar=10.0),
+            Incoherent(nbar=30.0), Thermal(tau_c=fp.tau_c, nbar=3.0)]
+    for grid in (float(fp.probe_grid_default(7)[2]),
+                 fp.probe_grid_default(101), fp.probe_grid_default(401)):
+        for sig in sigs:
+            blocks = comb_spectrum(grid, system, sig)
+            with monkeypatch.context() as m:
+                m.setattr(det, "_BLOCK_MIN_ROWS", det._TERM_CAP + 1)
+                one = comb_spectrum(grid, system, sig)
+            assert type(blocks) is type(one)
+            assert _spectrum_bits(blocks) == _spectrum_bits(one), (
+                np.size(grid), sig)
+
+
 def test_incoherent_cap_inside_a_block():
     # 11 lanes take blocks of 64 terms; the 5000-term cap falls 8 terms into
     # the 79th block and still stops the sum at exactly 5000 terms; a lone

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import dataclasses
 import inspect
 import math
 import sys
@@ -439,6 +440,8 @@ def test_steady_response_equality_ignores_the_check():
     assert read.residual == sized.residual
     assert read == unread == sized
     assert "residual" not in vars(unread)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unread.n_fock = 41
     assert unread.residual == read.residual
     # only lone points compare: `==` on two grids meets numpy's arrays,
     # which have no single truth value
@@ -516,6 +519,71 @@ def test_sized_truncation_grows_at_nbar_30(preset, monkeypatch):
     assert oracle._start_truncation(30.0) == 136
     assert calls == [136, 204, 306]
     assert got.n_fock == 204 and got.residual <= 1e-13
+
+
+def _read(got) -> tuple:
+    """A response's outputs and its residual, as bytes, so that -0.0 and
+    nan compare by their bits."""
+    parts = (got.sigma_minus, got.a_expect, got.n_fock, got.residual)
+    return tuple(np.asarray(part).tobytes() for part in parts)
+
+
+def test_bindings_give_the_bits_of_fresh_calls(monkeypatch):
+    # calls that interleave two systems and five states, among them a
+    # detuned one and a copy equal by value but a new object, give the bits
+    # that each call gives with no binding kept; both systems share four of
+    # the state objects
+    three = Coherent(nbar=3.0)
+    shared = [Coherent(nbar=1.0), three, Vacuum(), dataclasses.replace(three)]
+    assert shared[-1] == three and shared[-1] is not three
+    calls = []
+    for preset in ("fig1", "fig3"):
+        fp = FIGURES[preset]
+        system = fp.system()
+        gc = system.cavity.gamma_c
+        grid = fp.probe_grid_default(21)
+        sigs = [*shared, Coherent(nbar=1.0,
+                                  signal_omega=system.omega_c_star + gc/3.0)]
+        calls += [(system, sig, omega_p, n_fock)
+                  for omega_p in (float(grid[4]), grid)
+                  for n_fock in (40, None) for sig in sigs]
+    photon_numbers = []
+    photon_number = oracle.cavity_photon_number
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "cavity_photon_number", lambda *args: (
+            photon_numbers.append(args) or photon_number(*args)))
+        bound = [lindblad_steady_response(*call) for call in calls[::2]]
+        bound += [lindblad_steady_response(*call) for call in calls[1::2]]
+    # ten pairs, eight kept: at least half the calls find their binding
+    assert len(photon_numbers) <= len(calls)//2
+    assert len(oracle._BINDINGS) <= oracle._KEPT_BINDINGS
+    fresh = []
+    for call in calls[::2] + calls[1::2]:
+        monkeypatch.setattr(oracle, "_BINDINGS", {})
+        fresh.append(lindblad_steady_response(*call))
+    assert [_read(got) for got in bound] == [_read(got) for got in fresh]
+
+
+def test_bound_truncation_checks_run_at_every_call(monkeypatch):
+    # a binding keeps no decision about the level count: a cap lowered
+    # after it exists still stops sized and explicit calls, and an explicit
+    # truncation is taken where the sized start passes the cap (the
+    # recurrences of a bound pair: test_explicit_truncation_defers_its_check)
+    wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
+    sig = Coherent(nbar=30.0)
+    assert lindblad_steady_response(FIG1, sig, wp).n_fock >= 136
+    monkeypatch.setattr(oracle, "MAX_FOCK", 100)
+    with pytest.raises(ValueError, match="needs 136 Fock levels.*MAX_FOCK = 100"):
+        lindblad_steady_response(FIG1, sig, wp)
+    with pytest.raises(ValueError, match="at most MAX_FOCK = 100, got 120"):
+        lindblad_steady_response(FIG1, sig, wp, n_fock=120)
+    assert lindblad_steady_response(FIG1, sig, wp, n_fock=80).n_fock == 80
+    # nbar 1e5 starts at 103835 levels, past the default cap as well
+    monkeypatch.undo()
+    big = Coherent(nbar=1e5)
+    with pytest.raises(ValueError, match="MAX_FOCK = 20000"):
+        lindblad_steady_response(FIG1, big, wp)
+    assert lindblad_steady_response(FIG1, big, wp, n_fock=40).n_fock == 40
 
 
 def test_truncation_cap(monkeypatch):
