@@ -25,7 +25,6 @@ that is not passive.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 import sys
@@ -511,11 +510,10 @@ def _pole_constants(ratio: complex, gap: complex, shift: complex
     return t0, 1.0 - shift*(1.0 + t0), _watson_coefficients(rest)
 
 
-def _incoherent_pole(x0: np.ndarray, shift: complex,
-                     pole: Callable[[], Optional[tuple]]):
+def _incoherent_pole(x0: np.ndarray, shift: complex, pole: Optional[tuple]):
     """(settled, sums): `_incoherent_far`'s sum where |ratio| is near 1,
     on the lanes whose arguments x_n recede from 0 (Re(x0 conj(shift)) < 0);
-    pole() gives `_pole_constants`, called only where a lane recedes.
+    pole holds `_pole_constants`.
 
     Near |ratio| = 1 the zero t0 of D nearest 0 comes close to it, and the
     Watson series stalls.  Taken out exactly, the pole contributes
@@ -526,16 +524,13 @@ def _incoherent_pole(x0: np.ndarray, shift: complex,
     divisions run from the top down.  A receding lane settles where the
     Watson series does; on a lane that approaches a pole (a sideband on
     the near side) the same expansion settles to a wrong value.  Where
-    pole() is None, no lane settles.
+    pole is None, no lane settles.
     """
     settled = (x0.real*shift.real + x0.imag*shift.imag) < 0
     sums = np.zeros(x0.shape, dtype=complex)
-    if not settled.any():
-        return settled, sums
-    constants = pole()
-    if constants is None:
+    if pole is None or not settled.any():
         return np.zeros(x0.shape, dtype=bool), sums
-    t0, slope, coef = constants
+    t0, slope, coef = pole
     lanes = settled.nonzero()[0]
     with np.errstate(all="ignore"):     # a lane gone non-finite does not settle
         tail, total = _watson(coef, x0[lanes])
@@ -709,8 +704,8 @@ class _IncoherentSeries:
     """The incoherent series of one qubit in one system and field, all but
     the probe point: k/c, c, B and the n step, the length it should stop
     near, the far lanes' Watson numerators and, for the receding lanes, c
-    and B with w as the step and the pole's constants, formed at the first
-    lane that recedes.  A bound response keeps one per qubit."""
+    and B with w as the step and the pole's constants (None for a series
+    within _BLOCK_ROWS terms).  A bound response keeps one per qubit."""
 
     def __init__(self, qubit: QubitParams, params: SystemParams, nbar: float,
                  signal_omega: Optional[float]):
@@ -730,12 +725,9 @@ class _IncoherentSeries:
         # w as step: that rounding would cost the receding lanes up to 1.1e-13
         pk, pc, pb = _incoherent_constants(chi, nbar, step)
         self.receding = (pc, pb, pc*step/pb, nbar*pb)
-        self._zero = (pk/pc, 1.0/(nbar*pc), pc*step/pb)
+        self.pole = (_pole_constants(pk/pc, 1.0/(nbar*pc), pc*step/pb)
+                     if self.end > _BLOCK_ROWS else None)
         self.cap = f"incoherent response series cap at nbar={nbar:.3g}"
-
-    @functools.cached_property
-    def pole(self) -> Optional[tuple]:
-        return _pole_constants(*self._zero)
 
 
 def qubit_response_incoherent(omega_p, qubit: QubitParams,
@@ -785,10 +777,10 @@ def qubit_response_incoherent(omega_p, qubit: QubitParams,
     c, b_coef, scale, step = series.c, series.b, series.scale, series.step
     far, sums = _incoherent_far(_cmul(base, c)/b_coef, series.far)
     lanes.settle(far, sums/scale)
-    if series.end > _BLOCK_ROWS:
+    if series.pole is not None:
         pc, pb, shift, pole_scale = series.receding
         settled, sums = _incoherent_pole(_cmul(base[~far], pc)/pb, shift,
-                                         lambda: series.pole)
+                                         series.pole)
         lanes.settle(settled, sums/pole_scale)
     # (k/c)^n
     ratios = accumulate(repeat(series.ratio), operator.mul, initial=1.0 + 0j)

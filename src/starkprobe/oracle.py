@@ -1,6 +1,6 @@
 """Truncated-Fock numerical validator for the analytic responses.
 
-The probe sideband response of one qubit under vacuum or coherent light,
+The probe sideband response of one qubit in a field of amplitude beta,
 from the displaced-frame master equation on n_fock Fock levels per qubit
 sector; it knows nothing about the series expansions it is meant to check.
 The ground block is diagonal and is divided out.  The qubit-excited block,
@@ -8,10 +8,10 @@ The ground block is diagonal and is divided out.  The qubit-excited block,
 response chi [block^-1]_00 is `tridiagonal.fraction`, run once per
 truncation and per check.  Of the block, only the probe point's diagonal
 term and the level count change from call to call: the rest is bound once
-per (system, state) pair and kept for the pairs seen last.
-`check_supported` states the oracle's domain.  `dense_sigma_minus` solves
-the same block densely for the `oracle` command's explicit-truncation
-table.
+per (system, state) pair and kept for the pairs seen last.  A state
+whose `photon_number` gives no beta (incoherent, thermal light) lies outside
+the domain that `check_supported` states.  `dense_sigma_minus` solves the
+same block densely for the `oracle` command's explicit-truncation table.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class SteadyResponse:
     `residual` is the worst relative change of sigma_minus against
     ceil(1.5 n_fock) levels.  A sized truncation knows it from its growth
     loop; an explicit one runs that check when `residual` is first read and
-    keeps it.  Equality ignores the check, and only lone-point results
-    compare: `==` on two grids raises numpy's ambiguous-truth ValueError.
-    The instance is frozen; its constructor fills the fields in one update.
+    keeps it.  Equality compares the points, the responses and n_fock,
+    elementwise on a grid, and ignores the check.  The instance is frozen;
+    its constructor fills the fields in one update.
     """
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
@@ -57,6 +57,11 @@ class SteadyResponse:
     def __init__(self, omega_p, sigma_minus, a_expect, n_fock, _check):
         self.__dict__.update(omega_p=omega_p, sigma_minus=sigma_minus,
                              a_expect=a_expect, n_fock=n_fock, _check=_check)
+
+    def __eq__(self, other):
+        return (type(other) is SteadyResponse and self.n_fock == other.n_fock
+                and all(np.array_equal(getattr(self, key), getattr(other, key))
+                        for key in ("omega_p", "sigma_minus", "a_expect")))
 
     @functools.cached_property
     def residual(self) -> float:
@@ -92,35 +97,32 @@ class _Binding(NamedTuple):
 _BINDINGS: dict = {}
 
 
-def _bind(params: SystemParams, sig: Union[Vacuum, Coherent]) -> _Binding:
-    """The pair's binding, formed on first use; ValueError outside the
-    oracle's systems and states."""
+def _bind(params: SystemParams, sig: Union[Vacuum, Coherent],
+          n_fock: Optional[int]) -> _Binding:
+    """The pair's binding, formed on first use, for a truncation n_fock
+    that it can take; ValueError outside the oracle's domain."""
     key = (id(params), id(sig))
     binding = _BINDINGS.get(key)
-    if binding is not None:
-        return binding
-    # Vacuum derives from Coherent; incoherent and thermal light have no beta
-    if not isinstance(sig, Coherent):
-        raise ValueError("oracle supports vacuum and coherent signals only")
-    nbar, beta = cavity_photon_number(sig, params)
-    if len(params.qubits) != 1:
-        raise ValueError("the Lindblad oracle handles exactly one qubit")
-    qubit, omega = params.qubits[0], signal_frequency(sig, params)
-    chi = qubit.chi
-    pull = params.omega_c_star - omega - 0.5j*params.cavity.gamma_c
-    b2 = abs(beta)**2
-    # excited-block diagonal (omega_p - omega_q + i gamma_coh)
-    # - 2 chi (n + |beta|^2) - pull n; off-diagonal 4 chi^2 |beta|^2 (k+1)
-    block = (2.0*chi*b2, 2.0*chi + pull.real, qubit.gamma_coh, -pull.imag,
-             4.0*chi*chi*b2)
-    if len(_BINDINGS) == _KEPT_BINDINGS:
-        del _BINDINGS[next(iter(_BINDINGS))]
-    binding = _BINDINGS[key] = _Binding(params, sig, nbar, qubit, beta, omega,
-                                        pull, _start_truncation(b2), block)
-    return binding
-
-
-def _check_levels(binding: _Binding, n_fock: Optional[int]) -> None:
+    if binding is None:
+        nbar, beta = cavity_photon_number(sig, params)
+        # incoherent and thermal light carry no amplitude beta
+        if beta is None:
+            raise ValueError("oracle supports vacuum and coherent signals only")
+        if len(params.qubits) != 1:
+            raise ValueError("the Lindblad oracle handles exactly one qubit")
+        qubit, omega = params.qubits[0], signal_frequency(sig, params)
+        chi = qubit.chi
+        pull = params.omega_c_star - omega - 0.5j*params.cavity.gamma_c
+        b2 = abs(beta)**2
+        # excited-block diagonal (omega_p - omega_q + i gamma_coh)
+        # - 2 chi (n + |beta|^2) - pull n; off-diagonal 4 chi^2 |beta|^2 (k+1)
+        block = (2.0*chi*b2, 2.0*chi + pull.real, qubit.gamma_coh, -pull.imag,
+                 4.0*chi*chi*b2)
+        if len(_BINDINGS) == _KEPT_BINDINGS:
+            del _BINDINGS[next(iter(_BINDINGS))]
+        binding = _BINDINGS[key] = _Binding(params, sig, nbar, qubit, beta,
+                                            omega, pull, _start_truncation(b2),
+                                            block)
     if n_fock is None:
         if binding.start > MAX_FOCK:
             raise ValueError(f"nbar = {binding.nbar:g} needs {binding.start} "
@@ -129,18 +131,18 @@ def _check_levels(binding: _Binding, n_fock: Optional[int]) -> None:
     elif not 4 <= n_fock <= MAX_FOCK:
         raise ValueError(f"n_fock must be at least 4 and at most "
                          f"MAX_FOCK = {MAX_FOCK}, got {n_fock}")
+    return binding
 
 
 def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
                     n_fock: Optional[int] = None) -> tuple[QubitParams, complex]:
     """(qubit, beta) of a system, signal and truncation the oracle can take.
 
-    The domain is one qubit, vacuum or coherent light, and 4 <= n_fock <=
-    MAX_FOCK, where n_fock None means the sized truncation's start.  Raises
-    ValueError naming the limit crossed.
+    The domain is one qubit, a state with an amplitude beta (vacuum or
+    coherent light) and 4 <= n_fock <= MAX_FOCK, where n_fock None means
+    the sized truncation's start.  Raises ValueError naming the limit crossed.
     """
-    binding = _bind(params, sig)
-    _check_levels(binding, n_fock)
+    binding = _bind(params, sig, n_fock)
     return binding.qubit, binding.beta
 
 
@@ -175,8 +177,7 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     from its binding; the truncation's checks, the probe point's terms and
     `fraction`, looked up in this module, run at every call.
     """
-    binding = _bind(params, sig)
-    _check_levels(binding, n_fock)
+    binding = _bind(params, sig, n_fock)
     scalar = isinstance(omega_p, float) or np.ndim(omega_p) == 0
     wp = float(omega_p) if scalar else np.asarray(omega_p, dtype=float)
     omega, qubit = binding.omega, binding.qubit
@@ -223,9 +224,9 @@ def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],
     fraction moves them.  It can go once those references are recorded
     again.
     """
-    qubit, beta = check_supported(params, sig, n_fock)
-    omega = signal_frequency(sig, params)
-    if omega_p == omega:
+    binding = _bind(params, sig, n_fock)
+    qubit, beta = binding.qubit, binding.beta
+    if omega_p == binding.omega:
         raise ArithmeticError("probing at the signal frequency leaves the "
                               "ground block singular")
     levels = np.arange(n_fock)
@@ -236,7 +237,7 @@ def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],
     block = -field
     block.ravel()[::n_fock + 1] = (
         (omega_p - qubit.omega_q + 1j*qubit.gamma_coh) - field.diagonal()
-    ) - (params.omega_c_star - omega - 0.5j*params.cavity.gamma_c)*levels
+    ) - binding.pull*levels
     try:
         return complex(qubit.chi*np.linalg.solve(block, eye[0])[0])
     except np.linalg.LinAlgError as exc:

@@ -161,9 +161,10 @@ def expint_scaled(n, z):
     fraction, each leaving it as it converges.  So an argument's value is
     the same, to the bit, whichever others share the call, none included.
     A lane of the fraction that goes non-finite or reaches the iteration
-    cap is retaken by the scalar continued fraction, or by the series or
-    the asymptotic series where that stalls too.  A non-finite result raises
-    ConvergenceError; an order below 1, or n = 1 at z = 0, ValueError.
+    cap is retaken by the scalar continued fraction, and where that fails
+    too, by the series or the asymptotic series.  A non-finite result, or
+    an argument that no branch answers, raises ConvergenceError; an order
+    below 1, or n = 1 at z = 0, ValueError.
     """
     import numpy as np
     zs = np.asarray(z, dtype=complex)
@@ -206,12 +207,10 @@ def expint_scaled(n, z):
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
         try:
             out[i] = _expint_scaled_cf(ni, zi)
-        except ConvergenceError:
-            # near the branch cut the fraction stalls; the scaled series
-            # covers moderate |z|, the asymptotic tail the rest (its
-            # exponentially small branch term is below double precision for
-            # n << |z|/log|z|).
-            out[i] = (_expint_scaled_series(ni, zi) if abs(zi) <= 200.0
+        except (ConvergenceError, ZeroDivisionError):   # z + n = 0 on the cut
+            # the series while e^z is a normal double, else the asymptotic one
+            out[i] = (_expint_scaled_series(ni, zi)
+                      if zi.real < 0 and math.exp(zi.real) >= 2.0**-1022
                       else _expint_scaled_asymptotic(ni, zi))
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -283,7 +282,9 @@ def _expint_scaled_series(n: int, z: complex) -> complex:
 
 
 def _expint_scaled_asymptotic(n: int, z: complex) -> complex:
-    # e^z E_n(z) ~ (1/z) sum_k (-1)^k (n)_k / z^k, truncated at the smallest term
+    # e^z E_n(z) ~ (1/z) sum_k (-1)^k (n)_k / z^k, truncated at the smallest
+    # term; ConvergenceError where the cut's jump that it leaves out,
+    # pi |z|^(n-1) e^(Re z)/(n-1)!, is not below 2^-52 of its value
     total = term = 1.0 + 0j
     best, out = abs(term), total
     for k in range(1, 400):
@@ -294,7 +295,13 @@ def _expint_scaled_asymptotic(n: int, z: complex) -> complex:
         best, out = abs(term), total
         if abs(term) < _SERIES_RTOL*abs(total):
             break
-    return _check_finite(out/z, "expint_scaled")
+    value = _check_finite(out/z, "expint_scaled")
+    jump = (math.log(math.pi) + (n - 1)*math.log(abs(z)) + z.real
+            - math.lgamma(n))
+    if jump >= math.log(abs(value)) - 52.0*math.log(2.0):
+        raise ConvergenceError(f"expint_scaled({n},{z}): the asymptotic "
+                               "series leaves out the cut's jump")
+    return value
 
 
 def _expint_scaled_asymptotic_lanes(n, z: np.ndarray) -> np.ndarray:

@@ -309,6 +309,18 @@ def test_cli_oracle(tmp_path):
     assert max(devs) < 1e-6
 
 
+def test_cli_oracle_explicit_truncation(tmp_path, capsys):
+    # an explicit --n-fock prints the dense solve beside the analytic response
+    assert run_cli(["oracle", "--preset", "fig1", "--n-fock", "40",
+                    "--points", "9", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path/"oracle_check.txt").read_text().splitlines()
+    assert lines[0].split() == ["omega_p_hz", "analytic_re", "analytic_im",
+                                "oracle_re", "oracle_im", "rel_dev"]
+    devs = [float(line.split()[-1]) for line in lines[1:]]
+    assert len(devs) == 9 and max(devs) <= 1e-10, devs
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_cli_oracle_beyond_nbar_3(tmp_path, capsys):
     # the sized truncation takes any nbar up to its cap
     for argv in (["oracle", "--preset", "fig1", "--nbar", "9"],
@@ -523,11 +535,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["detect", "--preset", "fig1", "--detuning", "nan"],
                  ["detect", "--preset", "fig1", "--points", "5", "--format", ","],
                  ["detect", "--preset", "fig1", "--state", "incoherent",
-                  "--detuning", "inf"], *rejected):
+                  "--detuning", "inf"],
+                 [*detect, *config("partial.cfg", "omega_c = 9 GHz\n")],
+                 [*detect, "--state", "thermal",
+                  *config("no_tau.cfg", one_qubit)], *rejected):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 2, argv
         assert not (tmp_path/"no").exists(), argv
     err = capsys.readouterr().err
     assert err.count("n_qubits must be a non-negative integer") == 4
+    assert "config must define gamma_c, omega_q, chi" in err
+    assert "thermal state needs --tau-c" in err
     # computations that fail past the checked inputs -> 3: a W that
     # overflows, a conformal modulus rounded to 0, plates so thin that the
     # line constants underflow

@@ -298,7 +298,7 @@ def test_fig4_constants_settle_no_lane(nbar):
         base = wp - q.omega_q + 1j*q.gamma_coh
         settled, _ = det._incoherent_pole(
             det._cmul(base, c)/b, c*step/b,
-            lambda: det._pole_constants(k/c, 1.0/(nbar*c), c*step/b))
+            det._pole_constants(k/c, 1.0/(nbar*c), c*step/b))
         assert not settled.any(), nbar
 
 

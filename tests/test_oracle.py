@@ -443,12 +443,35 @@ def test_steady_response_equality_ignores_the_check():
     with pytest.raises(dataclasses.FrozenInstanceError):
         unread.n_fock = 41
     assert unread.residual == read.residual
-    # only lone points compare: `==` on two grids meets numpy's arrays,
-    # which have no single truth value
+    # grids compare elementwise: the same call is equal whether or not its
+    # check has run; another truncation, grid or state is not
     grid = FIGURES["fig1"].probe_grid_default(41)
     whole = lindblad_steady_response(FIG1, sig, grid, n_fock=40)
-    with pytest.raises(ValueError, match="ambiguous"):
-        whole == lindblad_steady_response(FIG1, sig, grid, n_fock=40)
+    again = lindblad_steady_response(FIG1, sig, grid, n_fock=40)
+    assert whole.residual > 0.0 and "residual" not in vars(again)
+    assert whole == again and not whole != again
+    for other in (lindblad_steady_response(FIG1, sig, grid, n_fock=41),
+                  lindblad_steady_response(FIG1, sig, grid[:-1], n_fock=40),
+                  lindblad_steady_response(FIG1, Coherent(nbar=1.0), grid,
+                                           n_fock=40),
+                  lindblad_steady_response(FIG1, sig, grid[20], n_fock=40)):
+        assert whole != other and not whole == other
+
+
+def test_oracle_and_cli_dispatch_on_no_signal_type():
+    # the oracle takes its domain from the state's amplitude beta, so neither
+    # it nor the CLI asks a signal for its type
+    import ast
+    import inspect
+
+    from starkprobe import cli
+    for module in (oracle, cli):
+        tree = ast.parse(inspect.getsource(module))
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "isinstance"
+                 and getattr(node.args[0], "id", None) == "sig"]
+        assert not calls, module.__name__
 
 
 def test_dense_table_solve_matches_fraction():

@@ -278,15 +278,17 @@ def test_expint_scaled_against_quadrature_near_cut():
 def _expint_scaled_scalar(n, z):
     """e^z E_n(z) by the scalar helpers alone: the series where
     `expint_scaled` picks it, else the scalar continued fraction, else, where
-    that stalls, the series or the asymptotic series."""
+    that fails, the series while e^z is a normal double or the asymptotic
+    series."""
     if z == 0:
         return 1.0/(n - 1)
     if abs(z) <= (6.0 if z.real > 0 else 12.0):
         return specfun._expint_scaled_series(n, z)
     try:
         return specfun._expint_scaled_cf(n, z)
-    except ConvergenceError:
-        return (specfun._expint_scaled_series(n, z) if abs(z) <= 200.0
+    except (ConvergenceError, ZeroDivisionError):
+        return (specfun._expint_scaled_series(n, z)
+                if z.real < 0 and math.exp(z.real) >= 2.0**-1022
                 else specfun._expint_scaled_asymptotic(n, z))
 
 
@@ -294,16 +296,21 @@ def test_expint_scaled_array_matches_scalar():
     # the array branches against the scalar helpers, a second implementation
     rng = np.random.default_rng(7)
     z = rng.uniform(-60.0, 60.0, 300) + 1j*rng.uniform(-60.0, 60.0, 300)
-    # zero, series lanes, the fraction at Re z > 0 inside |z| <= 12, and
-    # stalls near the cut handed to the series and to the asymptotic tail
+    # zero, series lanes, the fraction at Re z > 0 inside |z| <= 12, stalls
+    # near the cut handed to the series, and z + n = 0 on the cut
     z = np.concatenate([z, [0.0, 3.0 + 1.0j, -5.0 + 0.5j, 7.0 + 2.0j,
-                            -40.0 - 1e-3j, -40.0 - 1e-6j, -300.0 - 1e-9j]])
+                            -40.0 - 1e-3j, -40.0 - 1e-6j, -20.0]])
     for n in (1, 2, 5, 20):
         zn = z[z != 0] if n == 1 else z      # E_1 diverges at 0
         got = expint_scaled(n, zn.reshape(-1, 1))
         assert got.shape == (zn.size, 1)
         one = np.array([_expint_scaled_scalar(n, complex(x)) for x in zn])
         assert np.all(np.abs(got.ravel() - one) <= 1e-13*np.abs(one)), n
+    # stalls at |z| > 200, where the series answers while e^z is normal
+    for n, x in ((250, -251.0 - 1e-9j), (400, -401.0 - 1e-3j)):
+        with pytest.raises(ConvergenceError, match="stalled"):
+            specfun._expint_scaled_cf(n, x)
+        assert expint_scaled(n, np.array([x]))[0] == _expint_scaled_scalar(n, x)
     assert isinstance(expint_scaled(3, 2.0 + 1.0j), complex)
 
 
@@ -379,6 +386,48 @@ def test_expint_scaled_asymptotic_branch_against_mpmath():
             far, near = inside*got[:theta.size], outside*got[theta.size:]
             assert np.all(np.abs(got[:theta.size] - ref) <= 1e-15*np.abs(ref)), n
             assert np.all(np.abs(far - near) <= 1e-15*np.abs(near)), n
+
+
+def test_expint_scaled_stalls_against_mpmath():
+    # where the fraction stalls near the cut, past |z| = 200 as well, the
+    # series answers while e^z is a normal double; the asymptotic series
+    # answers only where the cut's jump it leaves out is below 2^-52 of its
+    # value, which no stall has met (it is the jump that stalls the
+    # fraction), and elsewhere the call raises, naming n and z
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def ref(n, z):
+            return complex(mpmath.exp(z)*mpmath.expint(n, z))
+        for n, z in ((250, -251.0 - 1e-9j), (400, -401.0 - 1e-3j)):
+            for got in (expint_scaled(n, z), expint_scaled(n, np.array([z]))[0]):
+                assert abs(got - ref(n, z)) <= 1e-14*abs(ref(n, z)), (n, z)
+        for n, z in ((1000, -1001.0 - 1e-9j), (600, -800.0 - 1e-9j)):
+            with pytest.raises(ConvergenceError,
+                               match=rf"expint_scaled\({n},\({z.real:g}"):
+                expint_scaled(n, z)
+        # the asymptotic series where the jump is negligible, and its refusal
+        for n, z in ((5, -800.0 - 1e-9j), (1, -2000.0 + 0j), (3, -1e4 - 1j)):
+            got = specfun._expint_scaled_asymptotic(n, z)
+            assert abs(got - ref(n, z)) <= 1e-15*abs(ref(n, z)), (n, z)
+        with pytest.raises(ConvergenceError, match="leaves out the cut's jump"):
+            specfun._expint_scaled_asymptotic(250, -251.0 - 1e-9j)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_expint_scaled_where_the_fraction_divides_by_zero(n):
+    # at z = -n on the cut the fraction's first denominator z + n is 0: the
+    # series answers with the limit from above, as a float, a complex or in
+    # an array, where a ZeroDivisionError escaped
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = complex(mpmath.exp(-n)*mpmath.expint(n, mpmath.mpc(-n, 0)))
+    if n == 13:
+        assert ref == -0.051458591315855604 - 0.34538611277983405j
+    got = [expint_scaled(n, -float(n)), expint_scaled(n, complex(-n)),
+           *expint_scaled(n, np.array([-float(n), 1.0])[:1]),
+           *expint_scaled(np.array([n]), np.array([-n + 0j]))]
+    for value in got:
+        assert abs(value - ref) <= 1e-15*abs(ref), value
 
 
 @pytest.mark.xfail(strict=True, reason="expint_scaled's series branch (Re z > 0, "
