@@ -117,17 +117,17 @@ class SystemParams:
 # weights for coherent light, geometric (Bose) ones for incoherent and
 # thermal light, with a count of them that a comb table surely exceeds.
 
-def _lorentzian_fill(sig, params: SystemParams) -> tuple[float, float, float]:
-    """(delta, flux, nbar) of a flux filling the cavity Lorentzian.
-
-    nbar = (gc J/2)/((omega - omega_c*)^2 + gc^2/4), so nbar = 2J/gc on
-    resonance; a state given by nbar gets the flux that yields it.
+def _lorentzian_fill(sig, params: SystemParams, half_width):
+    """(delta, flux, nbar) of a flux J filling a Lorentzian line of half
+    width h: nbar = h J/(delta^2 + h^2) with delta = omega - omega_c*, so
+    nbar = J/h on resonance; a state given by nbar gets the flux that
+    yields it.  The cavity's line has h = gc/2, thermal light's own
+    h = 1/tau_c; h may be a complex array, giving nbar per element.
     """
     delta = signal_frequency(sig, params) - params.omega_c_star
-    gc = params.cavity.gamma_c
-    lor = delta*delta + 0.25*gc*gc
-    flux = sig.flux if sig.flux is not None else sig.nbar*lor/(0.5*gc)
-    return delta, flux, 0.5*gc*flux/lor
+    lor = delta*delta + half_width*half_width
+    flux = sig.flux if sig.flux is not None else sig.nbar*lor/half_width
+    return delta, flux, half_width*flux/lor
 
 
 def _bose_weight(n: int, nbar: float) -> float:
@@ -154,8 +154,8 @@ class Coherent:
 
     def photon_number(self, params: SystemParams) -> tuple[float, complex]:
         """(nbar, beta), beta real positive at zero detuning."""
-        delta, flux, nbar = _lorentzian_fill(self, params)
         gc = params.cavity.gamma_c
+        delta, flux, nbar = _lorentzian_fill(self, params, 0.5*gc)
         return nbar, 1j*math.sqrt(0.5*gc*flux)/(delta + 0.5j*gc)
 
     def response(self, params: SystemParams) -> Callable:
@@ -193,7 +193,7 @@ class Incoherent:
         _check_signal(self)
 
     def photon_number(self, params: SystemParams) -> tuple[float, None]:
-        return _lorentzian_fill(self, params)[2], None
+        return _lorentzian_fill(self, params, 0.5*params.cavity.gamma_c)[2], None
 
     def response(self, params: SystemParams) -> Callable:
         """R(omega_p, qubit) in this light; the binding keeps each qubit's
@@ -222,15 +222,9 @@ class Thermal:
     def __post_init__(self):
         _check_signal(self, tau_c=POSITIVE)
 
-    def _flux(self, params: SystemParams) -> tuple[float, float]:
-        """(flux, lor) with lor = (omega - omega_c*)^2 + 1/tau_c^2."""
-        delta = signal_frequency(self, params) - params.omega_c_star
-        lor = delta*delta + 1.0/self.tau_c**2
-        return (self.flux if self.flux is not None
-                else self.nbar*lor*self.tau_c), lor
-
     def photon_number(self, params: SystemParams) -> tuple[float, None]:
-        """The thermal line gives nbar = (J/tau)/lor = tau J on resonance.
+        """nbar from the signal's own Lorentzian line, of half width
+        h = 1/tau_c (`_lorentzian_fill`), so nbar = tau_c J on resonance.
 
         Warns where gamma_c tau_c > 0.1, outside the short-coherence regime
         that the thermal photon number, response and sidebands assume; the
@@ -240,11 +234,10 @@ class Thermal:
         if self.tau_c*gc > 0.1:
             _warn(f"gamma_c tau_c = {self.tau_c*gc:.3f} > 0.1: thermal "
                   "model assumes a short coherence time")
-        flux, lor = self._flux(params)
-        return flux/(self.tau_c*lor), None
+        return _lorentzian_fill(self, params, 1.0/self.tau_c)[2], None
 
     def response(self, params: SystemParams) -> Callable:
-        flux, _ = self._flux(params)
+        _, flux, _ = _lorentzian_fill(self, params, 1.0/self.tau_c)
         omega = signal_frequency(self, params)
         return lambda wp, q: qubit_response_thermal(wp, q, params, flux,
                                                     self.tau_c, omega)
@@ -798,9 +791,10 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
                            signal_omega: Optional[float] = None):
     """Probe-normalised response for a short-coherence (thermal) field.
 
-    Bose factor nbar = (J/tau)/((omega-omega_c*)^2 + 1/tau^2); the probe
-    sideband sees the softened nbar_p = nbar evaluated at the complex
-    tau_p = tau/(1 + i tau (omega_p - omega)).  With
+    Bose factor nbar from the signal's line of half width 1/tau
+    (`_lorentzian_fill`); the probe sideband sees the softened nbar_p from
+    the same line at the complex half width 1/tau_p = (1 + i tau (omega_p -
+    omega))/tau.  With
     S = sqrt(gc^2/4 + gc (2 nbar_p + 1) i chi - chi^2) (Re S >= 0) the
     response is a geometric double series over the poles
     omega_p^(n) = omega_j - i gamma_coh - i(2n+1) S - chi + i gc/2.
@@ -810,18 +804,17 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
     instead (`_thermal_far`), where its 24th term is below 2^-56 of its
     sum; every other lane sums the series.
     """
-    if flux < 0:
-        raise ValueError("flux must be non-negative")
+    # the state checks flux, tau_c and signal_omega
+    line = Thermal(tau_c, flux=flux, signal_omega=signal_omega)
     chi, gc = qubit.chi, params.cavity.gamma_c
-    omega = params.omega_c_star if signal_omega is None else signal_omega
+    omega = signal_frequency(line, params)
     lanes = _Lanes(omega_p)
     lane = lanes.lane
     wp = lane["wp"] = lanes.grid.ravel()
-    delta = omega - params.omega_c_star
-    nbar = (flux/tau_c)/(delta*delta + 1.0/tau_c**2)
+    nbar = _lorentzian_fill(line, params, 1.0/tau_c)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau_p = tau_c/(1.0 + 1j*tau_c*(wp - omega))
-        nbar_p = (flux/tau_p)/(delta*delta + 1.0/(tau_p*tau_p))
+        nbar_p = _lorentzian_fill(line, params,
+                                  (1.0 + 1j*tau_c*(wp - omega))/tau_c)[2]
         s_root = np.sqrt(0.25*gc*gc + gc*(2.0*nbar_p + 1.0)*1j*chi - chi*chi)
         s_root = np.where(s_root.real < 0, -s_root, s_root)   # decaying poles
         v = 1.0 + (1j*chi - 0.5*gc - s_root)/(gc*(1.0 + nbar_p))

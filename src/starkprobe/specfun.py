@@ -161,10 +161,11 @@ def expint_scaled(n, z):
     fraction, each leaving it as it converges.  So an argument's value is
     the same, to the bit, whichever others share the call, none included.
     A lane of the fraction that goes non-finite or reaches the iteration
-    cap is retaken by the scalar continued fraction, and where that fails
-    too, by the series or the asymptotic series.  A non-finite result, or
-    an argument that no branch answers, raises ConvergenceError; an order
-    below 1, or n = 1 at z = 0, ValueError.
+    cap is retaken by the series where Re z < 0 and e^z is a normal double,
+    and elsewhere by the scalar continued fraction and, where that fails
+    too, the asymptotic series.  A non-finite result, or an argument that
+    no branch answers, raises ConvergenceError; an order below 1, or n = 1
+    at z = 0, ValueError.
     """
     import numpy as np
     zs = np.asarray(z, dtype=complex)
@@ -201,17 +202,18 @@ def expint_scaled(n, z):
         out[lanes], stalled = _expint_scaled_cf_lanes(
             n[lanes] if each_n else n, flat[lanes])
         lanes = lanes[stalled]
-    # the scalar recurrence, which floors c and d, retakes the lanes where the
-    # array one stalled or went non-finite
+    # a lane where the array recurrence stalled or went non-finite lies near
+    # the cut: the series takes it while e^z is a normal double, else the
+    # scalar recurrence, which floors c and d, and then the asymptotic series
     for i in lanes:
         zi, ni = complex(flat[i]), (int(n[i]) if each_n else n)
+        if zi.real < 0 and math.exp(zi.real) >= 2.0**-1022:
+            out[i] = _expint_scaled_series(ni, zi)
+            continue
         try:
             out[i] = _expint_scaled_cf(ni, zi)
         except (ConvergenceError, ZeroDivisionError):   # z + n = 0 on the cut
-            # the series while e^z is a normal double, else the asymptotic one
-            out[i] = (_expint_scaled_series(ni, zi)
-                      if zi.real < 0 and math.exp(zi.real) >= 2.0**-1022
-                      else _expint_scaled_asymptotic(ni, zi))
+            out[i] = _expint_scaled_asymptotic(ni, zi)
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -324,7 +326,7 @@ def _expint_scaled_asymptotic_lanes(n, z: np.ndarray) -> np.ndarray:
 
 def _expint_scaled_cf(n: int, z: complex) -> complex:
     # Lentz continued fraction for e^z E_n(z); fails near the cut, in which
-    # case the caller falls back to the series.
+    # case the caller falls back to the asymptotic series.
     b = z + n
     tiny = 1e-300
     c, d, h = 1.0/tiny, 1.0/b, 1.0/b
@@ -348,12 +350,12 @@ def _expint_scaled_cf_lanes(n, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _expint_scaled_cf with one lane per element of z; a lane leaves the
     # recurrence once it has converged.  n is one order for every lane or an
     # array of one per lane.  The second result masks the lanes that stalled
-    # or went non-finite, which the caller recomputes through the scalar
-    # path.  Nothing floors c or d at tiny here: a c of 0, or a d of inf from
-    # a zero denominator, turns the lane's h NaN for good, so it never
-    # converges and leaves through that mask too, to the scalar recurrence,
-    # which floors.  (A d of 0 would need a*d + b to overflow, after a
-    # denominator below about 1e-300.)
+    # or went non-finite, which the caller recomputes one at a time.  Nothing
+    # floors c or d at tiny here: a c of 0, or a d of inf from a zero
+    # denominator, turns the lane's h NaN for good, so it never converges
+    # and leaves through that mask too, to the series or to the scalar
+    # recurrence, which floors.  (A d of 0 would need a*d + b to overflow,
+    # after a denominator below about 1e-300.)
     import numpy as np
     tiny = 1e-300
     each_n = np.ndim(n) > 0

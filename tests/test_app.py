@@ -202,6 +202,12 @@ def test_svg_polylines(tmp_path):
     paths = emit_spectrum(spec, tmp_path, "s", formats=("svg",))
     text = paths[0].read_text()
     assert text.count("<polyline") == 3
+    # a flat S21 (all three channels 0) is drawn along the bottom edge
+    flat = Spectrum(omega_p=np.array([1.0, 2.0, 3.0]), s21=np.zeros(3))
+    text = emit_spectrum(flat, tmp_path, "flat", formats=("svg",))[0].read_text()
+    assert text.count('points="40.00,440.00 450.00,440.00 860.00,440.00"') == 3
+    with pytest.raises(ValueError, match="unknown format 'pdf'"):
+        emit_spectrum(flat, tmp_path, "flat", formats=("pdf",))
 
 
 def test_emit_deterministic(tmp_path):
@@ -576,6 +582,17 @@ def test_cli_exit_codes(tmp_path, capsys):
              "omega_c must be"),
             (["waveguide", *config("w_inf.cfg", "w = inf m\n")], "w must be"),
             (["cavity", "--ratio", "inf"], "gap_capacitance must be"),
+            ([*detect, "--config", str(tmp_path/"missing.cfg")], "cannot read "),
+            ([*detect, *config("brace.json", "{")], "bad JSON in "),
+            ([*detect, *config("list.json", "[1, 2]")],
+             "JSON config must be an object"),
+            ([*detect, *config("null.json", '{"chi": null}')],
+             "config key 'chi': unsupported value None"),
+            ([*detect, *config("bare.cfg", "omega_c = 10 GHz\ngamma_c = 1 MHz\n"
+                               "n_qubits = 0\n")],
+             "no qubits: config must set probe_center and probe_span"),
+            (["detect", "--preset", "fig1", "--format", "bogus"],
+             "unknown format 'bogus'"),
             (["cavity", "--ratio", "nan"], "gap_capacitance must be"),
             ([*detect, *config("gama.cfg", one_qubit + "gama = 1 MHz\n")],
              "unknown key gama ("),

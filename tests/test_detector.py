@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -63,6 +64,27 @@ def test_thermal_photon_number():
     assert beta is None
 
 
+def test_thermal_kernel_takes_the_photon_number_of_its_state(monkeypatch):
+    # the sidecar's nbar and the Bose factor of the thermal kernel come from
+    # one Lorentzian-line rule, to the bit, on every preset
+    fills = []
+    real = det._lorentzian_fill
+    monkeypatch.setattr(det, "_lorentzian_fill",
+                        lambda *args: fills.append(real(*args)) or fills[-1])
+    for fp in FIGURES.values():
+        system = fp.system()
+        gc = system.cavity.gamma_c
+        for tau, d, f in itertools.product((1e-14, 1e-13, 1e-12, 1e-11, 3e-11),
+                                           (0.0, gc/3.0, -gc/3.0, gc),
+                                           (0.5, 1.0, 3.0, 30.0)):
+            sig = Thermal(tau, flux=f/tau, signal_omega=system.omega_c_star + d)
+            nbar, _ = sig.photon_number(system)
+            fills.clear()
+            sig.response(system)(fp.omega_q, system.qubits[0])
+            # the binding's flux, then the kernel's nbar and its nbar_p
+            assert len(fills) == 3 and fills[1][2] == nbar, (fp, tau, d, f)
+
+
 def test_thermal_warns_on_long_coherence():
     with pytest.warns(UserWarning):
         cavity_photon_number(Thermal(tau_c=1e-4, flux=1e4), FIG1)
@@ -81,9 +103,13 @@ def test_nbar_flux_exclusivity():
                 ("signal_omega", lambda: Coherent(nbar=1.0, signal_omega=bad)),
                 ("signal_omega", lambda: Vacuum(signal_omega=bad)),
                 ("signal_omega",
-                 lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad))):
+                 lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad)),
+                ("flux", lambda: qubit_response_thermal(Q1.omega_q, Q1, FIG1,
+                                                        bad, 1e-12))):
             with pytest.raises(ValueError, match=f"^{name} must be "):
                 make()
+    with pytest.raises(ValueError, match="^flux must be non-negative"):
+        qubit_response_thermal(Q1.omega_q, Q1, FIG1, -1.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +571,12 @@ def test_detuning_error_sweeps_each_detuning_once(monkeypatch):
     real = det.sweep
     monkeypatch.setattr(det, "sweep", lambda *a: calls.append(a) or real(*a))
     d = FIG1.cavity.gamma_c/3.0
-    errs = detuning_error(FIG1, Coherent(nbar=1.0), [0.0, d, 0.0, -d],
-                          Q1.omega_q + np.linspace(-1.0, 1.0, 5)*Q1.chi)
+    grid = Q1.omega_q + np.linspace(-1.0, 1.0, 5)*Q1.chi
+    errs = detuning_error(FIG1, Coherent(nbar=1.0), [0.0, d, 0.0, -d], grid)
     assert len(calls) == 3 and sorted(errs) == [-d, 0.0, d]
+    # a detuning past gamma_c leaves the cavity line, with a warning
+    with pytest.warns(UserWarning, match=r"^detuning -1.26e\+06 exceeds gamma_c$"):
+        detuning_error(FIG1, Coherent(nbar=1.0), [-6.0*d], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +630,8 @@ def test_spectrum_validation():
         Spectrum(omega_p=np.array([1.0, 2.0]), s21=np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         Spectrum(omega_p=np.array([2.0, 1.0]), s21=np.array([0j, 0j]))
+    with pytest.raises(ValueError, match="^unknown model 'bogus'$"):
+        sweep(FIG1, Vacuum(), [Q1.omega_q], model="bogus")
 
 
 def test_qubit_params_validation():

@@ -97,7 +97,8 @@ def test_thermal_far_lanes_agree_with_40_digit_sums(preset, monkeypatch):
              for nbar, omega in _cases(preset, (0.5, 1.0, 3.0, 8.0))]
     cases += [(0.5, system.omega_c_star, grid)]
     for nbar, omega, wp in cases:
-        flux = Thermal(tau_c=tau_c, nbar=nbar, signal_omega=omega)._flux(system)[0]
+        sig = Thermal(tau_c=tau_c, nbar=nbar, signal_omega=omega)
+        flux = det._lorentzian_fill(sig, system, 1.0/tau_c)[1]
         values, far = _far_mask(monkeypatch, "_thermal_far", lambda: (
             qubit_response_thermal(wp, q, system, flux, tau_c, omega)))
         worst = _check_far_points(

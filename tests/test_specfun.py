@@ -276,10 +276,10 @@ def test_expint_scaled_against_quadrature_near_cut():
 
 
 def _expint_scaled_scalar(n, z):
-    """e^z E_n(z) by the scalar helpers alone: the series where
-    `expint_scaled` picks it, else the scalar continued fraction, else, where
-    that fails, the series while e^z is a normal double or the asymptotic
-    series."""
+    """e^z E_n(z) by the scalar helpers alone, in the order `expint_scaled`
+    takes them: the series where it picks it, else the scalar continued
+    fraction in place of the array one; where that fails, the series while
+    Re z < 0 and e^z is a normal double, else the asymptotic series."""
     if z == 0:
         return 1.0/(n - 1)
     if abs(z) <= (6.0 if z.real > 0 else 12.0):
@@ -287,9 +287,10 @@ def _expint_scaled_scalar(n, z):
     try:
         return specfun._expint_scaled_cf(n, z)
     except (ConvergenceError, ZeroDivisionError):
-        return (specfun._expint_scaled_series(n, z)
-                if z.real < 0 and math.exp(z.real) >= 2.0**-1022
-                else specfun._expint_scaled_asymptotic(n, z))
+        pass
+    if z.real < 0 and math.exp(z.real) >= 2.0**-1022:
+        return specfun._expint_scaled_series(n, z)
+    return specfun._expint_scaled_asymptotic(n, z)
 
 
 def test_expint_scaled_array_matches_scalar():
@@ -411,6 +412,36 @@ def test_expint_scaled_stalls_against_mpmath():
             assert abs(got - ref(n, z)) <= 1e-15*abs(ref(n, z)), (n, z)
         with pytest.raises(ConvergenceError, match="leaves out the cut's jump"):
             specfun._expint_scaled_asymptotic(250, -251.0 - 1e-9j)
+
+
+def test_expint_scaled_stalls_near_the_cut_skip_the_scalar_fraction(monkeypatch):
+    # a lane that the array fraction leaves near the cut goes straight to the
+    # series, without a second, scalar fraction (which stalled again after
+    # 3000 steps on most of them): alone, and on a fig4 incoherent sweep
+    mpmath = pytest.importorskip("mpmath")
+    from starkprobe.detector import Incoherent, sweep
+    from starkprobe.presets import FIGURES
+    fractions, stalls = [], []
+    real_cf, real_series = specfun._expint_scaled_cf, specfun._expint_scaled_series
+
+    def series(n, z):
+        value = real_series(n, z)
+        if abs(z) > 12.5:                   # beyond the series' own lanes
+            stalls.append((n, z, value))
+        return value
+
+    monkeypatch.setattr(specfun, "_expint_scaled_cf",
+                        lambda n, z: fractions.append((n, z)) or real_cf(n, z))
+    monkeypatch.setattr(specfun, "_expint_scaled_series", series)
+    expint_scaled(1, np.array([-24.0 - 0.64j]))
+    fp = FIGURES["fig4"]
+    sweep(fp.system(), Incoherent(nbar=1.0), fp.probe_grid_default(201))
+    assert not fractions
+    assert stalls[0][:2] == (1, -24.0 - 0.64j) and len(stalls) > 20
+    with mpmath.workdps(40):
+        for n, z, value in stalls[::len(stalls)//20]:
+            ref = complex(mpmath.exp(z)*mpmath.expint(n, z))
+            assert abs(value - ref) <= 1e-13*abs(ref), (n, z)
 
 
 @pytest.mark.parametrize("n", [13, 20])
