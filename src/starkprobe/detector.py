@@ -621,6 +621,14 @@ class _CoherentSeries:
                     f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
         self.weights = np.array(list(islice(_poisson_weights(big_w), _BLOCK_ROWS)))
         self.steps = np.arange(_BLOCK_ROWS)*self.step
+        # a lone point tests its stop from term ceil(|W|) on; its divisors
+        # D_n have Im D_n >= Im D_0 at any omega_p (Im step = -gc/2), so
+        # within these bounds, and for an omega_p that is not nan, no D_n is
+        # 0 and no term leaves the floats
+        self.first = math.ceil(min(abs(big_w), _BLOCK_ROWS))
+        low = self.base(0.0).imag
+        self.bounded = (1e-300 < low < 1e300 and abs(self.steps[-1]) < 1e300
+                      and np.abs(self.weights).max() < 1e300*low)
 
     def base(self, omega_p):
         """D_0 at omega_p, a float or an array."""
@@ -632,18 +640,24 @@ class _CoherentSeries:
         added one by one as Python complex numbers under `_Lanes.add`'s
         stopping rule, with `run`'s bits; None where they do not stop the
         series or the sum is not finite."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = self.weights/(self.base(omega_p) - self.steps)
+        if self.bounded and not math.isnan(omega_p):
+            terms = (self.weights/(self.base(omega_p) - self.steps)).tolist()
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = (self.weights/(self.base(omega_p) - self.steps)).tolist()
         total, quiet = 0j, 0       # quiet: the run of small terms, 3 stops
-        stop_from = abs(self.big_w)
-        for n, term in enumerate(terms.tolist()):
+        for term in terms[:self.first]:
             total += term
-            if n >= stop_from:
-                small = abs(term) < _TERM_RTOL*max(abs(total), 1e-300)
-                quiet = quiet + 1 if small else 0
+        for term in terms[self.first:]:
+            total += term
+            size = abs(total)
+            if abs(term) < _TERM_RTOL*(1e-300 if size < 1e-300 else size):
+                quiet += 1
                 if quiet == 3:
                     value = total*self.chi
                     return value if cmath.isfinite(value) else None
+            else:
+                quiet = 0
         return None
 
 
@@ -663,10 +677,13 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     terms and takes the general path only where that block falls short.
     """
     constants = {} if constants is None else constants
-    series = constants.get(qubit)
-    if series is None:
-        series = constants[qubit] = _CoherentSeries(qubit, params, beta,
-                                                    signal_omega)
+    # by identity, which hashes no field; the entry keeps the qubit, so its
+    # id stays its own
+    entry = constants.get(id(qubit))
+    if entry is None:
+        entry = constants[id(qubit)] = (
+            qubit, _CoherentSeries(qubit, params, beta, signal_omega))
+    series = entry[1]
     # a float goes to `lone` as it is, an array of one point as its item
     grid = (None if isinstance(omega_p, float)
             else np.asarray(omega_p, dtype=float))
@@ -1045,8 +1062,9 @@ def detuning_error(params: SystemParams, sig: SignalState,
                    omega_p_grid: Sequence[float]) -> dict[float, np.ndarray]:
     """Relative |S21| error against the zero-detuning spectrum.
 
-    For each detuning d the signal is moved to omega_c* + d (same flux)
-    and e(omega_p) = ||S21(d)| - |S21(0)|| / |S21(0)| is returned.  The two
+    For each detuning d the signal is moved to omega_c* + d, keeping the
+    flux or nbar it was given (given nbar, its flux grows with |d|), and
+    e(omega_p) = ||S21(d)| - |S21(0)|| / |S21(0)| is returned.  The two
     magnitudes agree to about 1e-8, so e carries about 8 significant digits:
     a relative change of S21 in its last bit moves e 1e8 times as much.
     """

@@ -81,7 +81,8 @@ class _Binding(NamedTuple):
     """What a (system, state) pair fixes for every probe point: the qubit,
     beta, the signal frequency omega, the pull omega_c* - omega - i gc/2,
     the sized truncation's start and the excited block's constants after
-    omega_p.  The entry keeps both objects, so their ids stay theirs."""
+    omega_p, with the per-level tables that `fraction` keeps for them.  The
+    entry keeps both objects, so their ids stay theirs."""
     params: SystemParams
     sig: Coherent
     nbar: float
@@ -91,6 +92,7 @@ class _Binding(NamedTuple):
     pull: complex
     start: int
     block: tuple
+    tables: dict
 
 
 # bindings by (id(params), id(sig)): both objects are frozen
@@ -122,7 +124,7 @@ def _bind(params: SystemParams, sig: Union[Vacuum, Coherent],
             del _BINDINGS[next(iter(_BINDINGS))]
         binding = _BINDINGS[key] = _Binding(params, sig, nbar, qubit, beta,
                                             omega, pull, _start_truncation(b2),
-                                            block)
+                                            block, {})
     if n_fock is None:
         if binding.start > MAX_FOCK:
             raise ValueError(f"nbar = {binding.nbar:g} needs {binding.start} "
@@ -185,7 +187,7 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     if (wp == omega) if scalar else (wp == omega).any():
         raise ArithmeticError("probing at the signal frequency leaves the "
                               "ground block singular")
-    terms = (qubit.chi, wp - qubit.omega_q, *binding.block)
+    terms = (qubit.chi, wp - qubit.omega_q, *binding.block, binding.tables)
     if n_fock is not None:
         sigma = fraction(n_fock, *terms)
         if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
@@ -207,11 +209,13 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
                     f" by {change:.3e}")
             n_fock, sigma = bigger, check
         check = change
-    # (Omega_p/2) a+ |0> over the ground block
-    return SteadyResponse(omega_p=wp, sigma_minus=sigma,
-                          a_expect=0.5/((wp - omega) - binding.pull),
-                          n_fock=n_fock,
-                          _check=check)
+    # (Omega_p/2) a+ |0> over the ground block; the fields go in as the
+    # constructor puts them, without its call
+    result = object.__new__(SteadyResponse)
+    result.__dict__.update(omega_p=wp, sigma_minus=sigma,
+                           a_expect=0.5/((wp - omega) - binding.pull),
+                           n_fock=n_fock, _check=check)
+    return result
 
 
 def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],

@@ -7,6 +7,7 @@ uses numpy only, so any model can call it without an import cycle.
 """
 
 import functools
+from typing import Optional
 
 import numpy as np
 
@@ -30,22 +31,29 @@ def _levels(size: int, u: float, v: float, y: float, h: float, q: float):
 
 
 def fraction(levels: int, num: float, x, u: float, v: float, y: float,
-             h: float, q: float):
+             h: float, q: float, tables: Optional[dict] = None):
     """num [M^-1]_00 over `levels` levels: a complex for a float x, or an
     array for an array x, whose pass runs with numpy's floating-point
-    warnings off (the caller checks it for nan or inf)."""
+    warnings off (the caller checks it for nan or inf).  `tables`, a dict
+    that a caller keeps for one set of constants, holds up to four of their
+    per-level tables by level count, so that a lookup hashes no constant."""
     if isinstance(x, float):
-        return _backward(levels, num, x, u, v, y, h, q)
+        return _backward(levels, num, x, u, v, y, h, q, tables)
     with np.errstate(all="ignore"):
-        return _backward(levels, num, x, u, v, y, h, q)
+        return _backward(levels, num, x, u, v, y, h, q, tables)
 
 
-def _backward(levels, num, x, u, v, y, h, q):
+def _backward(levels, num, x, u, v, y, h, q, tables):
     """num/g_0 from g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1), each
     level's d_k and q (k+1) read from `_levels`.  One backward pass; the
     complex division is spelt out, so that floats and arrays round alike."""
-    table = _levels if levels <= _CACHED_LEVELS else _levels.__wrapped__
-    (a, b), rows = table(levels, u, v, y, h, q)
+    table = tables.get(levels) if tables else None
+    if table is None:
+        cached = levels <= _CACHED_LEVELS
+        table = (_levels if cached else _levels.__wrapped__)(levels, u, v, y, h, q)
+        if cached and tables is not None and len(tables) < 4:
+            tables[levels] = table
+    (a, b), rows = table
     gr, gi = x - a, b
     for qk, a, b in rows:
         s = qk/(gr*gr + gi*gi)

@@ -579,6 +579,36 @@ def test_detuning_error_sweeps_each_detuning_once(monkeypatch):
         detuning_error(FIG1, Coherent(nbar=1.0), [-6.0*d], grid)
 
 
+@pytest.mark.parametrize("given", ["nbar", "flux"])
+def test_detuning_error_keeps_the_flux_or_nbar_given(given, monkeypatch):
+    # each detuned signal keeps whichever of flux and nbar the state was
+    # given; the other follows the cavity line, so a state given by nbar
+    # takes more flux off resonance and one given by flux fills it less
+    seen = []
+    real = det.sweep
+    monkeypatch.setattr(det, "sweep", lambda *a: seen.append(a[1]) or real(*a))
+    half = 0.5*FIG1.cavity.gamma_c
+    d = half/1.5
+    grid = Q1.omega_q + np.linspace(-1.0, 1.0, 5)*Q1.chi
+    for state in (Coherent, Incoherent):
+        sig = state(nbar=1.0) if given == "nbar" else state(flux=3e5)
+        seen.clear()
+        detuning_error(FIG1, sig, [d, -d], grid)
+        assert [s.signal_omega for s in seen] == [FIG1.omega_c_star + x
+                                                  for x in (0.0, d, -d)]
+        fills = [det._lorentzian_fill(s, FIG1, half) for s in seen]
+        fluxes = [flux for _, flux, _ in fills]
+        nbars = [nbar for _, _, nbar in fills]
+        if given == "nbar":
+            assert all(s.nbar == 1.0 and s.flux is None for s in seen)
+            assert nbars == pytest.approx([1.0]*3, rel=1e-15)
+            assert fluxes[0] < min(fluxes[1:])
+        else:
+            assert all(s.flux == 3e5 and s.nbar is None for s in seen)
+            assert fluxes == [3e5]*3
+            assert nbars[0] > max(nbars[1:])
+
+
 # ---------------------------------------------------------------------------
 # parameter derivation
 

@@ -193,6 +193,53 @@ def test_bound_response_keeps_each_qubits_constants(nbar, monkeypatch):
             assert np.ravel(got)[0] == on_grid[3], (q, arg)
 
 
+@pytest.mark.parametrize("nbar", [1.0, 3.0, 10.0])
+def test_lone_point_keeps_its_grid_bits(nbar):
+    # the benchmark's oracle-check grid: every lone point, on both rotating
+    # branches, sums its precomputed block to the bits of the 401-point
+    # grid; its stopping test starts at term ceil(|W|), after a prefix of
+    # 3 terms at nbar 3 and 10 at nbar 10
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    sig = Coherent(nbar=nbar)
+    _, beta = cavity_photon_number(sig, system)
+    series = det._CoherentSeries(q, system, beta, None)
+    assert series.bounded and series.first == {1.0: 1, 3.0: 3, 10.0: 10}[nbar]
+    respond = response_function(system, sig)
+    grid = fp.probe_grid_default(401)
+    for branch in (grid, -grid):
+        whole = respond(branch, q)
+        for i, wp in enumerate(branch.tolist()):
+            assert series.lone(wp) is not None, i
+            assert _bits(respond(wp, q)) == _bits(complex(whole[i])), i
+
+
+def test_lone_zero_divisor_raises_the_grids_error():
+    # no qubit decay and no photons: D_0 = 0 at omega_p = omega_q, where the
+    # lone block keeps numpy's warnings off, finds no finite sum and hands
+    # the point to the general path, which raises the grid's error; a nan
+    # probe point takes the same path, and neither warns
+    fp = FIGURES["fig1"]
+    first = fp.system().qubits[0]
+    still = replace(first, gamma=0.0, gamma_phi=0.0)
+    system = SystemParams(fp.system().cavity, (still,))
+    series = det._CoherentSeries(still, system, 0j, None)
+    assert not series.bounded
+    respond = response_function(system, Vacuum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wp in (still.omega_q, float("nan")):
+            with pytest.raises(ConvergenceError) as lone:
+                respond(wp, still)
+            with pytest.raises(ConvergenceError) as grid:
+                respond(np.array([still.omega_q - still.chi, wp]), still)
+            assert str(lone.value) == str(grid.value), wp
+        # an infinite point divides every weight to 0 on the bounded path too
+        respond = response_function(fp.system(), Coherent(nbar=1.0))
+        assert respond(float("inf"), first) == respond(-float("inf"), first) == 0
+
+
 def test_replaced_signal_gets_fresh_constants():
     # a signal changed by dataclasses.replace binds anew, and an earlier
     # binding keeps its own field

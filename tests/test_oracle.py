@@ -458,6 +458,41 @@ def test_steady_response_equality_ignores_the_check():
         assert whole != other and not whole == other
 
 
+@pytest.mark.parametrize("n_fock", [40, 80])
+def test_lone_explicit_response_is_a_whole_steady_response(n_fock):
+    # a scalar explicit truncation, whose fields go in without the keyword
+    # constructor, has the fields, equality, frozenness and deferred check
+    # of a keyword-built response, and the value of `fraction` on the grid
+    sig = Coherent(nbar=3.0)
+    grid = FIGURES["fig1"].probe_grid_default(401)
+    block = oracle._bind(FIG1, sig, n_fock).block
+    on_grid = tridiagonal.fraction(n_fock, Q1.chi, grid - Q1.omega_q, *block)
+    for i in (3, 200, 397):
+        got = lindblad_steady_response(FIG1, sig, float(grid[i]), n_fock)
+        built = oracle.SteadyResponse(omega_p=got.omega_p,
+                                      sigma_minus=got.sigma_minus,
+                                      a_expect=got.a_expect, n_fock=n_fock,
+                                      _check=got._check)
+        assert got.sigma_minus == on_grid[i]
+        assert vars(got) == vars(built) and repr(got) == repr(built)
+        assert got == built and not got != built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.sigma_minus = 0j
+        assert "residual" not in vars(got)
+        assert got.residual == built.residual
+        assert vars(got) == vars(built)
+    # the pair's binding keeps the tables of up to four level counts (here
+    # 40 and 80 and their checks'); a fifth count reads the shared cache,
+    # with the same bits
+    wp = float(grid[7])
+    for levels in (40, 80, 50):
+        got = lindblad_steady_response(FIG1, sig, wp, levels)
+        got.residual
+        walk = _fraction_walk(levels, Q1.chi, wp - Q1.omega_q, *block)
+        assert got.sigma_minus == walk, levels
+    assert sorted(oracle._bind(FIG1, sig, n_fock).tables) == [40, 60, 80, 120]
+
+
 def test_oracle_and_cli_dispatch_on_no_signal_type():
     # the oracle takes its domain from the state's amplitude beta, so neither
     # it nor the CLI asks a signal for its type
