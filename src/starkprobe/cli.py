@@ -258,8 +258,6 @@ def _oracle_table(system, sig, grid, n_fock=None) -> str:
 
 
 def _cmd_spectrum(args, model: str) -> int:
-    import numpy as np
-
     from . import detector, output
     fp = _preset_from(args)
     system = fp.system()
@@ -300,7 +298,8 @@ def _cmd_spectrum(args, model: str) -> int:
             f"err_detuning_{f:+.4g}_gc" for f in fp.detunings_frac)
         tables[f"{stem}_detuning_error.csv"] = output.csv_text(
             header, grid/math.tau, *(errs[d] for d in detunings))
-    check = (_oracle_table(system, sig, np.linspace(grid[0], grid[-1], 7))
+    check = (_oracle_table(system, sig,
+                           presets.linspace(grid[0], grid[-1], 7))
              if args.oracle_check else None)
 
     written = []

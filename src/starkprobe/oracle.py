@@ -81,8 +81,8 @@ class _Binding(NamedTuple):
     """What a (system, state) pair fixes for every probe point: the qubit,
     beta, the signal frequency omega, the pull omega_c* - omega - i gc/2,
     the sized truncation's start and the excited block's constants after
-    omega_p, with the per-level tables that `fraction` keeps for them.  The
-    entry keeps both objects, so their ids stay theirs."""
+    omega_p, with the per-level tables that `fraction` keeps for them (their
+    one cache).  The entry keeps both objects, so their ids stay theirs."""
     params: SystemParams
     sig: Coherent
     nbar: float
@@ -188,14 +188,13 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
         raise ArithmeticError("probing at the signal frequency leaves the "
                               "ground block singular")
     terms = (qubit.chi, wp - qubit.omega_q, *binding.block, binding.tables)
+    sigma = fraction(binding.start if n_fock is None else n_fock, *terms)
     if n_fock is not None:
-        sigma = fraction(n_fock, *terms)
         if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
             raise ArithmeticError("continued fraction is not finite")
         check = terms             # run when `residual` is first read
     else:
         n_fock = binding.start
-        sigma = fraction(n_fock, *terms)
         while True:
             bigger = math.ceil(1.5*n_fock)
             check = fraction(bigger, *terms)

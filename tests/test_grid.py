@@ -151,42 +151,61 @@ def _bits(value):
     return type(value), np.shape(value), np.asarray(value).tobytes()
 
 
-class _CountedSeries(det._CoherentSeries):
-    made = 0
+def _counted(series):
+    """The series class, counting the instances it makes in `made`."""
+    class Counted(series):
+        made = 0
 
-    def __init__(self, *args):
-        type(self).made += 1
-        super().__init__(*args)
+        def __init__(self, *args):
+            type(self).made += 1
+            super().__init__(*args)
+    return Counted
 
 
-@pytest.mark.parametrize("nbar", [0.0, 3.0, 200.0])
-def test_bound_response_keeps_each_qubits_constants(nbar, monkeypatch):
+@pytest.mark.parametrize("light, nbar", [
+    *(pytest.param("coherent", nbar, id=str(nbar)) for nbar in (0.0, 3.0, 200.0)),
+    pytest.param("incoherent", 3.0, id="incoherent-3.0")])
+def test_bound_response_keeps_each_qubits_constants(light, nbar, monkeypatch):
     # one binding serves two distinct qubits in turn, both rotating branches
     # and every form of probe argument: it makes each qubit's constants once
     # and gives the bits of a fresh evaluation, of the general path and of
-    # the grid; at nbar 200 a lone point's series runs past its first block
+    # the grid; at nbar 200 a lone point's series runs past its first block,
+    # and incoherent light at nbar 3 runs past 64 terms, so its constants
+    # hold the pole's too.  Constants are found by the qubit's identity: an
+    # equal qubit that is another object makes its own, with the same bits
     fp = FIGURES["fig1"]
     first = fp.system().qubits[0]
     second = QubitParams(omega_q=first.omega_q + 3.0*first.chi,
                          chi=0.6*first.chi, gamma=2.0*first.gamma,
                          gamma_phi=first.gamma)
     system = SystemParams(fp.system().cavity, (first, second))
-    sig = Vacuum() if nbar == 0 else Coherent(nbar=nbar)
-    _, beta = cavity_photon_number(sig, system)
+    if light == "coherent":
+        sig = Vacuum() if nbar == 0 else Coherent(nbar=nbar)
+        _, field = cavity_photon_number(sig, system)
+        kernel, name = det.qubit_response_coherent, "_CoherentSeries"
+    else:
+        sig = Incoherent(nbar=nbar)
+        field, _ = cavity_photon_number(sig, system)
+        kernel, name = det.qubit_response_incoherent, "_IncoherentSeries"
     grid = fp.probe_grid_default(9)
     cases = [(q, sign*arg) for q in (first, second, first, second)
              for sign in (1.0, -1.0)
              for arg in (float(grid[3]), np.array(grid[3]), grid[3:4], grid)]
-    monkeypatch.setattr(det, "_CoherentSeries", _CountedSeries)
-    monkeypatch.setattr(_CountedSeries, "made", 0)
+    counted = _counted(getattr(det, name))
+    monkeypatch.setattr(det, name, counted)
     respond = response_function(system, sig)
     bound = [respond(arg, q) for q, arg in cases]
-    assert _CountedSeries.made == 2
+    assert counted.made == 2
+    twin = replace(first)
+    assert twin == first and twin is not first
+    for _ in range(2):
+        assert _bits(respond(grid, twin)) == _bits(respond(grid, first))
+    assert counted.made == 3
     for (q, arg), got in zip(cases, bound):
-        fresh = det.qubit_response_coherent(arg, q, system, beta)
+        fresh = kernel(arg, q, system, field)
         with monkeypatch.context() as m:
             m.setattr(det._CoherentSeries, "lone", lambda self, wp: None)
-            general = det.qubit_response_coherent(arg, q, system, beta)
+            general = kernel(arg, q, system, field)
         assert _bits(got) == _bits(fresh) == _bits(general), (q, arg)
         if np.size(arg) == 1:
             on_grid = respond(np.copysign(grid, arg), q)
@@ -215,11 +234,37 @@ def test_lone_point_keeps_its_grid_bits(nbar):
             assert _bits(respond(wp, q)) == _bits(complex(whole[i])), i
 
 
+def test_lone_point_divides_past_end_only_where_needed():
+    # a lone point divides the rows up to the series' expected end first
+    # (18 of 64 on fig1 at nbar 1) and the rest of its block only where
+    # those rows do not stop the series, about one point in twelve here;
+    # either way it has the bits of the whole block
+    fp = FIGURES["fig1"]
+    system = fp.system()
+    q = system.qubits[0]
+    _, beta = cavity_photon_number(Coherent(nbar=1.0), system)
+    series = det._CoherentSeries(q, system, beta, None)
+    (head, _, _), (tail, steps, _) = series.blocks
+    assert head.size == series.end == 18 and head.size + tail.size == 64
+    whole = det._CoherentSeries(q, system, beta, None)
+    whole.blocks = ((np.concatenate((head, tail)),
+                     np.concatenate((series.blocks[0][1], steps)), series.first),)
+    grid = fp.probe_grid_default(401)
+    points = np.concatenate((grid, -grid)).tolist()
+    split = [series.lone(wp) for wp in points]
+    assert [_bits(value) for value in split] == [
+        _bits(whole.lone(wp)) for wp in points]
+    # a tail of nan weights moves only the points that read it
+    series.blocks = series.blocks[0], (np.full(tail.shape, np.nan), steps, 0)
+    moved = sum(series.lone(wp) != value for wp, value in zip(points, split))
+    assert 0 < moved < len(points)//10
+
+
 def test_lone_zero_divisor_raises_the_grids_error():
-    # no qubit decay and no photons: D_0 = 0 at omega_p = omega_q, where the
-    # lone block keeps numpy's warnings off, finds no finite sum and hands
-    # the point to the general path, which raises the grid's error; a nan
-    # probe point takes the same path, and neither warns
+    # no qubit decay and no photons: D_0 = 0 at omega_p = omega_q, so the
+    # series is out of its bounds and `lone` hands the point to the general
+    # path, which raises the grid's error; a nan probe point takes the same
+    # path, and neither warns
     fp = FIGURES["fig1"]
     first = fp.system().qubits[0]
     still = replace(first, gamma=0.0, gamma_phi=0.0)

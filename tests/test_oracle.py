@@ -282,39 +282,54 @@ def _fraction_walk(levels, num, x, u, v, y, h, q):
 
 
 def test_fraction_tables_are_kept_per_block():
+    # `tridiagonal` keeps no state of its own: its module holds functions
+    # and the level bound only, and the dict that a caller passes for one
+    # constant set is the only place its per-level tables are kept
+    state = {name: value for name, value in vars(tridiagonal).items()
+             if not name.startswith("__") and not inspect.isfunction(value)
+             and not inspect.ismodule(value)}
+    assert state == {"_CACHED_LEVELS": 2048}
     # a per-level table hangs on every constant of the block, not only on
     # the level count: constant sets with the same 40 (then 60) levels,
-    # called in turn, each keep a table of their own and give the bits of a
-    # walk of their own diagonal; a table of _CACHED_LEVELS levels is kept,
-    # one past it is not
+    # called in turn, each with a dict of its own, give the bits of a walk
+    # of their own diagonal and each keep tables of their own
     base = dict(u=4.0e8, v=6.3e7, y=8.0e5, h=3.1e5, q=2.5e15)
     sets = [base] + [{**base, key: 1.25*base[key]} for key in base]
     num, x = 6.3e7, 1.7e8
+    dicts = [{} for _ in sets]
     for levels in (40, 60):
-        tridiagonal._levels.cache_clear()
         for _ in range(2):
-            for consts in sets:
-                got = tridiagonal.fraction(levels, num, x, **consts)
+            for consts, tables in zip(sets, dicts):
+                got = tridiagonal.fraction(levels, num, x, **consts,
+                                           tables=tables)
                 assert got == _fraction_walk(levels, num, x, **consts), consts
-        assert tridiagonal._levels.cache_info().currsize == len(sets)
-    tables = [tridiagonal._levels(60, *consts.values()) for consts in sets]
-    assert len({id(rows) for _, rows in tables}) == len(sets)
-    assert all(a != b for i, a in enumerate(tables) for b in tables[i + 1:])
+    assert all(sorted(tables) == [40, 60] for tables in dicts)
+    rows = [tables[60][1] for tables in dicts]
+    assert all(a != b for i, a in enumerate(rows) for b in rows[i + 1:])
+    # a table of _CACHED_LEVELS levels is kept, one past it is not, and a
+    # dict keeps four level counts; every count gives the walk's bits, as
+    # does a caller without a dict of its own
     big = tridiagonal._CACHED_LEVELS
-    for levels in (big, big + 1):
-        got = tridiagonal.fraction(levels, num, x, **base)
-        assert got == _fraction_walk(levels, num, x, **base)
-        assert tridiagonal._levels.cache_info().currsize == len(sets) + 1, levels
-    # through the oracle: alternating signals read no stale table
+    tables = dicts[0]
+    for levels in (big + 1, big, 50, 70):
+        got = tridiagonal.fraction(levels, num, x, **base, tables=tables)
+        assert got == _fraction_walk(levels, num, x, **base), levels
+        assert got == tridiagonal.fraction(levels, num, x, **base, tables={})
+    assert sorted(tables) == [40, 50, 60, big]
+    # through the oracle: each binding keeps its own tables, and alternating
+    # signals read no stale table
     wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
-    turns = [lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
+    sigs = {nbar: Coherent(nbar=nbar) for nbar in (1.0, 3.0)}
+    turns = [lindblad_steady_response(FIG1, sigs[nbar], wp, 40)
              for nbar in (1.0, 3.0, 1.0, 3.0)]
-    tridiagonal._levels.cache_clear()
     for nbar, got in zip((1.0, 3.0), turns):
         fresh = lindblad_steady_response(FIG1, Coherent(nbar=nbar), wp, 40)
         assert (got.sigma_minus, got.residual) == (fresh.sigma_minus,
                                                    fresh.residual), nbar
     assert turns[:2] == turns[2:]
+    kept = [oracle._bind(FIG1, sig, 40).tables for sig in sigs.values()]
+    assert kept[0] is not kept[1]
+    assert sorted(kept[0]) == sorted(kept[1]) == [40, 60]
 
 
 def test_tridiagonal_imports_only_the_standard_library_and_numpy():
@@ -466,7 +481,8 @@ def test_lone_explicit_response_is_a_whole_steady_response(n_fock):
     sig = Coherent(nbar=3.0)
     grid = FIGURES["fig1"].probe_grid_default(401)
     block = oracle._bind(FIG1, sig, n_fock).block
-    on_grid = tridiagonal.fraction(n_fock, Q1.chi, grid - Q1.omega_q, *block)
+    on_grid = tridiagonal.fraction(n_fock, Q1.chi, grid - Q1.omega_q, *block,
+                                   {})
     for i in (3, 200, 397):
         got = lindblad_steady_response(FIG1, sig, float(grid[i]), n_fock)
         built = oracle.SteadyResponse(omega_p=got.omega_p,
@@ -482,15 +498,18 @@ def test_lone_explicit_response_is_a_whole_steady_response(n_fock):
         assert got.residual == built.residual
         assert vars(got) == vars(built)
     # the pair's binding keeps the tables of up to four level counts (here
-    # 40 and 80 and their checks'); a fifth count reads the shared cache,
-    # with the same bits
+    # 40 and 80 and their checks'), those of its own block; a fifth count
+    # forms its table for the call and keeps none, with the same bits
     wp = float(grid[7])
     for levels in (40, 80, 50):
         got = lindblad_steady_response(FIG1, sig, wp, levels)
         got.residual
         walk = _fraction_walk(levels, Q1.chi, wp - Q1.omega_q, *block)
         assert got.sigma_minus == walk, levels
-    assert sorted(oracle._bind(FIG1, sig, n_fock).tables) == [40, 60, 80, 120]
+    tables = oracle._bind(FIG1, sig, n_fock).tables
+    assert sorted(tables) == [40, 60, 80, 120]
+    assert all(table == tridiagonal._levels(levels, *block)
+               for levels, table in tables.items())
 
 
 def test_oracle_and_cli_dispatch_on_no_signal_type():
