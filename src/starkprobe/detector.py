@@ -108,8 +108,10 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "omega_c_star",
-                           self.cavity.omega_c - sum(q.chi for q in self.qubits))
+        chis = 0.0        # left to right, as `specfun` sums psi(n)
+        for qubit in self.qubits:
+            chis += qubit.chi
+        object.__setattr__(self, "omega_c_star", self.cavity.omega_c - chis)
 
 
 # Signal states.  Each owns its in-cavity (nbar, beta), its bound per-qubit

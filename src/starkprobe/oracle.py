@@ -27,7 +27,7 @@ import numpy as np
 from .detector import (Coherent, QubitParams, SystemParams, Vacuum,
                        cavity_photon_number, signal_frequency)
 from .specfun import ConvergenceError
-from .tridiagonal import fraction
+from .tridiagonal import Block, fraction
 
 # the most Fock levels a truncation may hold
 MAX_FOCK = 20000
@@ -35,28 +35,22 @@ MAX_FOCK = 20000
 _KEPT_BINDINGS = 8
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SteadyResponse:
     """Scalars for one probe point, arrays for a grid.
 
     `residual` is the worst relative change of sigma_minus against
-    ceil(1.5 n_fock) levels.  A sized truncation knows it from its growth
+    ceil(1.5 n_fock) levels.  A sized truncation stores it from its growth
     loop; an explicit one runs that check when `residual` is first read and
     keeps it.  Equality compares the points, the responses and n_fock,
-    elementwise on a grid, and ignores the check.  The instance is frozen;
-    its constructor fills the fields in one update.
+    elementwise on a grid, and ignores the check.  The instance is frozen.
     """
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
     a_expect: Union[complex, np.ndarray]
     n_fock: int
-    # the residual once known; before, the excited block's constants that
-    # its check pass needs
-    _check: Union[float, tuple] = field(repr=False, compare=False)
-
-    def __init__(self, omega_p, sigma_minus, a_expect, n_fock, _check):
-        self.__dict__.update(omega_p=omega_p, sigma_minus=sigma_minus,
-                             a_expect=a_expect, n_fock=n_fock, _check=_check)
+    # the check pass's inputs: the numerator, the point term and the block
+    _check: tuple = field(repr=False, compare=False)
 
     def __eq__(self, other):
         return (type(other) is SteadyResponse and self.n_fock == other.n_fock
@@ -65,8 +59,6 @@ class SteadyResponse:
 
     @functools.cached_property
     def residual(self) -> float:
-        if isinstance(self._check, float):
-            return self._check
         check = fraction(math.ceil(1.5*self.n_fock), *self._check)
         return _change(self.sigma_minus, check)
 
@@ -80,9 +72,9 @@ def _start_truncation(nbar: float) -> int:
 class _Binding(NamedTuple):
     """What a (system, state) pair fixes for every probe point: the qubit,
     beta, the signal frequency omega, the pull omega_c* - omega - i gc/2,
-    the sized truncation's start and the excited block's constants after
-    omega_p, with the per-level tables that `fraction` keeps for them (their
-    one cache).  The entry keeps both objects, so their ids stay theirs."""
+    the sized truncation's start and the excited block after omega_p, whose
+    per-level table is the one fraction table kept.  The entry keeps both
+    objects, so their ids stay theirs."""
     params: SystemParams
     sig: Coherent
     nbar: float
@@ -91,8 +83,7 @@ class _Binding(NamedTuple):
     omega: float
     pull: complex
     start: int
-    block: tuple
-    tables: dict
+    block: Block
 
 
 # bindings by (id(params), id(sig)): both objects are frozen
@@ -118,13 +109,13 @@ def _bind(params: SystemParams, sig: Union[Vacuum, Coherent],
         b2 = abs(beta)**2
         # excited-block diagonal (omega_p - omega_q + i gamma_coh)
         # - 2 chi (n + |beta|^2) - pull n; off-diagonal 4 chi^2 |beta|^2 (k+1)
-        block = (2.0*chi*b2, 2.0*chi + pull.real, qubit.gamma_coh, -pull.imag,
-                 4.0*chi*chi*b2)
+        block = Block(2.0*chi*b2, 2.0*chi + pull.real, qubit.gamma_coh,
+                      -pull.imag, 4.0*chi*chi*b2)
         if len(_BINDINGS) == _KEPT_BINDINGS:
             del _BINDINGS[next(iter(_BINDINGS))]
         binding = _BINDINGS[key] = _Binding(params, sig, nbar, qubit, beta,
                                             omega, pull, _start_truncation(b2),
-                                            block, {})
+                                            block)
     if n_fock is None:
         if binding.start > MAX_FOCK:
             raise ValueError(f"nbar = {binding.nbar:g} needs {binding.start} "
@@ -187,12 +178,12 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     if (wp == omega) if scalar else (wp == omega).any():
         raise ArithmeticError("probing at the signal frequency leaves the "
                               "ground block singular")
-    terms = (qubit.chi, wp - qubit.omega_q, *binding.block, binding.tables)
+    terms = (qubit.chi, wp - qubit.omega_q, binding.block)
     sigma = fraction(binding.start if n_fock is None else n_fock, *terms)
     if n_fock is not None:
         if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
             raise ArithmeticError("continued fraction is not finite")
-        check = terms             # run when `residual` is first read
+        known = {}                # its check runs when `residual` is read
     else:
         n_fock = binding.start
         while True:
@@ -207,13 +198,13 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
                     f" {n_fock} -> {bigger} levels still changed sigma_minus"
                     f" by {change:.3e}")
             n_fock, sigma = bigger, check
-        check = change
+        known = {"residual": change}
     # (Omega_p/2) a+ |0> over the ground block; the fields go in as the
     # constructor puts them, without its call
     result = object.__new__(SteadyResponse)
     result.__dict__.update(omega_p=wp, sigma_minus=sigma,
                            a_expect=0.5/((wp - omega) - binding.pull),
-                           n_fock=n_fock, _check=check)
+                           n_fock=n_fock, _check=terms, **known)
     return result
 
 

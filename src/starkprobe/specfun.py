@@ -269,14 +269,16 @@ def _expint1_scaled_cf_fixed(z: np.ndarray) -> np.ndarray:
 def _expint_scaled_series(n: int, z: complex) -> complex:
     # DLMF 8.19.8 with e^z folded into every term; stable near the cut
     # because the dominant terms do not alternate there.
-    psi_n = -EULER_GAMMA + sum(1.0/k for k in range(1, n))
+    harmonic = 0.0    # H_(n-1) in psi(n): 3.12's `sum` would round otherwise
+    for k in range(1, n):
+        harmonic += 1.0/k
     term = cmath.exp(z)  # e^z (-z)^k / k!, k = 0
     s = 0j
     log_part = 0j
     kmax = n + int(abs(z)) + 45 + int(8.0*math.sqrt(abs(z)))
     for k in range(kmax):
         if k == n - 1:
-            log_part = term*(psi_n - cmath.log(z))
+            log_part = term*((harmonic - EULER_GAMMA) - cmath.log(z))
         else:
             s += term/(1.0 - n + k)
         term *= -z/(k + 1)

@@ -1,12 +1,15 @@
 import cmath
+import functools
 import itertools
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
 
 import starkprobe.detector as det
+import starkprobe.specfun as specfun
 from starkprobe.cavity import ResonatorGeometry, derive_qubit, position_coupling
 from starkprobe.detector import (CavityParams, Coherent, Incoherent,
                                  QubitParams, Spectrum, SystemParams, Thermal,
@@ -510,6 +513,43 @@ def s21_signal_term(wp, params):
     wcs = params.omega_c_star
     return (-0.5j*gc/(wp - wcs + 0.5j*gc)
             - 0.5j*gc/(wp + wcs + 0.5j*gc))
+
+
+def _compensated_sum(items, start=0):
+    """The builtin `sum` of Python 3.12 and 3.13: floats by Neumaier's
+    compensated sum, anything else (complex numbers) added plainly."""
+    items = list(items)
+    if not all(isinstance(item, float) for item in items):
+        return functools.reduce(operator.add, items, start)
+    total, comp = float(start), 0.0
+    for item in items:
+        step = total + item
+        comp += ((total - step) + item if abs(total) >= abs(item)
+                 else (item - step) + total)
+        total = step
+    return total + comp
+
+
+def test_outputs_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # psi(n) of the incoherent series' e^z E_n(z) and omega_c* = omega_c -
+    # sum chi are summed left to right, so a Python whose float `sum`
+    # compensates its rounding (3.12 on) gives the bits of 3.10 and 3.11
+    def outputs():
+        fp = FIGURES["fig5q"]
+        s21 = sweep(fp.system(), Incoherent(nbar=3.0),
+                    fp.probe_grid_default(401)).s21
+        qubits = tuple(QubitParams(omega_q=TWO_PI*10e9, chi=TWO_PI*chi,
+                                   gamma=TWO_PI*250e3, gamma_phi=0.0)
+                       for chi in (1.2e6, 2.1e6, 3.7e6))
+        system = SystemParams(CavityParams(TWO_PI*9e9, TWO_PI*100e3), qubits)
+        return s21, system.omega_c_star
+
+    plain_s21, plain_star = outputs()
+    for module in (det, specfun):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    s21, star = outputs()
+    assert np.array_equal(s21, plain_s21)
+    assert star == plain_star
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,11 @@ def test_point_equals_grid_bit_for_bit():
             assert one.residual <= whole.residual
 
 
-def _fraction_walk(levels, num, x, u, v, y, h, q):
-    """num/g_0 over `levels` levels, each level's d_k and q k formed as it
-    is reached, in the expressions of `tridiagonal._levels`."""
+def _fraction_walk(levels, num, x, block):
+    """num/g_0 over `levels` levels of a `tridiagonal.Block`, each level's
+    d_k and q k formed as it is reached, in the expressions of
+    `tridiagonal._levels`."""
+    u, v, y, h, q = block.u, block.v, block.y, block.h, block.q
     k = float(levels - 1)
     gr, gi = x - (u + k*v), y + k*h
     while k:
@@ -281,42 +283,43 @@ def _fraction_walk(levels, num, x, u, v, y, h, q):
     return complex(s*gr, -s*gi)
 
 
+def _spy_on_tables(monkeypatch) -> list:
+    """The sizes of every per-level table formed from here on."""
+    sizes = []
+    levels = tridiagonal._levels
+
+    def spy(size, *consts):
+        sizes.append(size)
+        return levels(size, *consts)
+    monkeypatch.setattr(tridiagonal, "_levels", spy)
+    return sizes
+
+
 def test_fraction_tables_are_kept_per_block():
-    # `tridiagonal` keeps no state of its own: its module holds functions
-    # and the level bound only, and the dict that a caller passes for one
-    # constant set is the only place its per-level tables are kept
+    # `tridiagonal` keeps no state of its own: its module holds functions,
+    # `Block` and the level bound only, and a block that the caller holds
+    # is the only place its per-level table is kept
     state = {name: value for name, value in vars(tridiagonal).items()
              if not name.startswith("__") and not inspect.isfunction(value)
              and not inspect.ismodule(value)}
-    assert state == {"_CACHED_LEVELS": 2048}
+    assert state == {"Block": tridiagonal.Block, "_CACHED_LEVELS": 2048}
     # a per-level table hangs on every constant of the block, not only on
-    # the level count: constant sets with the same 40 (then 60) levels,
-    # called in turn, each with a dict of its own, give the bits of a walk
-    # of their own diagonal and each keep tables of their own
+    # the level count: blocks with the same 40 (then 60) levels, called in
+    # turn, give the bits of a walk of their own diagonal and each keep a
+    # table of their own
     base = dict(u=4.0e8, v=6.3e7, y=8.0e5, h=3.1e5, q=2.5e15)
-    sets = [base] + [{**base, key: 1.25*base[key]} for key in base]
+    blocks = [tridiagonal.Block(**base)] + [
+        tridiagonal.Block(**{**base, key: 1.25*base[key]}) for key in base]
     num, x = 6.3e7, 1.7e8
-    dicts = [{} for _ in sets]
     for levels in (40, 60):
         for _ in range(2):
-            for consts, tables in zip(sets, dicts):
-                got = tridiagonal.fraction(levels, num, x, **consts,
-                                           tables=tables)
-                assert got == _fraction_walk(levels, num, x, **consts), consts
-    assert all(sorted(tables) == [40, 60] for tables in dicts)
-    rows = [tables[60][1] for tables in dicts]
+            for i, block in enumerate(blocks):
+                got = tridiagonal.fraction(levels, num, x, block)
+                assert got == _fraction_walk(levels, num, x, block), i
+    assert all(len(block.rows) == 60 for block in blocks)
+    rows = [block.rows for block in blocks]
     assert all(a != b for i, a in enumerate(rows) for b in rows[i + 1:])
-    # a table of _CACHED_LEVELS levels is kept, one past it is not, and a
-    # dict keeps four level counts; every count gives the walk's bits, as
-    # does a caller without a dict of its own
-    big = tridiagonal._CACHED_LEVELS
-    tables = dicts[0]
-    for levels in (big + 1, big, 50, 70):
-        got = tridiagonal.fraction(levels, num, x, **base, tables=tables)
-        assert got == _fraction_walk(levels, num, x, **base), levels
-        assert got == tridiagonal.fraction(levels, num, x, **base, tables={})
-    assert sorted(tables) == [40, 50, 60, big]
-    # through the oracle: each binding keeps its own tables, and alternating
+    # through the oracle: each binding keeps its own table, and alternating
     # signals read no stale table
     wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
     sigs = {nbar: Coherent(nbar=nbar) for nbar in (1.0, 3.0)}
@@ -327,9 +330,44 @@ def test_fraction_tables_are_kept_per_block():
         assert (got.sigma_minus, got.residual) == (fresh.sigma_minus,
                                                    fresh.residual), nbar
     assert turns[:2] == turns[2:]
-    kept = [oracle._bind(FIG1, sig, 40).tables for sig in sigs.values()]
-    assert kept[0] is not kept[1]
-    assert sorted(kept[0]) == sorted(kept[1]) == [40, 60]
+    kept = [oracle._bind(FIG1, sig, 40).block for sig in sigs.values()]
+    assert kept[0] is not kept[1] and kept[0].rows != kept[1].rows
+    assert [len(block.rows) for block in kept] == [60, 60]
+
+
+def test_one_table_serves_every_smaller_truncation(monkeypatch):
+    # a block keeps the table of the most levels read so far, up to
+    # _CACHED_LEVELS, and a smaller truncation reads its bottom rows: after
+    # explicit truncations at 40 and 80 with their checks (60 and 120),
+    # sized calls on the same pair (64 levels, checked at 96) form no table
+    sig = Coherent(nbar=3.0)
+    grid = FIGURES["fig1"].probe_grid_default(41)
+    for n_fock in (40, 80):
+        for wp in (float(grid[7]), grid):
+            lindblad_steady_response(FIG1, sig, wp, n_fock).residual
+    block = oracle._bind(FIG1, sig, None).block
+    consts = (block.u, block.v, block.y, block.h, block.q)
+    assert block.rows == tridiagonal._levels(120, *consts)
+    # the last M rows of a table are the table of M levels, to the bit
+    for levels in (1, 4, 40, 64, 96, 119):
+        assert block.rows[-levels:] == tridiagonal._levels(levels, *consts)
+    sizes = _spy_on_tables(monkeypatch)
+    for wp in grid[::4]:
+        got = lindblad_steady_response(FIG1, sig, float(wp))
+        assert got.n_fock == 64
+    assert sizes == []
+    # every level count gives the walk's bits: below, at and above the kept
+    # size, where the block keeps the larger table, and past _CACHED_LEVELS,
+    # where it keeps none
+    big = tridiagonal._CACHED_LEVELS
+    num, x = Q1.chi, float(grid[7]) - Q1.omega_q
+    for levels, kept in ((4, 120), (64, 120), (119, 120), (120, 120),
+                         (121, 121), (200, 200), (100, 200), (big, big),
+                         (big + 1, big), (150, big)):
+        got = tridiagonal.fraction(levels, num, x, block)
+        assert got == _fraction_walk(levels, num, x, block), levels
+        assert len(block.rows) == kept, levels
+    assert sizes == [121, 200, big, big + 1]
 
 
 def test_tridiagonal_imports_only_the_standard_library_and_numpy():
@@ -481,8 +519,7 @@ def test_lone_explicit_response_is_a_whole_steady_response(n_fock):
     sig = Coherent(nbar=3.0)
     grid = FIGURES["fig1"].probe_grid_default(401)
     block = oracle._bind(FIG1, sig, n_fock).block
-    on_grid = tridiagonal.fraction(n_fock, Q1.chi, grid - Q1.omega_q, *block,
-                                   {})
+    on_grid = tridiagonal.fraction(n_fock, Q1.chi, grid - Q1.omega_q, block)
     for i in (3, 200, 397):
         got = lindblad_steady_response(FIG1, sig, float(grid[i]), n_fock)
         built = oracle.SteadyResponse(omega_p=got.omega_p,
@@ -497,19 +534,18 @@ def test_lone_explicit_response_is_a_whole_steady_response(n_fock):
         assert "residual" not in vars(got)
         assert got.residual == built.residual
         assert vars(got) == vars(built)
-    # the pair's binding keeps the tables of up to four level counts (here
-    # 40 and 80 and their checks'), those of its own block; a fifth count
-    # forms its table for the call and keeps none, with the same bits
+    # the pair's binding keeps one table, of the most levels read (here 40
+    # and 80 and their checks', then 50), and every smaller count reads its
+    # bottom rows with the bits of a walk of its own
     wp = float(grid[7])
     for levels in (40, 80, 50):
         got = lindblad_steady_response(FIG1, sig, wp, levels)
         got.residual
-        walk = _fraction_walk(levels, Q1.chi, wp - Q1.omega_q, *block)
+        walk = _fraction_walk(levels, Q1.chi, wp - Q1.omega_q, block)
         assert got.sigma_minus == walk, levels
-    tables = oracle._bind(FIG1, sig, n_fock).tables
-    assert sorted(tables) == [40, 60, 80, 120]
-    assert all(table == tridiagonal._levels(levels, *block)
-               for levels, table in tables.items())
+    assert oracle._bind(FIG1, sig, n_fock).block is block
+    assert block.rows == tridiagonal._levels(120, block.u, block.v, block.y,
+                                             block.h, block.q)
 
 
 def test_oracle_and_cli_dispatch_on_no_signal_type():
