@@ -576,20 +576,6 @@ def _cmul(x, y):
     return (x.real*y.real - x.imag*y.imag) + 1j*(x.real*y.imag + x.imag*y.real)
 
 
-def _poisson_weights(big_w: complex):
-    """e^-W W^n/n! for n = 0, 1, ... as amp*exp(logscale), amp rescaled
-    into logscale before it overflows."""
-    amp, logscale = 1.0 + 0j, -big_w
-    scale = cmath.exp(logscale)
-    for n in count(1):
-        yield amp*scale
-        amp *= big_w/n
-        if abs(amp) > 1e250:
-            logscale += math.log(abs(amp))
-            amp /= abs(amp)
-            scale = cmath.exp(logscale)
-
-
 class _CoherentSeries:
     """The coherent series of one qubit in one system and field, all but the
     probe point: W, the n step, the length it should stop near and, for a
@@ -617,9 +603,9 @@ class _CoherentSeries:
             end += 1
             drop *= abs(big_w)/end
         self.end = end + 3
-        self.cap = ("coherent response series cap: "
-                    f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}")
-        weights = np.array(list(islice(_poisson_weights(big_w), _BLOCK_ROWS)))
+        self.named = f"nbar={beta2:.3g}, |W|={abs(big_w):.3g}"
+        self.cap = "coherent response series cap: " + self.named
+        weights = np.array(list(islice(self.weights(), _BLOCK_ROWS)))
         steps = np.arange(_BLOCK_ROWS)*self.step
         # a lone point tests its stop from term ceil(|W|) on, and divides
         # the rows past `end` (> ceil(|W|)) only if it must; its divisors
@@ -633,6 +619,24 @@ class _CoherentSeries:
         low = self.base(0.0).imag
         self.bounded = (1e-300 < low < 1e300 and abs(steps[-1]) < 1e300
                         and np.abs(weights).max() < 1e300*low)
+
+    def weights(self):
+        """e^-W W^n/n! for n = 0, 1, ... as amp*exp(logscale), amp rescaled
+        into logscale before it overflows; ConvergenceError where exp does."""
+        big_w = self.big_w
+        amp, logscale = 1.0 + 0j, -big_w
+        try:
+            scale = cmath.exp(logscale)
+            for n in count(1):
+                yield amp*scale
+                amp *= big_w/n
+                if abs(amp) > 1e250:
+                    logscale += math.log(abs(amp))
+                    amp /= abs(amp)
+                    scale = cmath.exp(logscale)
+        except OverflowError:
+            raise ConvergenceError("coherent response Poisson weights "
+                                   "overflow: " + self.named) from None
 
     def base(self, omega_p):
         """D_0 at omega_p, a float or an array."""
@@ -708,7 +712,7 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     step = series.step
     with np.errstate(divide="ignore", invalid="ignore"):
         return lanes.run(lambda n, weight: weight/(lanes.lane["base"] - n*step),
-                         _poisson_weights(series.big_w), series.end, series.chi,
+                         series.weights(), series.end, series.chi,
                          "coherent", series.cap, stop_from=abs(series.big_w))
 
 

@@ -5,18 +5,14 @@ from the displaced-frame master equation on n_fock Fock levels per qubit
 sector; it knows nothing about the series expansions it is meant to check.
 The ground block is diagonal and is divided out.  The qubit-excited block,
 2 chi (a+ + beta*)(a + beta) plus a diagonal, is tridiagonal, so the
-response chi [block^-1]_00 is `tridiagonal.fraction`, run once per
-truncation and per check.  Of the block, only the probe point's diagonal
-term and the level count change from call to call: the rest is bound once
-per (system, state) pair and kept for the pairs seen last.  A state
-whose `photon_number` gives no beta (incoherent, thermal light) lies outside
-the domain that `check_supported` states.  `dense_sigma_minus` solves the
+response chi [block^-1]_00 is a `tridiagonal` truncation, which that module
+runs, checks, grows and caps.  What a (system, state) pair fixes is bound
+once and kept for the pairs seen last.  `dense_sigma_minus` solves the
 same block densely for the `oracle` command's explicit-truncation table.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -26,25 +22,20 @@ import numpy as np
 
 from .detector import (Coherent, QubitParams, SystemParams, Vacuum,
                        cavity_photon_number, signal_frequency)
+from . import tridiagonal
 from .specfun import ConvergenceError
-from .tridiagonal import Block, fraction
 
-# the most Fock levels a truncation may hold
-MAX_FOCK = 20000
 # the (system, state) bindings kept, the oldest dropped first
 _KEPT_BINDINGS = 8
 
 
 @dataclass(frozen=True)
 class SteadyResponse:
-    """Scalars for one probe point, arrays for a grid.
-
-    `residual` is the worst relative change of sigma_minus against
-    ceil(1.5 n_fock) levels.  A sized truncation stores it from its growth
-    loop; an explicit one runs that check when `residual` is first read and
-    keeps it.  Equality compares the points, the responses and n_fock,
-    elementwise on a grid, and ignores the check.  The instance is frozen.
-    """
+    """Scalars for one probe point, arrays for a grid.  `residual` is the
+    change of sigma_minus in its `tridiagonal.check`, stored by a sized
+    truncation, and run and kept at the first read for an explicit one.
+    Equality compares the points, the responses and n_fock, elementwise on
+    a grid, and ignores the check.  The instance is frozen."""
     omega_p: Union[float, np.ndarray]
     sigma_minus: Union[complex, np.ndarray]
     a_expect: Union[complex, np.ndarray]
@@ -59,8 +50,7 @@ class SteadyResponse:
 
     @functools.cached_property
     def residual(self) -> float:
-        check = fraction(math.ceil(1.5*self.n_fock), *self._check)
-        return _change(self.sigma_minus, check)
+        return tridiagonal.check(self.n_fock, self.sigma_minus, *self._check)[1]
 
 
 def _start_truncation(nbar: float) -> int:
@@ -70,11 +60,9 @@ def _start_truncation(nbar: float) -> int:
 
 
 class _Binding(NamedTuple):
-    """What a (system, state) pair fixes for every probe point: the qubit,
-    beta, the signal frequency omega, the pull omega_c* - omega - i gc/2,
-    the sized truncation's start and the excited block after omega_p, whose
-    per-level table is the one fraction table kept.  The entry keeps both
-    objects, so their ids stay theirs."""
+    """What a (system, state) pair fixes for every probe point, the excited
+    block after omega_p among it; the entry keeps both objects, so their
+    ids stay theirs.  pull is omega_c* - omega - i gc/2."""
     params: SystemParams
     sig: Coherent
     nbar: float
@@ -83,7 +71,7 @@ class _Binding(NamedTuple):
     omega: float
     pull: complex
     start: int
-    block: Block
+    block: tridiagonal.Block
 
 
 # bindings by (id(params), id(sig)): both objects are frozen
@@ -109,44 +97,31 @@ def _bind(params: SystemParams, sig: Union[Vacuum, Coherent],
         b2 = abs(beta)**2
         # excited-block diagonal (omega_p - omega_q + i gamma_coh)
         # - 2 chi (n + |beta|^2) - pull n; off-diagonal 4 chi^2 |beta|^2 (k+1)
-        block = Block(2.0*chi*b2, 2.0*chi + pull.real, qubit.gamma_coh,
-                      -pull.imag, 4.0*chi*chi*b2)
+        block = tridiagonal.Block(2.0*chi*b2, 2.0*chi + pull.real,
+                                  qubit.gamma_coh, -pull.imag, 4.0*chi*chi*b2)
         if len(_BINDINGS) == _KEPT_BINDINGS:
             del _BINDINGS[next(iter(_BINDINGS))]
         binding = _BINDINGS[key] = _Binding(params, sig, nbar, qubit, beta,
                                             omega, pull, _start_truncation(b2),
                                             block)
-    if n_fock is None:
-        if binding.start > MAX_FOCK:
-            raise ValueError(f"nbar = {binding.nbar:g} needs {binding.start} "
-                             f"Fock levels, above the oracle's cap MAX_FOCK = "
-                             f"{MAX_FOCK}")
-    elif not 4 <= n_fock <= MAX_FOCK:
+    cap = tridiagonal.MAX_FOCK
+    if n_fock is None and binding.start > cap:
+        raise ValueError(f"nbar = {binding.nbar:g} needs {binding.start} Fock "
+                         f"levels, above the oracle's cap MAX_FOCK = {cap}")
+    if n_fock is not None and not 4 <= n_fock <= cap:
         raise ValueError(f"n_fock must be at least 4 and at most "
-                         f"MAX_FOCK = {MAX_FOCK}, got {n_fock}")
+                         f"MAX_FOCK = {cap}, got {n_fock}")
     return binding
 
 
 def check_supported(params: SystemParams, sig: Union[Vacuum, Coherent],
                     n_fock: Optional[int] = None) -> tuple[QubitParams, complex]:
-    """(qubit, beta) of a system, signal and truncation the oracle can take.
-
-    The domain is one qubit, a state with an amplitude beta (vacuum or
-    coherent light) and 4 <= n_fock <= MAX_FOCK, where n_fock None means
-    the sized truncation's start.  Raises ValueError naming the limit crossed.
-    """
+    """(qubit, beta) of a system, signal and truncation the oracle can take:
+    one qubit, a state with an amplitude beta (vacuum or coherent light) and
+    4 <= n_fock <= MAX_FOCK, n_fock None meaning the sized truncation's
+    start; ValueError naming the limit crossed."""
     binding = _bind(params, sig, n_fock)
     return binding.qubit, binding.beta
-
-
-def _change(sigma, check) -> float:
-    """The worst relative change of sigma against check, over a point or a
-    grid; ArithmeticError once either pass has left the floats (nan or inf)."""
-    with np.errstate(all="ignore"):
-        change = float(np.max(abs(sigma - check)/abs(check), initial=0.0))
-    if not math.isfinite(change):
-        raise ArithmeticError("continued fraction is not finite")
-    return change
 
 
 def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
@@ -159,16 +134,10 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
     kets of n_fock levels per qubit sector.  omega_p is a float or a 1-D
     array.  sigma_minus is the probe-normalised response (comparable to
     qubit_response_coherent); a_expect keeps its Omega_p/2 drive factor.
-    An explicit n_fock runs one recurrence of n_fock levels; its check at
-    ceil(1.5 n_fock) levels runs when `residual` is first read.  None for
-    n_fock starts at nbar + 12 sqrt(nbar) + 40 levels and grows them
-    1.5-fold, each check becoming the next truncation, until the residual
-    is at most 1e-13, raising ConvergenceError once the next truncation
-    would pass MAX_FOCK.  A fraction that leaves the floats raises
-    ArithmeticError: at the call, or for an explicit truncation's check,
-    when `residual` is read.  The (system, state) pair's constants come
-    from its binding; the truncation's checks, the probe point's terms and
-    `fraction`, looked up in this module, run at every call.
+    An explicit n_fock runs one `tridiagonal.fraction`, whose check runs
+    when `residual` is first read; None runs `tridiagonal.sized` from
+    `_start_truncation`, raising ConvergenceError where it stops at the cap.
+    The `tridiagonal` functions are looked up in that module at every call.
     """
     binding = _bind(params, sig, n_fock)
     scalar = isinstance(omega_p, float) or np.ndim(omega_p) == 0
@@ -179,25 +148,16 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
         raise ArithmeticError("probing at the signal frequency leaves the "
                               "ground block singular")
     terms = (qubit.chi, wp - qubit.omega_q, binding.block)
-    sigma = fraction(binding.start if n_fock is None else n_fock, *terms)
-    if n_fock is not None:
-        if not (cmath.isfinite(sigma) if scalar else np.isfinite(sigma).all()):
-            raise ArithmeticError("continued fraction is not finite")
-        known = {}                # its check runs when `residual` is read
+    if n_fock is not None:        # its check runs when `residual` is read
+        sigma, known = tridiagonal.fraction(n_fock, *terms), {}
     else:
-        n_fock = binding.start
-        while True:
-            bigger = math.ceil(1.5*n_fock)
-            check = fraction(bigger, *terms)
-            change = _change(sigma, check)
-            if change <= 1e-13:
-                break
-            if bigger > MAX_FOCK:
-                raise ConvergenceError(
-                    f"oracle truncation reached the cap MAX_FOCK = {MAX_FOCK}:"
-                    f" {n_fock} -> {bigger} levels still changed sigma_minus"
-                    f" by {change:.3e}")
-            n_fock, sigma = bigger, check
+        n_fock, sigma, change = tridiagonal.sized(binding.start, *terms)
+        if change > tridiagonal.TOLERANCE:
+            raise ConvergenceError(
+                f"oracle truncation reached the cap MAX_FOCK = "
+                f"{tridiagonal.MAX_FOCK}: {n_fock} -> "
+                f"{tridiagonal.grown(n_fock)} levels still changed sigma_minus"
+                f" by {change:.3e}")
         known = {"residual": change}
     # (Omega_p/2) a+ |0> over the ground block; the fields go in as the
     # constructor puts them, without its call
@@ -212,10 +172,9 @@ def dense_sigma_minus(params: SystemParams, sig: Union[Vacuum, Coherent],
                       omega_p: float, n_fock: int) -> complex:
     """sigma_minus at one probe point by a dense LAPACK solve of the block.
 
-    The `oracle` command prints it for an explicit --n-fock: the rel_dev
-    column sits at rounding level, the table that perfbench/refs records for
-    `oracle --n-fock 40` holds this solve's last bits, and the continued
-    fraction moves them.  It can go once those references are recorded
+    The `oracle` command prints it for an explicit --n-fock: the benchmark's
+    reference table for `oracle --n-fock 40` holds this solve's last bits,
+    which the continued fraction moves.  It can go once that is recorded
     again.
     """
     binding = _bind(params, sig, n_fock)

@@ -1,15 +1,21 @@
-"""[M^-1]_00 of a tridiagonal matrix as a backward continued fraction.
+"""[M^-1]_00 of a tridiagonal matrix as a backward continued fraction, and
+how a truncation of it is run, checked, grown and capped.
 
 M has the diagonal d_k = x - (u + k v) + i (y + k h) and the off-diagonal
 products q (k+1) at level k.  One backward recurrence in real arithmetic
 gives the same bits for one point (floats) as for a whole grid (arrays).  It
-uses numpy only and keeps no state: any model can call it, with no import
-cycle, and keep its own `Block` of constants and their per-level table.
+uses numpy only, raises standard exceptions only and keeps no state: any
+model can call it, with no import cycle, and keep its own `Block`.
 """
+
+import cmath
+import math
 
 import numpy as np
 
 _CACHED_LEVELS = 2048
+MAX_FOCK = 20000        # the most levels a truncation holds, read per call
+TOLERANCE = 1e-13       # the change at which a sized truncation stops
 
 
 class Block:
@@ -34,8 +40,8 @@ def _levels(size: int, u: float, v: float, y: float, h: float, q: float):
 
 def fraction(levels: int, num: float, x, block: Block):
     """num [M^-1]_00 over `levels` levels of `block`: a complex for a float
-    x, or an array for an array x, whose pass runs with numpy's
-    floating-point warnings off (the caller checks it for nan or inf)."""
+    x, or an array for an array x, whose pass runs with numpy's warnings
+    off; ArithmeticError once the pass leaves the floats."""
     rows = block.rows
     if levels > len(rows):
         rows = _levels(levels, block.u, block.v, block.y, block.h, block.q)
@@ -43,9 +49,43 @@ def fraction(levels: int, num: float, x, block: Block):
             block.rows = rows
     rows = rows[len(rows) - levels:]    # the whole table is not copied
     if isinstance(x, float):
-        return _backward(num, x, rows)
+        value = _backward(num, x, rows)
+        if cmath.isfinite(value):
+            return value
+    else:
+        with np.errstate(all="ignore"):
+            value = _backward(num, x, rows)
+        if np.isfinite(value).all():
+            return value
+    raise ArithmeticError("continued fraction is not finite")
+
+
+def grown(levels: int) -> int:
+    """The levels that check a truncation, and that a sized one grows to."""
+    return math.ceil(1.5*levels)
+
+
+def check(levels: int, value, num: float, x, block: Block):
+    """(the pass over grown(levels) levels, the worst relative change of
+    `value`, over `levels`, against it); a check of 0 raises as a pass."""
+    bigger = fraction(grown(levels), num, x, block)
     with np.errstate(all="ignore"):
-        return _backward(num, x, rows)
+        change = float(np.max(abs(value - bigger)/abs(bigger), initial=0.0))
+    if not math.isfinite(change):
+        raise ArithmeticError("continued fraction is not finite")
+    return bigger, change
+
+
+def sized(levels: int, num: float, x, block: Block):
+    """(levels, value, change) grown from `levels` levels, each check's pass
+    the next truncation, until the change is at most TOLERANCE or the next
+    size passes MAX_FOCK (where the change returned stays above it)."""
+    value = fraction(levels, num, x, block)
+    while True:
+        bigger, change = check(levels, value, num, x, block)
+        if change <= TOLERANCE or grown(levels) > MAX_FOCK:
+            return levels, value, change
+        levels, value = grown(levels), bigger
 
 
 def _backward(num, x, rows):

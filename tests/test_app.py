@@ -552,15 +552,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "config must define gamma_c, omega_q, chi" in err
     assert "thermal state needs --tau-c" in err
     # computations that fail past the checked inputs -> 3: a W that
-    # overflows, a conformal modulus rounded to 0, plates so thin that the
-    # line constants underflow
+    # overflows, Poisson weights that leave the floats (fig3's qubit with
+    # gamma_c = 4 chi at nbar 3000), a conformal modulus rounded to 0, plates
+    # so thin that the line constants underflow
+    r4 = ("omega_c = 9 GHz\ngamma_c = 4 MHz\nomega_q = 10 GHz\n"
+          "chi = 1 MHz\n")
     for argv in ([*detect, "--preset", "fig1", "--detuning", "1e300"],
+                 [*detect, *config("r4.cfg", r4), "--nbar", "3000"],
                  ["waveguide", *config("thin_w.cfg", "w = 1e-20 m\n")],
                  ["waveguide", "--model", "parallel-plate",
                   *config("plates.cfg", "d1 = 1e-300 m\nd2 = 1e-300 m\n")]):
         assert run_cli([*argv, "--out", str(tmp_path/"no")]) == 3, argv
         assert not (tmp_path/"no").exists(), argv
-    capsys.readouterr()
+    assert ("coherent response Poisson weights overflow: nbar=3e+03, "
+            "|W|=1.5e+03") in capsys.readouterr().err
     # non-finite values, keys no command reads and the cavity's mode-1
     # limit -> 2, each named in the message
     for argv, needle in (

@@ -297,12 +297,14 @@ def _spy_on_tables(monkeypatch) -> list:
 
 def test_fraction_tables_are_kept_per_block():
     # `tridiagonal` keeps no state of its own: its module holds functions,
-    # `Block` and the level bound only, and a block that the caller holds
-    # is the only place its per-level table is kept
+    # `Block`, the table bound and the truncation's cap and tolerance only,
+    # and a block that the caller holds is the only place its per-level
+    # table is kept
     state = {name: value for name, value in vars(tridiagonal).items()
              if not name.startswith("__") and not inspect.isfunction(value)
              and not inspect.ismodule(value)}
-    assert state == {"Block": tridiagonal.Block, "_CACHED_LEVELS": 2048}
+    assert state == {"Block": tridiagonal.Block, "_CACHED_LEVELS": 2048,
+                     "MAX_FOCK": 20000, "TOLERANCE": 1e-13}
     # a per-level table hangs on every constant of the block, not only on
     # the level count: blocks with the same 40 (then 60) levels, called in
     # turn, give the bits of a walk of their own diagonal and each keep a
@@ -411,12 +413,12 @@ def test_explicit_residual_is_the_change_to_1_5_n_fock():
 def _spy_on_recurrence(monkeypatch) -> list:
     """The levels of every `tridiagonal.fraction` pass from here on."""
     calls = []
-    fraction = oracle.fraction
+    fraction = tridiagonal.fraction
 
     def spy(levels, *terms):
         calls.append(levels)
         return fraction(levels, *terms)
-    monkeypatch.setattr(oracle, "fraction", spy)
+    monkeypatch.setattr(tridiagonal, "fraction", spy)
     return calls
 
 
@@ -685,7 +687,7 @@ def test_bound_truncation_checks_run_at_every_call(monkeypatch):
     wp = float(FIGURES["fig1"].probe_grid_default(9)[3])
     sig = Coherent(nbar=30.0)
     assert lindblad_steady_response(FIG1, sig, wp).n_fock >= 136
-    monkeypatch.setattr(oracle, "MAX_FOCK", 100)
+    monkeypatch.setattr(tridiagonal, "MAX_FOCK", 100)
     with pytest.raises(ValueError, match="needs 136 Fock levels.*MAX_FOCK = 100"):
         lindblad_steady_response(FIG1, sig, wp)
     with pytest.raises(ValueError, match="at most MAX_FOCK = 100, got 120"):
@@ -704,7 +706,7 @@ def test_truncation_cap(monkeypatch):
         check_supported(FIG1, Coherent(nbar=1e5))
     with pytest.raises(ValueError, match="MAX_FOCK = 20000"):
         check_supported(FIG1, Coherent(nbar=1.0), 20001)
-    monkeypatch.setattr(oracle, "MAX_FOCK", 100)
+    monkeypatch.setattr(tridiagonal, "MAX_FOCK", 100)
     grid = FIGURES["fig1"].probe_grid_default(401)
     # nbar 30 starts at 136 levels, above the cap
     with pytest.raises(ValueError, match="MAX_FOCK = 100"):
