@@ -710,7 +710,7 @@ def qubit_response_coherent(omega_p, qubit: QubitParams,
     lanes = _Lanes(omega_p)
     lanes.lane["base"] = series.base(lanes.grid.ravel())
     step = series.step
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return lanes.run(lambda n, weight: weight/(lanes.lane["base"] - n*step),
                          series.weights(), series.end, series.chi,
                          "coherent", series.cap, stop_from=abs(series.big_w))

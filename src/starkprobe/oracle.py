@@ -161,9 +161,10 @@ def lindblad_steady_response(params: SystemParams, sig: Union[Vacuum, Coherent],
         known = {"residual": change}
     # (Omega_p/2) a+ |0> over the ground block; the fields go in as the
     # constructor puts them, without its call
+    pull = binding.pull
+    a_expect = tridiagonal.quotient(0.5, (wp - omega) - pull.real, -pull.imag)
     result = object.__new__(SteadyResponse)
-    result.__dict__.update(omega_p=wp, sigma_minus=sigma,
-                           a_expect=0.5/((wp - omega) - binding.pull),
+    result.__dict__.update(omega_p=wp, sigma_minus=sigma, a_expect=a_expect,
                            n_fock=n_fock, _check=terms, **known)
     return result
 

@@ -67,10 +67,10 @@ def grown(levels: int) -> int:
 
 def check(levels: int, value, num: float, x, block: Block):
     """(the pass over grown(levels) levels, the worst relative change of
-    `value`, over `levels`, against it); a check of 0 raises as a pass."""
+    `value` against it, by np.abs for floats too); a 0 raises as a pass."""
     bigger = fraction(grown(levels), num, x, block)
     with np.errstate(all="ignore"):
-        change = float(np.max(abs(value - bigger)/abs(bigger), initial=0.0))
+        change = float(np.max(np.abs(value - bigger)/np.abs(bigger), initial=0.0))
     if not math.isfinite(change):
         raise ArithmeticError("continued fraction is not finite")
     return bigger, change
@@ -90,13 +90,17 @@ def sized(levels: int, num: float, x, block: Block):
 
 def _backward(num, x, rows):
     """num/g_0 from g_(n-1) = d_(n-1) and g_k = d_k - q (k+1)/g_(k+1), over
-    the rows of a `_levels` table.  One backward pass; the complex division
-    is spelt out, so that floats and arrays round alike."""
+    the rows of a `_levels` table.  One backward pass."""
     rows = iter(rows)
     _, a, b = next(rows)    # the top level's q (k+1) couples to no level
     gr, gi = x - a, b
     for qk, a, b in rows:
         s = qk/(gr*gr + gi*gi)
         gr, gi = x - a - s*gr, b + s*gi
+    return quotient(num, gr, gi)
+
+
+def quotient(num: float, gr, gi):
+    """num/(gr + i gi), spelt out so that floats and arrays round alike."""
     s = num/(gr*gr + gi*gi)
     return complex(s*gr, -s*gi) if isinstance(s, float) else s*gr - 1j*(s*gi)

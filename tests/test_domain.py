@@ -8,6 +8,8 @@ truncated-Fock oracle applies (one qubit, coherent light), a returned
 spectrum must also agree with it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,13 @@ def test_fig3_coherent_agrees_with_oracle(nbar):
     for wp in (grid, -grid):
         ref = lindblad_steady_response(system, sig, wp).sigma_minus
         assert np.max(np.abs(respond(wp, qubit) - ref)/np.abs(ref)) < 1e-10
+
+
+def test_coherent_terms_past_the_floats_raise_the_typed_error():
+    # fig3's qubit with gamma_c = 4 chi at nbar 2000: the Poisson weights
+    # still fit, but a term weight/D_n overflows.  The non-finite sum raises
+    # the typed error, and numpy's overflow warning, which the suite turns
+    # into an error, stays silent
+    fp = dataclasses.replace(FIGURES["fig3"], gamma_c=4.0*FIGURES["fig3"].chi)
+    with pytest.raises(ConvergenceError, match="coherent response is not finite"):
+        sweep(fp.system(), Coherent(nbar=2000.0), fp.probe_grid_default(201))

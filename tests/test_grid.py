@@ -234,6 +234,26 @@ def test_lone_point_keeps_its_grid_bits(nbar):
             assert _bits(respond(wp, q)) == _bits(complex(whole[i])), i
 
 
+@pytest.mark.parametrize("nbar", [1.0, 3.0, 30.0])
+@pytest.mark.parametrize("preset", ["fig3", "fig7"])
+def test_lone_point_keeps_its_grid_bits_on_fig3_and_fig7(preset, nbar):
+    # the one float path with arithmetic of its own: a lone point tests its
+    # stop with Python's abs, whose last bit differs from numpy's on about a
+    # third of complex values, yet it stops where the grid does, with the
+    # grid's bits, on both rotating branches of a 401-point grid (at nbar 30
+    # its 64 rows do not stop the series, and every point takes the grid's
+    # path)
+    fp = FIGURES[preset]
+    system = fp.system()
+    q = system.qubits[0]
+    respond = response_function(system, Coherent(nbar=nbar))
+    grid = fp.probe_grid_default(401)
+    for branch in (grid, -grid):
+        whole = respond(branch, q)
+        for i, wp in enumerate(branch.tolist()):
+            assert _bits(respond(wp, q)) == _bits(complex(whole[i])), i
+
+
 def test_lone_point_divides_past_end_only_where_needed():
     # a lone point divides the rows up to the series' expected end first
     # (18 of 64 on fig1 at nbar 1) and the rest of its block only where

@@ -264,7 +264,7 @@ def test_point_equals_grid_bit_for_bit():
             one = lindblad_steady_response(FIG1, sig, wp, n_fock=whole.n_fock)
             assert isinstance(one.sigma_minus, complex)
             assert one.sigma_minus == whole.sigma_minus[i]
-            assert abs(one.a_expect - whole.a_expect[i]) <= 1e-15*abs(one.a_expect)
+            assert one.a_expect == whole.a_expect[i]
             assert one.residual <= whole.residual
 
 

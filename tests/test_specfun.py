@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -412,6 +413,51 @@ def test_expint_scaled_stalls_against_mpmath():
             assert abs(got - ref(n, z)) <= 1e-15*abs(ref(n, z)), (n, z)
         with pytest.raises(ConvergenceError, match="leaves out the cut's jump"):
             specfun._expint_scaled_asymptotic(250, -251.0 - 1e-9j)
+
+
+def _refuse_scalar_helpers(monkeypatch) -> list:
+    """The scalar fraction and asymptotic series, each raising if called;
+    the list keeps the names of those called."""
+    calls = []
+
+    def refuse(name):
+        def helper(n, z):
+            calls.append(name)
+            raise AssertionError(f"{name}({n}, {z}) called")
+        return helper
+    for name in ("_expint_scaled_cf", "_expint_scaled_asymptotic"):
+        monkeypatch.setattr(specfun, name, refuse(name))
+    return calls
+
+
+def test_expint_scaled_stalls_take_the_series_or_are_refused(monkeypatch):
+    # the four stalls of the test above: where e^z is a normal double the
+    # series answers, elsewhere the call raises, naming n, z and the stall,
+    # alone and in an array; neither scalar helper is called
+    calls = _refuse_scalar_helpers(monkeypatch)
+    for n, z in ((250, -251.0 - 1e-9j), (400, -401.0 - 1e-3j)):
+        assert cmath.isfinite(expint_scaled(n, z))
+        assert cmath.isfinite(expint_scaled(n, np.array([20.0, z]))[1])
+    for n, z in ((1000, -1001.0 - 1e-9j), (600, -800.0 - 1e-9j)):
+        for arg in (z, np.array([20.0, z])):
+            with pytest.raises(ConvergenceError,
+                               match=rf"^expint_scaled\({n},\({z.real:g}.* "
+                                     r"stalled or left the floats"):
+                expint_scaled(n, arg)
+    assert not calls
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 1.0),
+                               complex(30.0, math.nan)])
+def test_expint_scaled_refuses_a_nan_argument(z, monkeypatch):
+    # a nan argument is not in the series' reach, so it reaches the fraction,
+    # leaves it as a lane that never converges, and is refused by name
+    calls = _refuse_scalar_helpers(monkeypatch)
+    named = re.escape(f"expint_scaled(3,{complex(z)}): ")
+    for arg in (z, np.array([2.0, z, 30.0])):
+        with pytest.raises(ConvergenceError, match=named):
+            expint_scaled(3, arg)
+    assert not calls
 
 
 def test_expint_scaled_stalls_near_the_cut_skip_the_scalar_fraction(monkeypatch):

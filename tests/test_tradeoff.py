@@ -1,11 +1,13 @@
 """The paper's cavity-Q trade-off, computed: fig3's qubit under a fixed
 incident flux J = 2 pi 1e5 photons/s, with gamma_c = r chi.
 
-Both figures of merit are this repository's own, since the paper's metric
-is not known here: the relative change max|S21 - S21_vac|/max|S21_vac| and
-the absolute change max|S21 - S21_vac|, each over the 2001-point default
-grid against the vacuum spectrum.  A high-Q cavity (small r) gives the
-larger relative change, a moderate one the larger absolute change.
+All three figures of merit are this repository's own, since the paper's
+metric is not known here: the relative change
+max|S21 - S21_vac|/max|S21_vac| and the absolute change max|S21 - S21_vac|,
+each over the 2001-point default grid against the vacuum spectrum, and the
+resolution of the coherent n = 0 and n = 1 lines in closed form.  A high-Q
+cavity (small r) gives the larger relative change and the better
+resolution, a moderate one the larger absolute change.
 """
 
 import dataclasses
@@ -14,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from starkprobe.detector import Coherent, Incoherent, Vacuum, sweep
+from starkprobe.detector import (Coherent, Incoherent, Vacuum,
+                                 cavity_photon_number, signal_frequency, sweep)
 from starkprobe.presets import FIGURES
 from starkprobe.specfun import ConvergenceError
 
@@ -29,6 +32,7 @@ ABSOLUTE = {"coherent": (4.00e-5, 3.69e-4, 2.13e-3, 1.04e-2, 1.24e-2,
             "incoherent": (3.82e-5, 2.90e-4, 1.71e-3, 8.97e-3, 1.19e-2,
                            1.27e-2, 1.27e-2)}
 VACUUM_PEAK = (4.03e-5, 4.03e-4, 4.03e-3, 4.03e-2, 0.121, 0.403, 0.803)
+RESOLUTION = (4.40, 4.00, 2.13, 0.379, 0.131, 0.0398, 0.0200)
 
 
 def _preset(r: float):
@@ -73,3 +77,28 @@ def test_cavity_q_trades_relative_for_absolute_change():
                        match=r"vacuum spectrum is not passive at nbar=0: "
                              r"\|S21\| = 1\.2 at"):
         sweep(fp.system(), Vacuum(), fp.probe_grid_default())
+
+
+def _resolution(fp) -> float:
+    """The separation of the coherent n = 0 and n = 1 lines over the sum of
+    their half widths.  Line n sits at Re D_n = 0 with the half width
+    Im D_n, D_n = D_0 - n step (`qubit_response_coherent`), so the lines lie
+    Re step apart, and Im D_1 = Im D_0 - Im step."""
+    system = fp.system()
+    qubit, sig = system.qubits[0], Coherent(flux=FLUX)
+    _, beta = cavity_photon_number(sig, system)
+    chi, gc = qubit.chi, system.cavity.gamma_c
+    pull = system.omega_c_star - signal_frequency(sig, system) - 0.5j*gc
+    step = 2.0*chi + pull       # equal to w
+    # at zero signal detuning: 2 chi apart, Im D_1 = Im D_0 + gc/2
+    assert step.real == pytest.approx(2.0*chi, rel=1e-12)
+    assert step.imag == -0.5*gc
+    width = qubit.gamma_coh + (4.0*chi*chi*abs(beta)**2/step).imag
+    return abs(step.real)/(width + (width - step.imag))
+
+
+def test_resolution_is_best_at_high_q():
+    resolution = [_resolution(_preset(r)) for r in RATIOS]
+    assert resolution == pytest.approx(RESOLUTION, rel=5e-3)
+    # the resolution falls with the cavity width at every step
+    assert all(a > b for a, b in zip(resolution, resolution[1:]))
