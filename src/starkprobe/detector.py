@@ -145,15 +145,27 @@ def _bose_min_sidebands(nbar: float) -> float:
     return math.log(2e-10)/-math.log1p(1.0/nbar)
 
 
-@dataclass(frozen=True)
-class Coherent:
+@dataclass(frozen=True, kw_only=True)
+class _Light:
+    """What every signal state holds, exactly one of flux and nbar and the
+    carrier, and the one rule for its values (thermal light's tau_c too).
+    Light fills the cavity's own line of half width gc/2 unless it says not."""
     flux: Optional[float] = None     # photons/s
     nbar: Optional[float] = None     # in-cavity mean photon number
     signal_omega: Optional[float] = None
 
     def __post_init__(self):
-        _check_signal(self)
+        if (self.flux is None) == (self.nbar is None):
+            raise ValueError("give exactly one of flux or nbar")
+        check_values(vars(self), flux=NON_NEGATIVE, nbar=NON_NEGATIVE,
+                     signal_omega=FINITE, tau_c=POSITIVE)
 
+    def photon_number(self, params: SystemParams) -> tuple[float, None]:
+        return _lorentzian_fill(self, params, 0.5*params.cavity.gamma_c)[2], None
+
+
+@dataclass(frozen=True)
+class Coherent(_Light):
     def photon_number(self, params: SystemParams) -> tuple[float, complex]:
         """(nbar, beta), beta real positive at zero detuning."""
         gc = params.cavity.gamma_c
@@ -185,17 +197,7 @@ class Vacuum(Coherent):
 
 
 @dataclass(frozen=True)
-class Incoherent:
-    flux: Optional[float] = None
-    nbar: Optional[float] = None
-    signal_omega: Optional[float] = None
-
-    def __post_init__(self):
-        _check_signal(self)
-
-    def photon_number(self, params: SystemParams) -> tuple[float, None]:
-        return _lorentzian_fill(self, params, 0.5*params.cavity.gamma_c)[2], None
-
+class Incoherent(_Light):
     def response(self, params: SystemParams) -> Callable:
         """R(omega_p, qubit) in this light, each qubit's constants kept."""
         nbar, _ = self.photon_number(params)
@@ -213,14 +215,8 @@ class Incoherent:
 
 
 @dataclass(frozen=True)
-class Thermal:
+class Thermal(_Light):
     tau_c: float                     # s, signal coherence time
-    flux: Optional[float] = None
-    nbar: Optional[float] = None
-    signal_omega: Optional[float] = None
-
-    def __post_init__(self):
-        _check_signal(self, tau_c=POSITIVE)
 
     def photon_number(self, params: SystemParams) -> tuple[float, None]:
         """nbar from the signal's own Lorentzian line, of half width
@@ -249,13 +245,6 @@ class Thermal:
 
 
 SignalState = Union[Vacuum, Coherent, Incoherent, Thermal]
-
-
-def _check_signal(sig, **rules):
-    if (sig.flux is None) == (sig.nbar is None):
-        raise ValueError("give exactly one of flux or nbar")
-    check_values(vars(sig), flux=NON_NEGATIVE, nbar=NON_NEGATIVE,
-                 signal_omega=FINITE, **rules)
 
 
 @dataclass(frozen=True)
@@ -395,14 +384,9 @@ class _Lanes:
         flags = np.concatenate((self.small2[None], self.small1[None], small))
         done = flags[2:] & flags[1:-1] & flags[:-2]
         self.small1, self.small2 = flags[-1], flags[-2]
-        finished = done.any(axis=0)
-        if not np.count_nonzero(finished):
-            return
         # a lane keeps its total at the first row where it stopped
-        lanes = finished.nonzero()[0]
-        first = checked[done[:, lanes].argmax(axis=0)]
-        self.out[self.active[lanes]] = totals[first, lanes]
-        self._retire(finished)
+        first = checked[done.argmax(axis=0)]
+        self.settle(done.any(axis=0), totals[first, np.arange(first.size)])
 
     def _retire(self, done: np.ndarray) -> None:
         keep = (~done).nonzero()[0]     # one index gathers every array
@@ -841,8 +825,8 @@ def qubit_response_thermal(omega_p, qubit: QubitParams,
     with np.errstate(divide="ignore", invalid="ignore"):
         nbar_p = _lorentzian_fill(line, params,
                                   (1.0 + 1j*tau_c*(wp - omega))/tau_c)[2]
+        # the principal root: Re S >= 0, so every pole decays
         s_root = np.sqrt(0.25*gc*gc + gc*(2.0*nbar_p + 1.0)*1j*chi - chi*chi)
-        s_root = np.where(s_root.real < 0, -s_root, s_root)   # decaying poles
         v = 1.0 + (1j*chi - 0.5*gc - s_root)/(gc*(1.0 + nbar_p))
         r1 = 0.5*gc - s_root - 1j*chi
         q1 = 0.5*gc + s_root - 1j*chi

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -94,25 +95,42 @@ def test_thermal_warns_on_long_coherence():
 
 
 def test_nbar_flux_exclusivity():
-    with pytest.raises(ValueError):
-        Coherent(flux=1.0, nbar=1.0)
-    with pytest.raises(ValueError):
-        Incoherent()
+    # every light class applies the one input rule, with the same messages
+    for make in (Coherent, Incoherent, functools.partial(Thermal, 1e-9)):
+        for kwargs in ({"flux": 1.0, "nbar": 1.0}, {}, {"signal_omega": 1.0}):
+            with pytest.raises(ValueError, match="^give exactly one of flux or nbar$"):
+                make(**kwargs)
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            for name in ("flux", "nbar"):
+                with pytest.raises(ValueError, match=(
+                        f"^{name} must be non-negative and finite, got {bad:g}$")):
+                    make(**{name: bad})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^signal_omega must be finite, got {bad:g}$"):
+                make(nbar=1.0, signal_omega=bad)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^tau_c must be positive and finite, got {bad:g}$"):
+            Thermal(bad, nbar=1.0)
     for bad in (math.nan, math.inf, -math.inf):
-        for name, make in (
-                ("flux", lambda: Incoherent(flux=bad)),
-                ("nbar", lambda: Coherent(nbar=bad)),
-                ("tau_c", lambda: Thermal(bad, nbar=1.0)),
-                ("signal_omega", lambda: Coherent(nbar=1.0, signal_omega=bad)),
-                ("signal_omega", lambda: Vacuum(signal_omega=bad)),
-                ("signal_omega",
-                 lambda: Thermal(1e-9, nbar=1.0, signal_omega=bad)),
-                ("flux", lambda: qubit_response_thermal(Q1.omega_q, Q1, FIG1,
-                                                        bad, 1e-12))):
-            with pytest.raises(ValueError, match=f"^{name} must be "):
-                make()
+        with pytest.raises(ValueError, match="^signal_omega must be finite"):
+            Vacuum(signal_omega=bad)
+        with pytest.raises(ValueError, match="^flux must be non-negative"):
+            qubit_response_thermal(Q1.omega_q, Q1, FIG1, bad, 1e-12)
     with pytest.raises(ValueError, match="^flux must be non-negative"):
         qubit_response_thermal(Q1.omega_q, Q1, FIG1, -1.0, 1e-12)
+    # tau_c stays thermal light's first positional argument; the vacuum's
+    # photon number is fixed
+    thermal = Thermal(1e-12, flux=1e4)
+    assert (thermal.tau_c, thermal.flux, thermal.nbar) == (1e-12, 1e4, None)
+    with pytest.raises(TypeError):
+        Vacuum(nbar=1.0)
+    # `replace` builds the state anew through the same rule
+    for sig in (Vacuum(), Coherent(nbar=1.0), Incoherent(flux=1.0), thermal):
+        assert dataclasses.replace(sig, signal_omega=1.0).signal_omega == 1.0
+        with pytest.raises(ValueError, match="^signal_omega must be finite"):
+            dataclasses.replace(sig, signal_omega=math.nan)
+    assert (dataclasses.replace(thermal, flux=None, nbar=2.0)
+            == Thermal(1e-12, nbar=2.0))
 
 
 # ---------------------------------------------------------------------------
